@@ -4,7 +4,9 @@
                   [--out DIR] [--format {csv,json,both}]
 
 plus one subcommand per job type (``atiyahlab lambda --config ...`` etc.)
-that runs only the config jobs of that type.  Output directory resolution:
+that runs only the config jobs of that type.  Jobs always run one after
+another; --jobs is accepted for compatibility, must be at least 1 and does
+not change the schedule or the output.  Output directory resolution:
 --out flag, else $ATIYAHLAB_OUT, else the current directory.  Exit codes:
 0 when nothing failed, 1 when any job FAILed or errored, 2 for configuration
 problems.
@@ -37,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker pool size (default 1)")
+                       help="accepted for compatibility (must be >= 1); "
+                            "jobs always run one after another")
         p.add_argument("--out", default=None,
                        help="output directory (default $ATIYAHLAB_OUT or .)")
         p.add_argument("--format", choices=("csv", "json", "both"),
@@ -58,7 +61,7 @@ def main(argv=None) -> int:
                     f"config has no job of type {args.command!r}")
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
-        rows = run_config(config, parallelism=args.jobs)
+        rows = run_config(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

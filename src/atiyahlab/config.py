@@ -33,10 +33,21 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ConfigError
 
-JOB_TYPES = (
-    "h0", "h0-fat", "lambda", "mu", "verify-prop22", "verify-prop23",
-    "verify-prop27", "example-theorem", "group-order", "compare-char",
-)
+# Accepted parameter keys per job type, as read by the runners in jobs.py;
+# any other key is a typo that would silently fall back to a default.
+JOB_PARAMS = {
+    "h0": ("levels", "twisted"),
+    "h0-fat": ("level", "points"),
+    "lambda": ("m", "base", "w0", "cap", "trials", "certify"),
+    "mu": ("levels", "base", "w0"),
+    "verify-prop22": ("n",),
+    "verify-prop23": ("levels",),
+    "verify-prop27": ("base", "w0"),
+    "example-theorem": ("level", "multiplicities", "points"),
+    "group-order": ("expect_order", "expect_cyclic"),
+    "compare-char": ("p", "k", "pairs", "base", "w0"),
+}
+JOB_TYPES = tuple(JOB_PARAMS)
 
 
 @dataclass
@@ -211,6 +222,11 @@ def load_config(path: str) -> ExperimentConfig:
         if kind not in JOB_TYPES:
             raise ConfigError(
                 f"job {ident!r}: unknown type {kind!r} (known: {', '.join(JOB_TYPES)})")
+        for key in params:
+            if key not in JOB_PARAMS[kind]:
+                raise ConfigError(
+                    f"job {ident!r}: unknown key {key!r} for type {kind!r} "
+                    f"(accepted: {', '.join(JOB_PARAMS[kind])})")
         jobs.append(JobSpec(ident, kind, params))
 
     return ExperimentConfig(p, k, coeffs, q, T, seed, jobs, source=str(path))

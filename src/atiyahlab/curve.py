@@ -16,8 +16,10 @@ with -(x, y) = (x, -y - a1 x - a3).
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import CertificationError
-from .fields import QQ, FieldElem, solve_quadratic
+from .fields import QQ, FieldElem, _prime_divisors, solve_quadratic
 
 _ENUMERATION_CAP = 10 ** 6
 
@@ -163,12 +165,12 @@ class WeierstrassCurve:
         """Order, cyclicity and a maximal-order witness by full enumeration."""
         pts = self.points()
         n = len(pts)
-        factors = _factorize(n)
+        factors = _prime_divisors(n)
         best, best_ord = self.infinity, 1
         exponent = 1
         for P in pts[1:]:
             o = self._element_order(P, n, factors)
-            exponent = exponent * o // _gcd(exponent, o)
+            exponent = lcm(exponent, o)
             if o > best_ord:
                 best, best_ord = P, o
             if best_ord == n:
@@ -345,26 +347,6 @@ def certify_not_p_torsion(P: CurvePoint) -> None:
         raise ValueError("characteristic-p certificate requested over the rationals")
     if P.is_infinity or P.curve.mul(p, P).is_infinity:
         raise CertificationError(f"class point is {p}-torsion")
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def reduce_curve_mod_p(curve: WeierstrassCurve, p: int, k: int = 1) -> WeierstrassCurve:

@@ -79,9 +79,6 @@ def expected_dimension(dim_l: int, multiplicities) -> int:
     return max(-1, dim_l - cost)
 
 
-expdim = expected_dimension
-
-
 class EvalMatrix:
     """Jet-condition matrix: one row per monomial t^alpha u^beta (alpha +
     beta < m, per point), one column per basis section."""
@@ -201,17 +198,7 @@ class FatSystem:
 
     def section(self, i: int) -> SectionVector:
         space = self.surface.h0(self.level, twisted=True)
-        vec = self.kernel[i]
-        field = self.surface.field
-        out = None
-        for c, sec in zip(vec, space.sections):
-            if field.is_zero(c):
-                continue
-            term = sec.scaled(c)
-            out = term if out is None else _section_add(out, term)
-        if out is None:
-            raise VerificationError("kernel vector is zero")
-        return out
+        return _combine(space.sections, self.kernel[i])
 
     def serialize(self) -> dict:
         return {
@@ -224,9 +211,20 @@ class FatSystem:
         }
 
 
-def _section_add(a: SectionVector, b: SectionVector) -> SectionVector:
-    comps = [x + y for x, y in zip(a.components, b.components)]
-    return SectionVector(a.surface, a.level, a.twisted, comps)
+def _combine(sections, vec) -> SectionVector:
+    """The section sum_i vec[i] * sections[i] for a nonzero kernel vector."""
+    field = sections[0].surface.field
+    out = None
+    for c, sec in zip(vec, sections):
+        if field.is_zero(c):
+            continue
+        term = sec.scaled(c)
+        out = term if out is None else SectionVector(
+            out.surface, out.level, out.twisted,
+            [x + y for x, y in zip(out.components, term.components)])
+    if out is None:
+        raise VerificationError("kernel vector is zero")
+    return out
 
 
 def fat_system(surface: AtiyahSurface, level: int, points) -> FatSystem:
@@ -518,13 +516,7 @@ def char_p_witness(surface: AtiyahSurface, level: int, multiplicities,
         _, kernel = rank_and_kernel(Matrix(field, [row], 2))
         if not kernel:
             raise VerificationError("no level-p member through the point")
-        vec = kernel[0]
-        sec = None
-        for c, s in zip(vec, plain.sections):
-            if field.is_zero(c):
-                continue
-            term = s.scaled(c)
-            sec = term if sec is None else _section_add(sec, term)
+        sec = _combine(plain.sections, kernel[0])
         val = sec.value_at(fp.base, fp.w0.raw)
         if not field.is_zero(val.raw):
             raise VerificationError("level-p member misses the point")

@@ -283,6 +283,7 @@ class FiniteField:
         self.characteristic = p
         self.kind = "prime-field" if k == 1 else "extension-field"
         self.modulus = _canonical_modulus(p, k)
+        self._trace_one = None
         if k == 1:
             self._mode = "prime"
             self.zero, self.one = 0, 1
@@ -566,6 +567,21 @@ class FiniteField:
             cur = self.pow(cur, self.p)
         return acc
 
+    def trace_one(self):
+        """delta = z^i for the least i with Tr(z^i) != 0 (cached).
+
+        The trace is F_p-linear and the powers z^0..z^(k-1) form a basis, so
+        such an i < k exists; every packed value below p^i lies in the span
+        of z^0..z^(i-1), all of trace 0, so delta is also the least packed
+        value of nonzero trace.
+        """
+        if self._trace_one is None:
+            i = 0
+            while self.is_zero(self.trace(self.from_packed(self.p ** i))):
+                i += 1
+            self._trace_one = self.from_packed(self.p ** i)
+        return self._trace_one
+
     def solve_artin_schreier(self, d):
         """A solution z of z^2 + z = d in characteristic 2, or None.
 
@@ -576,12 +592,7 @@ class FiniteField:
             raise ValueError("Artin-Schreier solver requires characteristic 2")
         if not self.is_zero(self.trace(d)):
             return None
-        delta = None
-        for v in range(1, self.q):
-            cand = self.from_packed(v)
-            if not self.is_zero(self.trace(cand)):
-                delta = cand
-                break
+        delta = self.trace_one()
         powers_d = [d]
         powers_delta = [delta]
         for _ in range(self.k - 1):
@@ -652,10 +663,7 @@ def solve_quadratic(field, a, b, c):
         roots = sorted({field.to_packed(r1), field.to_packed(r2)})
         return [field.from_packed(v) for v in roots]
     disc = field.sub(field.mul(b, b), field.mul(field.from_int(4), field.mul(a, c)))
-    if field.characteristic == 0:
-        root = field.sqrt(disc)
-    else:
-        root = field.sqrt(disc)
+    root = field.sqrt(disc)
     if root is None:
         return []
     two_a = field.mul(field.from_int(2), a)

@@ -108,14 +108,6 @@ class FuncElem:
             and self.d == other.d
         )
 
-    def u(self):
-        """The y^0 part as a (numerator, denominator) pair."""
-        return list(self.a), list(self.d)
-
-    def v(self):
-        """The y^1 part as a (numerator, denominator) pair."""
-        return list(self.b), list(self.d)
-
     def to_text(self) -> str:
         f = self.curve.field
         num_a = poly.to_text(f, self.a)
@@ -419,8 +411,3 @@ def pair_function(P: CurvePoint, Q: CurvePoint) -> FuncElem:
     # (y - lam x - nu) / (x - x_R)
     a = poly.trim(f, [f.neg(nu.raw), f.neg(lam.raw)])
     return FuncElem(curve, a, [f.one], [f.neg(R.x.raw), f.one])
-
-
-def local_expand(fn: FuncElem, P: CurvePoint, prec: int) -> LaurentSeries:
-    """Module-level alias for :meth:`FuncElem.expand`."""
-    return fn.expand(P, prec)

@@ -1,19 +1,17 @@
 """Job dispatch: turns an ExperimentConfig into a list of ResultRows.
 
-Each job is pure given its parameters and its own deterministically seeded
-RNG (derived from the run seed and the job's position), so a work pool may
-execute them in any order; rows are assembled in config order regardless.
-Verdicts are PASS/FAIL only for jobs that check a stated expectation; plain
-measurements report INFO.  Any library exception is captured as an ERROR row
-with the job id attached rather than aborting the whole run.
+Jobs run one after another in config order, each with its own
+deterministically seeded RNG (derived from the run seed and the job's
+position), and share the run's surface and its caches.  Verdicts are
+PASS/FAIL only for jobs that check a stated expectation; plain measurements
+report INFO.  Any exception a job raises is captured as an ERROR row with the
+job id and the exception type attached rather than aborting the whole run.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import (ExperimentConfig, JobSpec, parse_bool, parse_fat_points,
                      parse_int, parse_int_list, parse_level_mult_pairs,
@@ -21,7 +19,7 @@ from .config import (ExperimentConfig, JobSpec, parse_bool, parse_fat_points,
 from .curve import (WeierstrassCurve, certify_non_torsion,
                     certify_not_p_torsion, reduce_curve_mod_p,
                     reduce_point_mod_p)
-from .errors import AtiyahLabError, ConfigError
+from .errors import ConfigError
 from .fat_points import (FatPoint, char_p_witness, fat_system, h0_fat,
                          max_multiplicity, min_level, multiplicity_step_check,
                          sample_fat_point)
@@ -55,7 +53,7 @@ class ResultRow:
 
 
 class RunContext:
-    """Field, curve and surface shared by the jobs of a run (lazy, locked)."""
+    """Field, curve and surface shared by the jobs of a run (surface lazy)."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -75,14 +73,11 @@ class RunContext:
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"inconsistent field/curve data: {exc}") from exc
         self._surface = None
-        self._lock = threading.Lock()
 
     @property
     def surface(self):
         if self._surface is None:
-            with self._lock:
-                if self._surface is None:
-                    self._surface = make_surface(self.curve, self.q, T=self.T)
+            self._surface = make_surface(self.curve, self.q, T=self.T)
         return self._surface
 
 
@@ -329,18 +324,13 @@ def run_job(ctx: RunContext, spec: JobSpec, index: int) -> ResultRow:
         values, certs, status = _RUNNERS[spec.kind](ctx, spec.params, rng)
         return ResultRow(spec.ident, spec.kind, spec.params, status, values,
                          certs, wall_time=time.perf_counter() - start)
-    except (AtiyahLabError, ValueError, ZeroDivisionError, KeyError) as exc:
+    except Exception as exc:  # one failing job must not lose the other rows
         return ResultRow(spec.ident, spec.kind, spec.params, "ERROR", {}, {},
                          error=f"{type(exc).__name__}: {exc}",
                          wall_time=time.perf_counter() - start)
 
 
-def run_config(config: ExperimentConfig, parallelism: int = 1) -> list:
-    """All jobs of the config, rows in config order whatever the pool does."""
+def run_config(config: ExperimentConfig) -> list:
+    """All jobs of the config, run one after another, rows in config order."""
     ctx = RunContext(config)
-    if parallelism <= 1 or len(config.jobs) <= 1:
-        return [run_job(ctx, spec, i) for i, spec in enumerate(config.jobs)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(run_job, ctx, spec, i)
-                   for i, spec in enumerate(config.jobs)]
-        return [f.result() for f in futures]
+    return [run_job(ctx, spec, i) for i, spec in enumerate(config.jobs)]

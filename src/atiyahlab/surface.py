@@ -24,7 +24,6 @@ dimension at margin + 2, raising CutoffInstabilityError on disagreement.
 
 from __future__ import annotations
 
-import threading
 from math import comb
 
 from .curve import CurvePoint, Divisor, WeierstrassCurve
@@ -64,13 +63,10 @@ class CechCocycle:
         self.certificate = certificate
         self._g_powers = [FuncElem.one(self.curve), g]
         self._g_series = {}
-        self._lock = threading.Lock()
 
     def g_power(self, m: int) -> FuncElem:
-        if len(self._g_powers) <= m:
-            with self._lock:
-                while len(self._g_powers) <= m:
-                    self._g_powers.append(self._g_powers[-1] * self.g)
+        while len(self._g_powers) <= m:
+            self._g_powers.append(self._g_powers[-1] * self.g)
         return self._g_powers[m]
 
     def g_series_at_inf(self, m: int, horizon: int):
@@ -91,6 +87,18 @@ def _jet_vector(fn, infinity, lo, hi, prec_pad=4):
     return [s.coefficient(e) for e in range(lo, hi)]
 
 
+def _coboundary_jets(curve, T, k):
+    """Jets at inf (exponents -k..k) of the basis of L(k inf) + L(k T), and
+    their rank: the image that a gluing function must leave to be nontrivial."""
+    inf = curve.infinity
+    rows = [_jet_vector(f, inf, -k, k + 1) for f in monomial_basis(curve, k)]
+    rows += [
+        _jet_vector(f, inf, -k, k + 1)
+        for f in rr_basis(curve, Divisor(curve, {T: k}), check=False).basis
+    ]
+    return rows, rank(Matrix(curve.field, rows, 2 * k + 1))
+
+
 def build_cocycle(curve: WeierstrassCurve, T: CurvePoint, max_order: int = 6) -> CechCocycle:
     """Gluing function of the nonsplit extension, with certificate.
 
@@ -104,20 +112,14 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint, max_order: int = 6) ->
     field = curve.field
     for k in range(1, max_order + 1):
         both = rr_basis(curve, Divisor(curve, {inf: k, T: k}), check=False)
-        lo, hi = -k, k + 1
-        image_rows = []
-        for f in monomial_basis(curve, k):
-            image_rows.append(_jet_vector(f, inf, lo, hi))
-        for f in rr_basis(curve, Divisor(curve, {T: k}), check=False).basis:
-            image_rows.append(_jet_vector(f, inf, lo, hi))
-        base_rank = rank(Matrix(field, image_rows, hi - lo))
+        image_rows, base_rank = _coboundary_jets(curve, T, k)
         cokernel = both.dim - base_rank
         if cokernel < 1:
             continue
         g = None
         for f in both.basis:
-            v = _jet_vector(f, inf, lo, hi)
-            if rank(Matrix(field, image_rows + [v], hi - lo)) > base_rank:
+            v = _jet_vector(f, inf, -k, k + 1)
+            if rank(Matrix(field, image_rows + [v], 2 * k + 1)) > base_rank:
                 g = f
                 break
         if g is None:
@@ -131,25 +133,15 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint, max_order: int = 6) ->
             raise VerificationError("gluing candidate lacks a pole at a chart point")
         cert = {"order": k, "cokernel_dims": {k: cokernel}}
         for kk in (k + 1, k + 2):
-            cert["cokernel_dims"][kk] = _cokernel_dim(curve, T, kk)
+            dim_kk = rr_basis(curve, Divisor(curve, {inf: kk, T: kk}),
+                              check=False).dim
+            cert["cokernel_dims"][kk] = dim_kk - _coboundary_jets(curve, T, kk)[1]
         if any(c < 1 for c in cert["cokernel_dims"].values()):
             raise VerificationError(f"cokernel not stable: {cert}")
         cert["pole_inf"] = pole_inf
         cert["pole_T"] = pole_T
         return CechCocycle(cover, g, k, pole_inf, pole_T, cert)
     raise VerificationError(f"no nontrivial gluing found up to order {max_order}")
-
-
-def _cokernel_dim(curve, T, k) -> int:
-    inf = curve.infinity
-    both = rr_basis(curve, Divisor(curve, {inf: k, T: k}), check=False)
-    lo, hi = -k, k + 1
-    rows = [_jet_vector(f, inf, lo, hi) for f in monomial_basis(curve, k)]
-    rows += [
-        _jet_vector(f, inf, lo, hi)
-        for f in rr_basis(curve, Divisor(curve, {T: k}), check=False).basis
-    ]
-    return both.dim - rank(Matrix(curve.field, rows, hi - lo))
 
 
 def is_coboundary_jet(cocycle, fn) -> bool:
@@ -159,16 +151,9 @@ def is_coboundary_jet(cocycle, fn) -> bool:
     curve, T, k = cocycle.curve, cocycle.T, cocycle.order
     if fn.is_zero():
         return True
-    inf = curve.infinity
-    lo, hi = -k, k + 1
-    rows = [_jet_vector(f, inf, lo, hi) for f in monomial_basis(curve, k)]
-    rows += [
-        _jet_vector(f, inf, lo, hi)
-        for f in rr_basis(curve, Divisor(curve, {T: k}), check=False).basis
-    ]
-    base = rank(Matrix(curve.field, rows, hi - lo))
-    v = _jet_vector(fn, inf, lo, hi)
-    return rank(Matrix(curve.field, rows + [v], hi - lo)) == base
+    rows, base = _coboundary_jets(curve, T, k)
+    v = _jet_vector(fn, curve.infinity, -k, k + 1)
+    return rank(Matrix(curve.field, rows + [v], 2 * k + 1)) == base
 
 
 def sym_transition(cocycle: CechCocycle, level: int):

@@ -1,8 +1,14 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from atiyahlab import jobs
 from atiyahlab.cli import main
+from atiyahlab.surface import AtiyahSurface
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = """\
 [field]
@@ -214,3 +220,48 @@ def test_seed_override_recorded(tmp_path, capsys):
 def test_bad_jobs_flag_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, TINY)
     assert main(["run", "--config", cfg, "--jobs", "0"]) == 2
+
+
+def test_jobs_flag_solves_each_space_once(tmp_path, capsys, monkeypatch):
+    # verify-prop23 and verify-prop27 share twisted spaces; every
+    # (surface, level, twisted, margin) must be solved once and then cached
+    solves = Counter()
+    original = AtiyahSurface._solve
+
+    def counting(self, level, twisted, margin, want_kernel):
+        solves[(id(self), level, twisted, margin)] += 1
+        return original(self, level, twisted, margin, want_kernel)
+
+    monkeypatch.setattr(AtiyahSurface, "_solve", counting)
+    cfg = str(CONFIGS / "char3-reduction.ini")
+    assert main(["run", "--config", cfg, "--jobs", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert solves and max(solves.values()) == 1
+
+
+def test_unexpected_exception_keeps_other_rows(tmp_path, capsys, monkeypatch):
+    def broken(ctx, params, rng):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(jobs._RUNNERS, "verify-prop22", broken)
+    text = TINY.replace("[job.twist-check]", """[job.broken]
+type = verify-prop22
+
+[job.twist-check]""")
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "[ERROR] broken (verify-prop22) — TypeError: unsupported operand" in printed
+    payload = json.loads((out / "report.json").read_text())
+    assert [r["status"] for r in payload["results"]] == ["INFO", "ERROR", "PASS"]
+
+
+def test_misspelled_job_key_exits_2(tmp_path, capsys):
+    text = (CONFIGS / "char3-reduction.ini").read_text().replace(
+        "levels = 0..6", "leves = 0..2")
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'leves'" in err and "'twist-dims'" in err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from atiyahlab.config import (
@@ -151,3 +153,16 @@ def test_parse_level_mult_pairs():
     assert parse_level_mult_pairs("3:2; 6:3", "pairs") == [(3, 2), (6, 3)]
     with pytest.raises(ConfigError):
         parse_level_mult_pairs("3", "pairs")
+
+
+@pytest.mark.parametrize("name", ["acceptance.ini", "char2-witness.ini",
+                                  "char3-reduction.ini"])
+def test_shipped_configs_load(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    assert load_config(str(path)).jobs
+
+
+def test_unknown_job_key_rejected(tmp_path):
+    text = GOOD.replace("levels = 0..2", "leves = 0..2")
+    with pytest.raises(ConfigError, match="unknown key 'leves'.*'h0'"):
+        load_config(write(tmp_path, text))

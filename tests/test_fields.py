@@ -209,6 +209,14 @@ def test_artin_schreier_char2():
         make_extension_field(3).solve_artin_schreier(1)
 
 
+def test_trace_one_is_least_packed_value_of_trace_one():
+    for k in range(1, 13):
+        F = make_extension_field(2, k)
+        scan = next(v for v in range(1, F.q)
+                    if not F.is_zero(F.trace(F.from_packed(v))))
+        assert F.to_packed(F.trace_one()) == scan
+
+
 def test_is_probable_prime():
     assert is_probable_prime(2) and is_probable_prime(3) and is_probable_prime(1000003)
     assert not is_probable_prime(1)

