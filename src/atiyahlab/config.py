@@ -47,6 +47,11 @@ JOB_PARAMS = {
     "group-order": ("expect_order", "expect_cyclic"),
     "compare-char": ("p", "k", "pairs", "base", "w0"),
 }
+# Keys without a default: a job that lacks one cannot run at all.
+REQUIRED_PARAMS = {
+    "h0-fat": ("points",),
+    "compare-char": ("base",),
+}
 JOB_TYPES = tuple(JOB_PARAMS)
 
 
@@ -227,6 +232,10 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"job {ident!r}: unknown key {key!r} for type {kind!r} "
                     f"(accepted: {', '.join(JOB_PARAMS[kind])})")
+        for key in REQUIRED_PARAMS.get(kind, ()):
+            if not params.get(key, "").strip():
+                raise ConfigError(
+                    f"job {ident!r}: type {kind!r} needs the key {key!r}")
         jobs.append(JobSpec(ident, kind, params))
 
     return ExperimentConfig(p, k, coeffs, q, T, seed, jobs, source=str(path))

@@ -37,6 +37,21 @@ def _curve_st(curve):
     return st
 
 
+def mul_numerators(curve, a, b, c, d):
+    """(A, B) with A + B y = (a + b y)(c + d y), reducing y^2 = S + T y.
+
+    Plain polynomial parts in, plain polynomial parts out: no denominator,
+    no gcd.
+    """
+    f = curve.field
+    S, T = _curve_st(curve)
+    bd = poly.mul(f, b, d)
+    A = poly.add(f, poly.mul(f, a, c), poly.mul(f, bd, S))
+    B = poly.add(f, poly.add(f, poly.mul(f, a, d), poly.mul(f, b, c)),
+                 poly.mul(f, bd, T))
+    return A, B
+
+
 class FuncElem:
     __slots__ = ("curve", "a", "b", "d")
 
@@ -85,10 +100,6 @@ class FuncElem:
     def y_function(cls, curve):
         f = curve.field
         return cls(curve, [], [f.one], [f.one], reduce=False)
-
-    @classmethod
-    def from_x_poly(cls, curve, coeffs):
-        return cls(curve, coeffs, [], [curve.field.one])
 
     # -- predicates / conversions ------------------------------------------------
 
@@ -160,15 +171,9 @@ class FuncElem:
             return FuncElem(self.curve, poly.scalar_mul(f, c, self.a),
                             poly.scalar_mul(f, c, self.b), self.d)
         self._require_same_curve(other)
-        f = self.curve.field
-        S, T = _curve_st(self.curve)
-        aa = poly.mul(f, self.a, other.a)
-        bb = poly.mul(f, self.b, other.b)
-        ab = poly.add(f, poly.mul(f, self.a, other.b), poly.mul(f, self.b, other.a))
-        a = poly.add(f, aa, poly.mul(f, bb, S))
-        b = poly.add(f, ab, poly.mul(f, bb, T))
-        d = poly.mul(f, self.d, other.d)
-        return FuncElem(self.curve, a, b, d)
+        a, b = mul_numerators(self.curve, self.a, self.b, other.a, other.b)
+        return FuncElem(self.curve, a, b,
+                        poly.mul(self.curve.field, self.d, other.d))
 
     __rmul__ = __mul__
 

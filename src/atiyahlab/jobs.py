@@ -276,12 +276,9 @@ def _run_compare_char(ctx, params, rng):
     p = parse_int(params.get("p", "3"), "p")
     k = parse_int(params.get("k", "1"), "k")
     pairs = parse_level_mult_pairs(params.get("pairs", "3:2; 6:3"), "pairs")
-    base = params.get("base")
-    if not base:
-        raise ConfigError("compare-char needs an integral base point 'base'")
     w0_text = params.get("w0", "1").strip()
 
-    P0 = _parse_point(ctx, base, "base")
+    P0 = _parse_point(ctx, params["base"], "base")
     certify_non_torsion(P0 - ctx.q)
     curve_p = reduce_curve_mod_p(ctx.curve, p, k)
     q_p = reduce_point_mod_p(ctx.q, curve_p)

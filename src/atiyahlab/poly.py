@@ -15,27 +15,12 @@ def trim(field, cs):
     return cs
 
 
-def zero():
-    return []
-
-
 def const(field, c):
     return [] if field.is_zero(c) else [c]
 
 
-def x_power(field, n: int, scale=None):
-    c = field.one if scale is None else scale
-    if field.is_zero(c):
-        return []
-    return [field.zero] * n + [c]
-
-
 def degree(cs) -> int:
     return len(cs) - 1
-
-
-def is_zero(cs) -> bool:
-    return not cs
 
 
 def add(field, f, g):
@@ -44,13 +29,6 @@ def add(field, f, g):
     out = list(f)
     for i, c in enumerate(g):
         out[i] = field.add(out[i], c)
-    return trim(field, out)
-
-
-def sub(field, f, g):
-    out = list(f) + [field.zero] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = field.sub(out[i], c)
     return trim(field, out)
 
 
@@ -125,31 +103,11 @@ def monic(field, f):
     return scalar_mul(field, field.inv(lead), f)
 
 
-def pow_int(field, f, n: int):
-    result = [field.one]
-    base = list(f)
-    while n:
-        if n & 1:
-            result = mul(field, result, base)
-        base = mul(field, base, base)
-        n >>= 1
-    return result
-
-
 def evaluate(field, f, x_raw):
     """Horner evaluation at a raw field value."""
     acc = field.zero
     for c in reversed(f):
         acc = field.add(field.mul(acc, x_raw), c)
-    return acc
-
-
-def shift_compose(field, f, a_raw):
-    """f(x + a) by Horner in (x + a)."""
-    acc = []
-    xa = [a_raw, field.one]
-    for c in reversed(f):
-        acc = add(field, mul(field, acc, xa), const(field, c))
     return acc
 
 

@@ -49,13 +49,6 @@ class LaurentSeries:
             return cls.zero(field, hi)
         return cls(field, n, [field.one] + [field.zero] * (hi - n - 1), hi)
 
-    @classmethod
-    def from_poly(cls, field, coeffs, hi: int):
-        """Series of a dense polynomial (exact below hi)."""
-        cs = list(coeffs[:max(0, hi)])
-        cs += [field.zero] * (hi - len(cs))
-        return cls(field, 0, cs, hi) if hi > 0 else cls.zero(field, hi)
-
     # -- inspection -------------------------------------------------------------
 
     def valuation(self):

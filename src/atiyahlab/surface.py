@@ -20,16 +20,34 @@ kernel computation per (level, twisted) with per-component pole cutoffs
 N_a = (level - a) * k_inf + margin — the inverse shift shows true sections
 satisfy the margin-0 bound, so the cutoff loses nothing — and re-checks the
 dimension at margin + 2, raising CutoffInstabilityError on disagreement.
+
+The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
+x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
+function with a simple pole at q, enters only when twisted.  With
+g = (a_g + b_g y)/d_g and h = (a_h + b_h y)/d_h (d_h = 1 untwisted), t_j
+is (A + B y)/D_j over D_j = d_g^(level-j) d_h, and A, B are linear in the
+unknowns: the products are taken unreduced, with y^2 = S + T y, so a
+monomial column is an index shift of the numerator of C(a,j) g^(a-j) d_h
+(times y for the odd orders) and only the h column needs a product.  As
+v_inf(x^i) = -2i and v_inf(x^i y) = -2i - 3 never coincide,
+v_inf((A + B y)/D) = min(-2 deg A, -2 deg B - 3) + 2 deg D in every
+characteristic, so t_j is regular at inf exactly when the coefficients of
+x^e vanish in A for e > deg D_j and in B for e >= deg D_j - 1; those
+coefficients are the rows.  SectionVector.validate re-checks every basis
+section by Laurent expansion at inf and at q, a path the solver never uses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import cached_property
 from math import comb
 
+from . import poly
 from .curve import CurvePoint, Divisor, WeierstrassCurve
 from .errors import CutoffInstabilityError, VerificationError
 from .fields import FieldElem
-from .funcfield import FuncElem, linear_combination
+from .funcfield import FuncElem, linear_combination, mul_numerators
 from .linalg import Matrix, rank_and_kernel, rank
 from .riemann_roch import monomial_basis, rr_basis
 
@@ -62,21 +80,11 @@ class CechCocycle:
         self.pole_T = pole_T
         self.certificate = certificate
         self._g_powers = [FuncElem.one(self.curve), g]
-        self._g_series = {}
 
     def g_power(self, m: int) -> FuncElem:
         while len(self._g_powers) <= m:
             self._g_powers.append(self._g_powers[-1] * self.g)
         return self._g_powers[m]
-
-    def g_series_at_inf(self, m: int, horizon: int):
-        """Expansion of g^m at inf with knowledge window reaching >= horizon."""
-        cached = self._g_series.get(m)
-        if cached is not None and cached.hi >= horizon:
-            return cached
-        s = self.g_power(m).expand(self.curve.infinity, horizon + m * self.pole_inf + 2)
-        self._g_series[m] = s
-        return s
 
     def __repr__(self):
         return f"CechCocycle(order={self.order}, g={self.g.to_text()})"
@@ -335,103 +343,91 @@ class AtiyahSurface:
         self.T = cocycle.T
         self.q = q
         self.margin = DEFAULT_MARGIN
-        self._ambient = {}       # (twisted) -> (funcs, pole_orders)
-        self._ambient_series = {}  # (twisted) -> {i: series}
         self._h0 = {}            # (level, twisted) -> SectionSpace
 
     # -- ambient bases -------------------------------------------------------
 
-    def _one_pole_function(self):
-        """The element of L((inf) + (q)) with a simple pole at both points."""
+    @cached_property
+    def one_pole_function(self) -> FuncElem:
+        """The element of L((inf) + (q)) with a simple pole at both points.
+
+        L(inf) holds only the constants, and no function has a single simple
+        pole, so every nonconstant element of L(inf + q) qualifies; the first
+        nonconstant basis element is taken.
+        """
         space = rr_basis(self.curve, Divisor(self.curve, {self.curve.infinity: 1,
                                                           self.q: 1}), check=False)
-        for f in space.basis:
-            if f.expand(self.curve.infinity, 4).valuation() == -1:
+        for f in space.basis:   # reduced, so a constant has b = 0 and d = 1
+            if f.b or len(f.a) > 1 or len(f.d) > 1:
                 return f
         raise VerificationError("no degree-(1,1) function in L(inf + q)")
 
     def ambient_basis(self, twisted: bool, n: int):
         """Functions with pole orders at inf equal to 0,1,2,...  (twisted:
-        poles <= 1 at q allowed) spanning L(N inf (+q)) by taking prefixes."""
-        funcs, orders = self._ambient.get(twisted, ([], []))
-        if not funcs:
-            if twisted:
-                funcs = [FuncElem.one(self.curve), self._one_pole_function()]
-                orders = [0, 1]
-            else:
-                funcs = [FuncElem.one(self.curve)]
-                orders = [0]
-        if orders[-1] < n:
-            x = FuncElem.x_function(self.curve)
-            y = FuncElem.y_function(self.curve)
-            for m in range(orders[-1] + 1, n + 1):
-                if m == 1:
-                    continue  # no untwisted function with a simple pole only
-                funcs = funcs + [x ** (m // 2) if m % 2 == 0
-                                 else x ** ((m - 3) // 2) * y]
-                orders = orders + [m]
-        self._ambient[twisted] = (funcs, orders)
-        idx = 0
-        while idx < len(orders) and orders[idx] <= n:
-            idx += 1
-        return funcs[:idx], orders[:idx]
+        poles <= 1 at q allowed) spanning L(N inf (+q)) by taking prefixes.
 
-    def _ambient_series_at_inf(self, twisted: bool, i: int, fn, horizon: int):
-        cache = self._ambient_series.setdefault(twisted, {})
-        s = cache.get(i)
-        if s is None or s.hi < horizon:
-            s = fn.expand(self.curve.infinity, horizon + 2 * len(fn.d) + 8)
-            if s.hi < horizon:
-                s = fn.expand(self.curve.infinity, horizon + abs(s.start) + 8)
-            cache[i] = s
-        return s
+        Pole order 1 is the one-pole function and occurs only when twisted;
+        every other order m is the monomial x^(m/2) or x^((m-3)/2) y.
+        """
+        funcs = monomial_basis(self.curve, n)
+        orders = [0] + list(range(2, n + 1))
+        if twisted and n >= 1:
+            funcs.insert(1, self.one_pole_function)
+            orders.insert(1, 1)
+        return funcs, orders
 
     # -- the solver ---------------------------------------------------------------
 
     def _solve(self, level: int, twisted: bool, margin: int, want_kernel: bool):
         kinf = self.cocycle.pole_inf
         caps = [(level - j) * kinf + margin for j in range(level + 1)]
-        master_n = caps[0]
-        funcs, orders = self.ambient_basis(twisted, master_n)
-        dims = []
-        for a in range(level + 1):
-            cnt = 0
-            while cnt < len(orders) and orders[cnt] <= caps[a]:
-                cnt += 1
-            dims.append(cnt)
+        funcs, orders = self.ambient_basis(twisted, caps[0])
+        dims = [bisect_right(orders, cap) for cap in caps]
         columns = [(a, i) for a in range(level, -1, -1) for i in range(dims[a])]
         col_of = {key: idx for idx, key in enumerate(columns)}
 
-        field = self.field
-        horizon_b = level * kinf + 6
-        horizon_g = master_n + 6
-        bser = [
-            self._ambient_series_at_inf(twisted, i, fn, horizon_b)
-            for i, fn in enumerate(funcs)
-        ]
-        gser = [self.cocycle.g_series_at_inf(m, horizon_g) for m in range(level + 1)]
-        prod = {}
-        for m in range(level + 1):
-            max_dim = max((dims[j + m] for j in range(level + 1 - m)), default=0)
-            for i in range(max_dim):
-                prod[(m, i)] = gser[m] * bser[i] if m else bser[i]
+        field, curve, g = self.field, self.curve, self.cocycle.g
+        one = [field.one]
+        h = self.one_pole_function if twisted else None
+        d_h = h.d if twisted else one
+        g_num = [(one, [])]     # numerator of g^m over the denominator d_g^m
+        d_g_pow = [one]
+        for _ in range(level):
+            g_num.append(mul_numerators(curve, *g_num[-1], g.a, g.b))
+            d_g_pow.append(poly.mul(field, d_g_pow[-1], g.d))
 
         rows = []
         for j in range(level, -1, -1):
-            binoms = {}
+            # numerator A + B y of t_j over D_j = d_g^(level-j) d_h; t_j is
+            # regular at inf iff deg A <= deg D_j and deg B <= deg D_j - 2
+            deg_d = poly.degree(d_g_pow[level - j]) + poly.degree(d_h)
+            keys = [(0, e) for e in range(deg_d + 1, deg_d + caps[j] // 2 + 1)]
+            keys += [(1, e) for e in range(max(deg_d - 1, 0),
+                                           deg_d + (caps[j] - 3) // 2 + 1)]
+            block = [[field.zero] * len(columns) for _ in keys]
             for a in range(j, level + 1):
                 c = field.from_int(comb(a, j))
-                if not field.is_zero(c):
-                    binoms[a] = c
-            for e in range(-caps[j], 0):
-                row = [field.zero] * len(columns)
-                for a, c in binoms.items():
-                    m = a - j
-                    for i in range(dims[a]):
-                        coeff = prod[(m, i)].coefficient(e)
-                        if not field.is_zero(coeff):
-                            row[col_of[(a, i)]] = field.mul(c, coeff)
-                rows.append(row)
+                if field.is_zero(c):
+                    continue
+                ga, gb = g_num[a - j]
+                dp = d_g_pow[level - a]
+                ka, kb = poly.mul(field, ga, dp), poly.mul(field, gb, dp)
+                mono = (poly.mul(field, ka, d_h), poly.mul(field, kb, d_h))
+                mono_y = mul_numerators(curve, *mono, [], one)
+                for i in range(dims[a]):
+                    m = orders[i]
+                    if m == 1:
+                        num, shift = mul_numerators(curve, ka, kb, h.a, h.b), 0
+                    elif m % 2 == 0:
+                        num, shift = mono, m // 2
+                    else:
+                        num, shift = mono_y, (m - 3) // 2
+                    col = col_of[(a, i)]
+                    for row, (part, e) in zip(block, keys):
+                        cs, k = num[part], e - shift
+                        if 0 <= k < len(cs) and not field.is_zero(cs[k]):
+                            row[col] = field.mul(c, cs[k])
+            rows.extend(block)
         mat = Matrix(field, rows, len(columns))
         if not want_kernel:
             r = rank(mat)

@@ -265,3 +265,15 @@ def test_misspelled_job_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'leves'" in err and "'twist-dims'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,key,extra", [
+    ("h0-fat", "points", "level = 1\n"),
+    ("compare-char", "base", "pairs = 3:2\n"),
+], ids=["h0-fat", "compare-char"])
+def test_missing_required_job_key_exits_2(tmp_path, capsys, kind, key, extra):
+    cfg = write(tmp_path, TINY + f"\n[job.incomplete]\ntype = {kind}\n" + extra)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'incomplete'" in err and f"'{key}'" in err
+    assert not (tmp_path / "out").exists()

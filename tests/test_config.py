@@ -166,3 +166,18 @@ def test_unknown_job_key_rejected(tmp_path):
     text = GOOD.replace("levels = 0..2", "leves = 0..2")
     with pytest.raises(ConfigError, match="unknown key 'leves'.*'h0'"):
         load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("kind,key,present", [
+    ("h0-fat", "points", "level = 1\npoints = 1 : 1 : 2 : 2\n"),
+    ("compare-char", "base", "p = 3\nbase = 1, 1\n"),
+], ids=["h0-fat", "compare-char"])
+def test_required_job_key_rejected_when_missing(tmp_path, kind, key, present):
+    good = GOOD + f"\n[job.third]\ntype = {kind}\n" + present
+    assert load_config(write(tmp_path, good)).jobs[-1].kind == kind
+    missing = "".join(line + "\n" for line in present.splitlines()
+                      if not line.startswith(key))
+    for text in (missing, missing + f"{key} =\n"):
+        bad = GOOD + f"\n[job.third]\ntype = {kind}\n" + text
+        with pytest.raises(ConfigError, match=f"'third'.*'{kind}'.*'{key}'"):
+            load_config(write(tmp_path, bad))

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from atiyahlab import poly
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.funcfield import (
@@ -159,3 +162,44 @@ def test_linear_combination_and_independence():
     assert not linearly_independent([x, x])
     assert not linearly_independent([one, x, x + one])
     assert linearly_independent([])
+
+
+# -- pole order at infinity from numerator degrees -------------------------------
+
+_DEGREE_CURVES = {
+    "QQ": rational_model(),
+    "F9": WeierstrassCurve(make_extension_field(3, 2), 0, 0, 0, -1, 1),
+    "F16": WeierstrassCurve(make_extension_field(2, 4), 1, 0, 0, 0, 1),  # a1 != 0
+}
+
+
+def _raw_poly(field, ints):
+    if field is QQ:
+        return [Fraction(n) for n in ints]
+    return [field.from_packed(n % field.q) for n in ints]
+
+
+def _closed_form_valuation(a, b, d):
+    # v(x^i) = -2i and v(x^i y) = -2i - 3 never coincide, so the leading
+    # monomials of a and b y cannot cancel
+    terms = []
+    if a:
+        terms.append(-2 * (len(a) - 1))
+    if b:
+        terms.append(-2 * (len(b) - 1) - 3)
+    return min(terms) + 2 * (len(d) - 1)
+
+
+_coeffs = st.lists(st.integers(-4, 15), max_size=5)
+
+
+@pytest.mark.parametrize("name", list(_DEGREE_CURVES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(a=_coeffs, b=_coeffs, d=_coeffs)
+def test_valuation_at_infinity_from_numerator_degrees(name, a, b, d):
+    E = _DEGREE_CURVES[name]
+    field = E.field
+    a, b, d = (poly.trim(field, _raw_poly(field, c)) for c in (a, b, d))
+    assume((a or b) and d)
+    fn = FuncElem(E, a, b, d, reduce=False)
+    assert fn.expand(E.infinity, 4).valuation() == _closed_form_valuation(a, b, d)

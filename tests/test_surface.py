@@ -1,3 +1,5 @@
+import hashlib
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -238,3 +240,30 @@ def test_cocycle_certificate_on_other_fields(f9_surface, f4_surface, f3_surface)
         assert c.order == 1
         assert c.certificate["cokernel_dims"] == {1: 1, 2: 1, 3: 1}
         assert not is_coboundary_jet(c, c.g)
+
+
+# sha256 over json.dumps(h0(level, twisted).serialize(), sort_keys=True) for
+# level = 0..top and twisted = False, True in that order, on
+# E: y^2 = x^3 - x + 1 with q = (0, 1), T = (-1, 1).  The canonical kernel
+# basis (one vector per free column) makes the serialized bases a function
+# of the section spaces and the column order alone, so any solver that
+# states the same conditions must reproduce these digests.
+PINNED_BASES = {
+    (0, 1): (8, "140bafcbc7d4ab5dbc950aa2d97b881b20e4f9e93ed8be0e9444261c5188f3ac"),
+    (1000003, 1): (5, "563b329b7685965cef483afe806ac148b0ae28f5ea84992a7d729aa53f1fb7c5"),
+    (3, 13): (5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
+}
+
+
+@pytest.mark.parametrize("p,k", list(PINNED_BASES), ids=["QQ", "F1000003", "F3^13"])
+def test_pinned_section_bases(p, k):
+    top, digest = PINNED_BASES[(p, k)]
+    field = QQ if p == 0 else make_extension_field(p, k)
+    E = WeierstrassCurve(field, 0, 0, 0, -1, 1)
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    h = hashlib.sha256()
+    for level in range(top + 1):
+        for twisted in (False, True):
+            data = surf.h0(level, twisted).serialize()
+            h.update(json.dumps(data, sort_keys=True).encode())
+    assert h.hexdigest() == digest
