@@ -53,6 +53,10 @@ REQUIRED_PARAMS = {
     "compare-char": ("base",),
 }
 JOB_TYPES = tuple(JOB_PARAMS)
+# Job types that run only over a finite field (True) or only over Q (False).
+FINITE_FIELD_NEEDED = {"verify-prop27": True, "group-order": True,
+                       "compare-char": False}
+TWIST_VARIANTS = {"false": (False,), "true": (True,), "both": (False, True)}
 
 
 @dataclass
@@ -178,6 +182,27 @@ def parse_level_mult_pairs(text: str, what: str) -> list:
     return out
 
 
+def twist_variants(params: dict) -> tuple:
+    """The twists an ``h0`` job solves, from ``twisted = true|false|both``."""
+    mode = params.get("twisted", "false").strip().lower()
+    if mode not in TWIST_VARIANTS:
+        raise ConfigError(f"twisted must be true/false/both, got {mode!r}")
+    return TWIST_VARIANTS[mode]
+
+
+def example_points(params: dict):
+    """(multiplicities, x:y:w0 triples) of an ``example-theorem`` job; the
+    triples are None when ``points = random`` (the default)."""
+    mults = parse_int_list(params.get("multiplicities", "5"), "multiplicities")
+    text = params.get("points", "random").strip()
+    if text == "random":
+        return mults, None
+    triples = parse_plain_points(text, "points")
+    if len(triples) != len(mults):
+        raise ConfigError("one point per multiplicity required")
+    return mults, triples
+
+
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
@@ -236,6 +261,17 @@ def load_config(path: str) -> ExperimentConfig:
             if not params.get(key, "").strip():
                 raise ConfigError(
                     f"job {ident!r}: type {kind!r} needs the key {key!r}")
+        finite = FINITE_FIELD_NEEDED.get(kind, p > 0)
+        if finite != (p > 0):
+            raise ConfigError(f"job {ident!r}: type {kind!r} needs "
+                              + ("a finite field" if finite else "the rationals"))
+        try:  # the runners read these values through the same functions
+            if kind == "h0":
+                twist_variants(params)
+            elif kind == "example-theorem":
+                example_points(params)
+        except ConfigError as exc:
+            raise ConfigError(f"job {ident!r}: {exc}") from None
         jobs.append(JobSpec(ident, kind, params))
 
     return ExperimentConfig(p, k, coeffs, q, T, seed, jobs, source=str(path))

@@ -329,18 +329,18 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
             certify_not_p_torsion(cls)
     if cap is None:
         cap = comb(m + 1, 2) + 2
-    dims = []
+    dims, em = [], None
     for level in range(cap + 1):
         system = fat_system(surface, level, [fp])
         dims.append(system.dim)
         if system.dim == 0:
+            em = system.eval_matrix  # full-rank witness if the next level wins
             continue
         certificate = system.section(0)
         certificate.validate()
         verify_jets(certificate, fp)
         witness = None
-        if level >= 1:
-            em = jet_matrix(surface, level - 1, [fp])
+        if em is not None:
             r = rank_naive(em.matrix)
             if r != em.ncols:
                 raise VerificationError(

@@ -12,12 +12,19 @@ layers on top.
 
 Raw representations
 -------------------
-* rationals: ``fractions.Fraction``.
-* F_p (k = 1): ints in ``[0, p)``.
-* F_{p^k}, k >= 2, p^k <= _TABLE_LIMIT: discrete logs to a fixed generator
-  (ints in ``[0, q-1)``, with ``q-1`` standing for zero), so multiplication is
-  index addition and addition is one Zech-logarithm lookup.
-* F_{p^k} above the table limit: coefficient tuples of length k.
+* rationals (:class:`RationalField`): ``fractions.Fraction``.
+* F_p, k = 1 (:class:`PrimeField`): ints in ``[0, p)``.
+* F_{p^k}, k >= 2, p^k <= _TABLE_LIMIT (:class:`TableField`): discrete logs
+  to a fixed generator (ints in ``[0, q-1)``, with ``q-1`` standing for
+  zero), so multiplication is index addition and addition is one
+  Zech-logarithm lookup.
+* F_{p^k} above the table limit (:class:`PolyField`): coefficient tuples of
+  length k.
+
+``FiniteField(p, k)`` returns the gear that fits (p, k); a gear class called
+directly builds that gear.  A gear defines its set-up, ``add``, ``neg``,
+``mul``, packed conversion and any fast ``inv``/``pow``; the rest is written
+once on :class:`FiniteField`.
 
 Externally (printing, serialization, enumeration order) an element of F_{p^k}
 is always the packed integer ``c_0 + c_1 p + ... + c_{k-1} p^{k-1}`` of its
@@ -39,7 +46,7 @@ def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for every n below 3.3e24."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -62,7 +69,6 @@ def is_probable_prime(n: int) -> bool:
 class RationalField:
     """The field Q with Fraction raw values."""
 
-    kind = "rationals"
     p = 0
     k = 1
     characteristic = 0
@@ -268,170 +274,43 @@ def _canonical_modulus(p: int, k: int):
 
 
 class FiniteField:
-    """F_{p^k} with canonical modulus and three internal gears (see module doc)."""
+    """F_{p^k} with canonical modulus; the base of the three gears (module doc)."""
 
     characteristic: int
 
-    def __init__(self, p: int, k: int = 1):
+    def __new__(cls, p: int, k: int = 1):
         if not is_probable_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if not 1 <= k <= 24:
             raise ValueError(f"extension degree {k} outside [1, 24]")
-        self.p = p
-        self.k = k
-        self.q = p ** k
+        if cls is FiniteField:
+            cls = (PrimeField if k == 1 else
+                   TableField if p ** k <= _TABLE_LIMIT else PolyField)
+        return super().__new__(cls)
+
+    def __init__(self, p: int, k: int = 1):
+        self.p, self.k, self.q = p, k, p ** k
         self.characteristic = p
-        self.kind = "prime-field" if k == 1 else "extension-field"
         self.modulus = _canonical_modulus(p, k)
         self._trace_one = None
-        if k == 1:
-            self._mode = "prime"
-            self.zero, self.one = 0, 1
-        elif self.q <= _TABLE_LIMIT:
-            self._mode = "table"
-            self._build_tables()
-            self.zero = self.q - 1  # log-form sentinel
-            self.one = 0
-        else:
-            self._mode = "poly"
-            self.zero = (0,) * k
-            self.one = (1,) + (0,) * (k - 1)
-            self._red_rows = self._reduction_rows()
+        self._setup()
 
-    # -- table construction -------------------------------------------------
-
-    def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
-        mod = self.modulus
-        gen = self._find_generator(mod)
-        exp = [0] * (q - 1)
-        acc = (1,)
-        for i in range(q - 1):
-            exp[i] = _pack(p, acc)
-            acc = _poly_mul_mod(p, acc, gen, mod)
-        if _pack(p, acc) != 1:
-            raise AssertionError("generator order mismatch")
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        zech = [0] * (q - 1)
-        zero = q - 1
-        for d in range(q - 1):
-            v = exp[d]
-            # add 1 in packed base-p form (lowest digit)
-            lo = v % p
-            v1 = v - lo + (lo + 1) % p
-            zech[d] = zero if v1 == 0 else log[v1]
-        self._exp, self._log, self._zech = exp, log, zech
-        self._gen_packed = _pack(p, gen)
-
-    def _find_generator(self, mod):
-        p, q = self.p, self.q
-        factors = _prime_divisors(q - 1)
-        for packed in range(2, q):
-            cand = _unpack(p, self.k, packed)
-            ok = True
-            for r in factors:
-                if _pack(p, _poly_pow_mod(p, cand, (q - 1) // r, mod)) == 1:
-                    ok = False
-                    break
-            if ok:
-                return cand
-        raise AssertionError("no multiplicative generator found")
-
-    def _reduction_rows(self):
-        # z^(k+i) mod modulus, as coefficient tuples, for i in [0, k-1)
-        p, k = self.p, self.k
-        rows = []
-        cur = tuple((-c) % p for c in self.modulus[:k])  # z^k
-        rows.append(cur)
-        for _ in range(k - 2):
-            shifted = (0,) + cur[: k - 1]
-            carry = cur[k - 1]
-            if carry:
-                shifted = tuple((s + carry * r) % p for s, r in zip(shifted, rows[0]))
-            cur = shifted
-            rows.append(cur)
-        return rows
-
-    # -- raw arithmetic ------------------------------------------------------
-
-    def add(self, a, b):
-        m = self._mode
-        if m == "prime":
-            return (a + b) % self.p
-        if m == "table":
-            qm1 = self.q - 1
-            if a == qm1:
-                return b
-            if b == qm1:
-                return a
-            if a > b:
-                a, b = b, a
-            z = self._zech[b - a]
-            return qm1 if z == qm1 else (a + z) % qm1
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        m = self._mode
-        if m == "prime":
-            return (-a) % self.p
-        if m == "table":
-            qm1 = self.q - 1
-            if a == qm1 or self.p == 2:
-                return a
-            return (a + qm1 // 2) % qm1
-        return tuple((-x) % self.p for x in a)
+    # -- raw arithmetic written once ------------------------------------------
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        m = self._mode
-        if m == "prime":
-            return a * b % self.p
-        if m == "table":
-            qm1 = self.q - 1
-            if a == qm1 or b == qm1:
-                return qm1
-            return (a + b) % qm1
-        out = [0] * (2 * self.k - 1)
-        p = self.p
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        for i in range(2 * self.k - 2, self.k - 1, -1):
-            c = out[i]
-            if c:
-                row = self._red_rows[i - self.k]
-                for j in range(self.k):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out[: self.k])
-
-    def inv(self, a):
-        m = self._mode
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if m == "prime":
-            return pow(a, self.p - 2, self.p)
-        if m == "table":
-            qm1 = self.q - 1
-            return (-a) % qm1
-        return self.pow(a, self.q - 2)
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.q - 2)
 
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        if self._mode == "table":
-            if a == self.q - 1:
-                if n == 0:
-                    return self.one
-                return a
-            return a * n % (self.q - 1)
         result, base = self.one, a
         while n:
             if n & 1:
@@ -441,33 +320,18 @@ class FiniteField:
         return result
 
     def is_zero(self, a) -> bool:
-        if self._mode == "poly":
-            return not any(a)
         return a == self.zero
 
     # -- conversions ----------------------------------------------------------
 
     def from_int(self, n: int):
-        return self.from_packed(n % self.p)
+        return self._from_packed(n % self.p)
 
     def from_packed(self, v: int):
         """Element from its canonical packed integer in [0, p^k)."""
         if not 0 <= v < self.q:
             raise ValueError(f"packed value {v} outside [0, {self.q})")
-        m = self._mode
-        if m == "prime":
-            return v
-        if m == "table":
-            return self.q - 1 if v == 0 else self._log[v]
-        return _unpack(self.p, self.k, v) if v else self.zero
-
-    def to_packed(self, a) -> int:
-        m = self._mode
-        if m == "prime":
-            return a
-        if m == "table":
-            return 0 if a == self.q - 1 else self._exp[a]
-        return _pack(self.p, a)
+        return self._from_packed(v)
 
     def from_coeffs(self, coeffs):
         cs = [int(c) % self.p for c in coeffs]
@@ -502,28 +366,18 @@ class FiniteField:
     def elem(self, value) -> "FieldElem":
         return FieldElem(self, self.parse(value))
 
-    def elements(self):
-        """All raw values in canonical (packed-integer) order."""
-        for v in range(self.q):
-            yield self.from_packed(v)
-
     def random(self, rng):
         return self.from_packed(rng.randrange(self.q))
 
     # -- square roots / quadratics ---------------------------------------------
 
     def sqrt(self, a):
-        """A square root of a, or None if a is a non-residue. Deterministic."""
-        if self.is_zero(a):
+        """The square root of a with the lesser packed value, or None."""
+        if a == self.zero:
             return self.zero
         if self.p == 2:
             # squaring is bijective: sqrt = a^(q/2)
             return self.pow(a, self.q // 2)
-        if self._mode == "table":
-            if a % 2:
-                return None
-            r = a // 2
-            return min(r, (r + (self.q - 1) // 2) % (self.q - 1))
         if self.pow(a, (self.q - 1) // 2) != self.one:
             return None
         r = self._tonelli(a)
@@ -606,9 +460,159 @@ class FiniteField:
         return z
 
     def __repr__(self):
-        if self.k == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.k})"
+        return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
+
+
+class PrimeField(FiniteField):
+    """F_p: ints in [0, p), arithmetic mod p."""
+
+    def _setup(self):
+        if self.k != 1:
+            raise ValueError(f"PrimeField needs k = 1, not {self.k}")
+        self.zero, self.one = 0, 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def pow(self, a, n: int):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return pow(a, n, self.p)
+
+    def _from_packed(self, v: int):
+        return v
+
+    def to_packed(self, a) -> int:
+        return a
+
+
+class TableField(FiniteField):
+    """F_{p^k}, q <= _TABLE_LIMIT: discrete logs to a fixed generator, with
+    q - 1 standing for zero; ``_exp`` and ``_log`` carry the zero entry too."""
+
+    def _setup(self):
+        p, q = self.p, self.q
+        mod = self.modulus
+        gen = self._find_generator(mod)
+        exp = [0] * q  # exp[q - 1] = 0 packs the zero sentinel
+        acc = (1,)
+        for i in range(q - 1):
+            exp[i] = _pack(p, acc)
+            acc = _poly_mul_mod(p, acc, gen, mod)
+        if _pack(p, acc) != 1:
+            raise AssertionError("generator order mismatch")
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        # zech[d] = log(g^d + 1): add 1 to the lowest base-p digit
+        zech = [log[v - v % p + (v + 1) % p] for v in exp[:-1]]
+        self._exp, self._log, self._zech = exp, log, zech
+        self.zero = q - 1  # log-form sentinel
+        self.one = 0
+
+    def _find_generator(self, mod):
+        p, q = self.p, self.q
+        factors = _prime_divisors(q - 1)
+        for packed in range(2, q):
+            cand = _unpack(p, self.k, packed)
+            if all(_pack(p, _poly_pow_mod(p, cand, (q - 1) // r, mod)) != 1
+                   for r in factors):
+                return cand
+        raise AssertionError("no multiplicative generator found")
+
+    def add(self, a, b):
+        qm1 = self.zero
+        if a == qm1:
+            return b
+        if b == qm1:
+            return a
+        if a > b:
+            a, b = b, a
+        z = self._zech[b - a]
+        return qm1 if z == qm1 else (a + z) % qm1
+
+    def neg(self, a):
+        qm1 = self.zero
+        if a == qm1 or self.p == 2:
+            return a
+        return (a + qm1 // 2) % qm1
+
+    def mul(self, a, b):
+        qm1 = self.zero
+        if a == qm1 or b == qm1:
+            return qm1
+        return (a + b) % qm1
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return (-a) % self.zero
+
+    def pow(self, a, n: int):
+        if a == self.zero:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.one if n == 0 else a
+        return a * n % self.zero
+
+    def _from_packed(self, v: int):
+        return self._log[v]
+
+    def to_packed(self, a) -> int:
+        return self._exp[a]
+
+
+class PolyField(FiniteField):
+    """F_{p^k} above the table limit: coefficient tuples of length k."""
+
+    def _setup(self):
+        p, k = self.p, self.k
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
+        # z^(k+i) mod modulus, as coefficient tuples, for i in [0, k-1)
+        cur = tuple((-c) % p for c in self.modulus[:k])  # z^k
+        rows = [cur]
+        for _ in range(k - 2):
+            shifted = (0,) + cur[: k - 1]
+            carry = cur[k - 1]
+            if carry:
+                shifted = tuple((s + carry * r) % p for s, r in zip(shifted, rows[0]))
+            cur = shifted
+            rows.append(cur)
+        self._red_rows = rows
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        k, p = self.k, self.p
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        for i in range(2 * k - 2, k - 1, -1):
+            c = out[i]
+            if c:
+                row = self._red_rows[i - k]
+                for j in range(k):
+                    out[j] = (out[j] + c * row[j]) % p
+        return tuple(out[:k])
+
+    def _from_packed(self, v: int):
+        return _unpack(self.p, self.k, v)
+
+    def to_packed(self, a) -> int:
+        return _pack(self.p, a)
 
 
 def _pack(p: int, coeffs) -> int:
@@ -660,21 +664,16 @@ def solve_quadratic(field, a, b, c):
         scale = field.div(b, a)
         r1 = field.mul(scale, w)
         r2 = field.add(r1, scale)
-        roots = sorted({field.to_packed(r1), field.to_packed(r2)})
-        return [field.from_packed(v) for v in roots]
-    disc = field.sub(field.mul(b, b), field.mul(field.from_int(4), field.mul(a, c)))
-    root = field.sqrt(disc)
-    if root is None:
-        return []
-    two_a = field.mul(field.from_int(2), a)
-    r1 = field.div(field.sub(root, b), two_a)
-    r2 = field.div(field.sub(field.neg(root), b), two_a)
-    if r1 == r2:
-        return [r1]
-    if field.characteristic == 0:
-        return sorted([r1, r2])
-    roots = sorted({field.to_packed(r1), field.to_packed(r2)})
-    return [field.from_packed(v) for v in roots]
+    else:
+        disc = field.sub(field.mul(b, b), field.mul(field.from_int(4), field.mul(a, c)))
+        root = field.sqrt(disc)
+        if root is None:
+            return []
+        two_a = field.mul(field.from_int(2), a)
+        r1 = field.div(field.sub(root, b), two_a)
+        r2 = field.div(field.sub(field.neg(root), b), two_a)
+    # raw values are canonical, so the set drops a double root
+    return sorted({r1, r2}, key=None if field.characteristic == 0 else field.to_packed)
 
 
 class FieldElem:

@@ -277,3 +277,19 @@ def test_missing_required_job_key_exits_2(tmp_path, capsys, kind, key, extra):
     err = capsys.readouterr().err
     assert "'incomplete'" in err and f"'{key}'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,p,extra", [
+    ("h0", 0, "twisted = maybe\n"),
+    ("example-theorem", 0, "multiplicities = 2, 3\npoints = 1:1:2\n"),
+    ("verify-prop27", 0, ""),
+    ("group-order", 0, ""),
+    ("compare-char", 3, "base = 1, 1\n"),
+], ids=["h0-twisted", "example-theorem-points", "verify-prop27-over-Q",
+        "group-order-over-Q", "compare-char-over-F3"])
+def test_bad_job_value_exits_2(tmp_path, capsys, kind, p, extra):
+    text = TINY.replace("p = 0", f"p = {p}") + f"\n[job.bad]\ntype = {kind}\n"
+    cfg = write(tmp_path, text + extra)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'bad'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -181,3 +181,30 @@ def test_required_job_key_rejected_when_missing(tmp_path, kind, key, present):
         bad = GOOD + f"\n[job.third]\ntype = {kind}\n" + text
         with pytest.raises(ConfigError, match=f"'third'.*'{kind}'.*'{key}'"):
             load_config(write(tmp_path, bad))
+
+
+# (type, accepted p and lines, rejected p and lines, message of the rejection)
+BAD_VALUES = [
+    ("h0", 0, "twisted = both\n", 0, "twisted = maybe\n", "true/false/both"),
+    ("example-theorem", 0, "multiplicities = 2, 3\npoints = 1:1:2; 3:5:1\n",
+     0, "multiplicities = 2, 3\npoints = 1:1:2\n", "one point per multiplicity"),
+    ("verify-prop27", 3, "", 0, "", "needs a finite field"),
+    ("group-order", 3, "", 0, "", "needs a finite field"),
+    ("compare-char", 0, "base = 1, 1\n", 3, "base = 1, 1\n", "needs the rationals"),
+]
+BAD_VALUE_IDS = ["h0-twisted", "example-theorem-points", "verify-prop27-over-Q",
+                 "group-order-over-Q", "compare-char-over-F3"]
+
+
+def with_job(p, kind, lines):
+    return (GOOD.replace("p = 0", f"p = {p}")
+            + f"\n[job.third]\ntype = {kind}\n" + lines)
+
+
+@pytest.mark.parametrize("kind,p,good,bad_p,bad,message", BAD_VALUES,
+                         ids=BAD_VALUE_IDS)
+def test_bad_job_value_rejected_at_load(tmp_path, kind, p, good, bad_p, bad,
+                                        message):
+    assert load_config(write(tmp_path, with_job(p, kind, good))).jobs[-1].kind == kind
+    with pytest.raises(ConfigError, match=f"'third'.*{message}"):
+        load_config(write(tmp_path, with_job(bad_p, kind, bad)))

@@ -1,11 +1,18 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atiyahlab.fields import (
     QQ,
     FieldElem,
+    FiniteField,
+    PolyField,
+    PrimeField,
+    TableField,
     field_from_config,
     is_probable_prime,
     make_extension_field,
@@ -264,3 +271,85 @@ def test_trace_surjects_onto_prime_field():
     F = make_extension_field(2, 8)
     traces = {F.to_packed(F.trace(F.from_packed(i))) for i in range(256)}
     assert traces == {0, 1}
+
+
+# -- the three gears -------------------------------------------------------------
+
+@pytest.mark.parametrize("p,k,gear", [
+    (7, 1, PrimeField), (1000003, 1, PrimeField), (3, 2, TableField),
+    (2, 20, TableField), (2, 21, PolyField), (3, 13, PolyField),
+], ids=["F7", "F1000003", "F9", "F2^20", "F2^21", "F3^13"])
+def test_constructor_picks_gear(p, k, gear):
+    # __new__ alone picks the gear, so F_{2^20} need not build its tables
+    assert type(FiniteField.__new__(FiniteField, p, k)) is gear
+
+
+def test_gear_class_called_directly_builds_that_gear():
+    assert type(FiniteField(3, 2)) is TableField
+    assert type(PolyField(3, 2)) is PolyField
+    assert type(TableField(2, 8)) is TableField
+    with pytest.raises(ValueError):
+        PrimeField(3, 2)
+    with pytest.raises(ValueError):
+        PolyField(4, 2)           # the guards run for every gear
+
+
+_GEAR_ARGS = {
+    "table3^5": (TableField, 3, 5), "poly3^5": (PolyField, 3, 5),
+    "table2^8": (TableField, 2, 8), "poly2^8": (PolyField, 2, 8),
+    "prime7": (PrimeField, 7, 1), "prime1000003": (PrimeField, 1000003, 1),
+}
+
+
+@functools.cache
+def _gear(name):
+    """The same F_q in two gears, and one field per gear for the axioms."""
+    gear, p, k = _GEAR_ARGS[name]
+    return gear(p, k)
+
+
+def _packed_result(F, op, *args):
+    try:
+        return F.to_packed(getattr(F, op)(*args))
+    except ZeroDivisionError:
+        return "division by zero"
+
+
+@pytest.mark.parametrize("q", ["3^5", "2^8"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(x=st.integers(0, 10 ** 6), y=st.integers(0, 10 ** 6),
+       n=st.integers(-600, 600))
+def test_table_and_poly_gears_agree(q, x, y, n):
+    T, P = _gear("table" + q), _gear("poly" + q)
+    x, y = x % T.q, y % T.q
+    assert T.modulus == P.modulus
+    a, b = (T.from_packed(x), T.from_packed(y)), (P.from_packed(x), P.from_packed(y))
+    for op in ("add", "sub", "mul", "div"):
+        assert _packed_result(T, op, *a) == _packed_result(P, op, *b), op
+    assert T.to_packed(T.neg(a[0])) == P.to_packed(P.neg(b[0]))
+    assert _packed_result(T, "pow", a[0], n) == _packed_result(P, "pow", b[0], n)
+    assert T.is_zero(a[0]) == P.is_zero(b[0]) == (x == 0)
+
+
+@pytest.mark.parametrize("name", ["prime7", "prime1000003", "table3^5",
+                                  "table2^8", "poly3^5", "poly2^8"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(xs=st.lists(st.integers(0, 10 ** 7), min_size=3, max_size=3),
+       n=st.integers(-20, 20), m=st.integers(0, 20))
+def test_field_axioms_on_every_gear(name, xs, n, m):
+    F = _gear(name)
+    a, b, c = (F.from_packed(x % F.q) for x in xs)
+    add, mul = F.add, F.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, F.zero) == a and mul(a, F.one) == a
+    assert add(a, F.neg(a)) == F.zero and F.sub(a, b) == add(a, F.neg(b))
+    if a == F.zero:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+        return
+    assert mul(a, F.inv(a)) == F.one and F.div(b, a) == mul(b, F.inv(a))
+    assert F.pow(a, n + m) == mul(F.pow(a, n), F.pow(a, m))
+    assert F.pow(a, F.q - 1) == F.one

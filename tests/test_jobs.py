@@ -1,3 +1,5 @@
+import pytest
+
 from atiyahlab.config import ExperimentConfig, JobSpec
 from atiyahlab.jobs import RunContext, _job_rng, run_config, run_job
 
@@ -126,3 +128,22 @@ def test_run_job_wall_time_recorded():
     row = run_job(ctx, cfg.jobs[0], 0)
     assert row.wall_time > 0
     assert "wall" not in str(sorted(row.to_json_obj()))
+
+
+@pytest.mark.parametrize("p,kind,params,error", [
+    (0, "h0", {"twisted": "maybe"}, "ConfigError"),
+    (0, "example-theorem", {"multiplicities": "2, 3", "points": "1:1:2"},
+     "ConfigError"),
+    (0, "verify-prop27", {}, "ValueError"),
+    (0, "verify-prop27", {"base": "1, 1", "w0": "2"}, "ValueError"),
+    (0, "group-order", {}, "ValueError"),
+    (3, "compare-char", {"base": "1, 1"}, "ValueError"),
+], ids=["h0-twisted", "example-theorem-points", "verify-prop27-random-over-Q",
+        "verify-prop27-over-Q", "group-order-over-Q", "compare-char-over-F3"])
+def test_bad_value_in_direct_jobspec_is_a_library_error(p, kind, params, error):
+    # load_config rejects these; a JobSpec built directly still gets a
+    # library error naming the problem, not a TypeError or a silent zip
+    cfg = make_config(p=p, T=("-1", "1") if p == 0 else None,
+                      jobs=[JobSpec("bad", kind, params)])
+    row = run_config(cfg)[0]
+    assert row.status == "ERROR" and row.error.startswith(error + ": ")

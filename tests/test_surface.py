@@ -252,10 +252,14 @@ PINNED_BASES = {
     (0, 1): (8, "140bafcbc7d4ab5dbc950aa2d97b881b20e4f9e93ed8be0e9444261c5188f3ac"),
     (1000003, 1): (5, "563b329b7685965cef483afe806ac148b0ae28f5ea84992a7d729aa53f1fb7c5"),
     (3, 13): (5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
+    # the table gear; the curve and points lie over F_3, so the bases pack
+    # to the same integers as over F_3^13
+    (3, 2): (5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
 }
 
 
-@pytest.mark.parametrize("p,k", list(PINNED_BASES), ids=["QQ", "F1000003", "F3^13"])
+@pytest.mark.parametrize("p,k", list(PINNED_BASES),
+                         ids=["QQ", "F1000003", "F3^13", "F9"])
 def test_pinned_section_bases(p, k):
     top, digest = PINNED_BASES[(p, k)]
     field = QQ if p == 0 else make_extension_field(p, k)
