@@ -141,8 +141,9 @@ class LaurentSeries:
     def truncate(self, hi: int):
         if hi >= self.hi:
             return self
-        start = min(self.start, hi)
-        return LaurentSeries(self.field, start, self.coeffs[: hi - self.start], hi)
+        if hi <= self.start:
+            return LaurentSeries.zero(self.field, hi)
+        return LaurentSeries(self.field, self.start, self.coeffs[: hi - self.start], hi)
 
     def inverse(self):
         """Multiplicative inverse; requires a visible leading coefficient."""

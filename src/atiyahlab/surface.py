@@ -34,7 +34,9 @@ v_inf((A + B y)/D) = min(-2 deg A, -2 deg B - 3) + 2 deg D in every
 characteristic, so t_j is regular at inf exactly when the coefficients of
 x^e vanish in A for e > deg D_j and in B for e >= deg D_j - 1; those
 coefficients are the rows.  SectionVector.validate re-checks every basis
-section by Laurent expansion at inf and at q, a path the solver never uses.
+section by Laurent expansion alone, a path the solver never uses: each s_a
+at q, and at inf the t_j as coefficients of sum_a s_a (w + g)^a, formed by
+Horner in w on truncated series of the s_a and g.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from math import comb
 
 from . import poly
 from .curve import CurvePoint, Divisor, WeierstrassCurve
-from .errors import CutoffInstabilityError, VerificationError
+from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationError
 from .fields import FieldElem
 from .funcfield import FuncElem, linear_combination, mul_numerators
 from .linalg import Matrix, rank_and_kernel, rank
@@ -205,7 +207,11 @@ class SectionVector:
         return all(c.is_zero() for c in self.components)
 
     def transformed(self):
-        """Chart-1 coefficients t_j = sum_{a>=j} C(a,j) g^(a-j) s_a."""
+        """Chart-1 coefficients t_j = sum_{a>=j} C(a,j) g^(a-j) s_a.
+
+        Exact gcd-reduced FuncElem sums; validate does not build them, and
+        the tests keep them as its oracle.
+        """
         cocycle = self.surface.cocycle
         field = self.surface.field
         out = []
@@ -223,25 +229,56 @@ class SectionVector:
         """Independent regularity re-check (never looks at solver matrices).
 
         Raises VerificationError if any chart-0 component has a forbidden
-        pole or any transformed component has a pole at infinity.
+        pole at q or any chart-1 component t_j has a pole at infinity.
+
+        The infinity half works on Laurent series in t = x/y.  Each nonzero
+        s_a is expanded to the absolute horizon a * k_inf and g, of valuation
+        -k_inf, to max(0, max_a -v(s_a)) + top * k_inf, top the highest
+        nonzero slot; then sum_a s_a (w + g)^a is evaluated by Horner in w.
+        By the product horizon hi(PQ) = min(v(P) + hi(Q), v(Q) + hi(P)), the
+        w^k coefficient after folding in slot a is known below
+        (a + k) * k_inf, so each t_j is known below j * k_inf >= 0 and its
+        negative coefficients are exact.  A t_j known only below a negative
+        horizon raises SeriesPrecisionError rather than passing.
         """
         surf = self.surface
         inf = surf.curve.infinity
+        kinf = surf.cocycle.pole_inf
+        allowed = -1 if self.twisted else 0
+        series, reach = {}, 0
         for a, s in enumerate(self.components):
             if s.is_zero():
                 continue
-            if surf.q is not None:
-                vq = s.expand(surf.q, prec_pad + 2).valuation()
-                allowed = -1 if self.twisted else 0
-                if vq is not None and vq < allowed:
-                    raise VerificationError(
-                        f"component {a} has a pole of order {-vq} at the marked "
-                        f"fiber point (allowed {-allowed})"
-                    )
-        for j, t in enumerate(self.transformed()):
-            if t.is_zero():
-                continue
-            v = t.expand(inf, prec_pad).valuation()
+            vq = s.expand(surf.q, prec_pad + 2).valuation()
+            if vq is not None and vq < allowed:
+                raise VerificationError(
+                    f"component {a} has a pole of order {-vq} at the marked "
+                    f"fiber point (allowed {-allowed})"
+                )
+            head = s.expand(inf, 1)
+            v = head.valuation()
+            if head.hi < a * kinf:
+                head = s.expand(inf, a * kinf - v)
+            series[a] = head.truncate(a * kinf)
+            reach = max(reach, -v)
+        if not series:
+            return
+        top = max(series)
+        hi_g = reach + top * kinf
+        G = surf.cocycle.g.expand(inf, hi_g + kinf).truncate(hi_g)
+        coeffs = [series[top]]          # coefficients of w^0, w^1, ...
+        for a in range(top - 1, -1, -1):
+            coeffs = ([coeffs[0] * G]
+                      + [coeffs[k] * G + coeffs[k - 1] for k in range(1, len(coeffs))]
+                      + [coeffs[-1]])
+            if a in series:
+                coeffs[0] = coeffs[0] + series[a]
+        for j, t in enumerate(coeffs):
+            if t.hi < 0:
+                raise SeriesPrecisionError(
+                    f"transformed component {j} known only below t^{t.hi} at infinity"
+                )
+            v = t.valuation()
             if v is not None and v < 0:
                 raise VerificationError(
                     f"transformed component {j} has a pole of order {-v} at infinity"
@@ -438,8 +475,9 @@ class AtiyahSurface:
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
 
-        Result cached; every basis vector is re-validated symbolically, and
-        the dimension is recomputed at an enlarged cutoff before anything is
+        Result cached; every basis vector is re-validated by Laurent
+        expansion at q and at infinity (SectionVector.validate), and the
+        dimension is recomputed at an enlarged cutoff before anything is
         returned (CutoffInstabilityError if the two disagree).
         """
         if level < 0:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atiyahlab.errors import SeriesPrecisionError
 from atiyahlab.fields import QQ, make_extension_field
@@ -150,3 +152,83 @@ def test_mixed_field_rejected():
     b = LaurentSeries.one(make_extension_field(5), 3)
     with pytest.raises(ValueError):
         _ = a + b
+
+
+# -- horizons against exact products (Laurent polynomials) ----------------------
+
+_HORIZON_FIELDS = {"QQ": QQ, "F7": make_extension_field(7), "F9": make_extension_field(3, 2)}
+
+
+def _elem(field, c):
+    return Fraction(c) if field is QQ else field.from_packed(c % field.q)
+
+
+def _laurent(field, start, cs):
+    """Exact Laurent polynomial {exponent: raw coefficient}, zeros dropped."""
+    out = {}
+    for i, c in enumerate(cs):
+        raw = _elem(field, c)
+        if not field.is_zero(raw):
+            out[start + i] = raw
+    return out
+
+
+def _truncation(field, exact, hi):
+    lo = min([*exact, hi])
+    return LaurentSeries(field, lo, [exact.get(e, field.zero) for e in range(lo, hi)], hi)
+
+
+def _product(field, p1, p2):
+    out = {}
+    for e1, c1 in p1.items():
+        for e2, c2 in p2.items():
+            out[e1 + e2] = field.add(out.get(e1 + e2, field.zero), field.mul(c1, c2))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_HORIZON_FIELDS))
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(s1=st.integers(-5, 3), c1=st.lists(st.integers(-9, 9), max_size=7),
+       cut1=st.integers(-3, 9), s2=st.integers(-5, 3),
+       c2=st.lists(st.integers(-9, 9), max_size=7), cut2=st.integers(-3, 9))
+def test_truncated_product_is_exact_below_its_horizon(name, s1, c1, cut1, s2, c2, cut2):
+    # the truncations may hide every coefficient or none; whatever the
+    # window, each coefficient below the computed hi is the exact one
+    field = _HORIZON_FIELDS[name]
+    p1, p2 = _laurent(field, s1, c1), _laurent(field, s2, c2)
+    a, b = _truncation(field, p1, s1 + cut1), _truncation(field, p2, s2 + cut2)
+    exact = _product(field, p1, p2)
+    prod = a * b
+    assert prod.hi >= min(a.hi + b._val_eff(), b.hi + a._val_eff())
+    for e in range(min([*exact, prod.hi]) - 1, prod.hi):
+        assert prod.coefficient(e) == exact.get(e, field.zero)
+    total = a + b
+    for e in range(min([*p1, *p2, total.hi]) - 1, total.hi):
+        want = field.add(p1.get(e, field.zero), p2.get(e, field.zero))
+        assert total.coefficient(e) == want
+
+
+@pytest.mark.parametrize("name", list(_HORIZON_FIELDS))
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(start=st.integers(-5, 3), lead=st.integers(1, 6),
+       cs=st.lists(st.integers(-9, 9), max_size=6), cut=st.integers(1, 9))
+def test_inverse_round_trip_and_soundness(name, start, lead, cs, cut):
+    field = _HORIZON_FIELDS[name]
+    exact = _laurent(field, start, [lead, *cs])
+    a = _truncation(field, exact, start + cut)
+    inv = a.inverse()
+    assert inv.valuation() == -start
+    back = inv * a
+    for e in range(-1, back.hi):
+        assert back.coefficient(e) == (field.one if e == 0 else field.zero)
+    # the known window of the inverse holds the exact inverse's coefficients
+    far = _truncation(field, exact, start + 40).inverse()
+    for e in range(-start, inv.hi):
+        assert inv.coefficient(e) == far.coefficient(e)
+
+
+def test_truncate_below_start_is_zero():
+    s = series_from_fracs({3: 1, 4: 2}, hi=6)
+    tr = s.truncate(1)
+    assert tr.hi == 1 and tr.is_zero_to_precision()
+    assert tr.coefficient(0) == 0

@@ -188,6 +188,63 @@ def test_validate_rejects_corrupted_section(rational_surface):
         bad2.validate()
 
 
+def _transformed_pole(section):
+    """The check at infinity that validate replaced: gcd-reduced FuncElem
+    sums t_j, each expanded at infinity.  Returns the message validate must
+    raise, or None when every t_j is regular there."""
+    inf = section.surface.curve.infinity
+    for j, t in enumerate(section.transformed()):
+        if not t.is_zero():
+            v = t.expand(inf, 4).valuation()
+            if v < 0:
+                return f"transformed component {j} has a pole of order {-v} at infinity"
+    return None
+
+
+@pytest.fixture(scope="module", params=["QQ", "F9", "F256"])
+def ordinary_surface(request):
+    # y^2 + xy = x^3 + 1 in characteristics 0, 3 and 2
+    field = {"QQ": QQ, "F9": make_extension_field(3, 2),
+             "F256": make_extension_field(2, 8)}[request.param]
+    E = WeierstrassCurve(field, 1, 0, 0, 0, 1)
+    return make_surface(E, E.point(0, 1))
+
+
+def test_validate_agrees_with_transformed_oracle(ordinary_surface):
+    # perturb real h0 sections by x^k and y x^k in the slots 0, 1 and 3 (one
+    # slot at a time), and by x^k and y x^k times another basis section (all
+    # slots at once); validate must reject exactly the perturbed sections in
+    # which the old oracle finds a pole at infinity, with the same message
+    surf = ordinary_surface
+    E = surf.curve
+    x, y, one = FuncElem.x_function(E), FuncElem.y_function(E), FuncElem.one(E)
+    monomials = [one, x, x * x, y, x * y]
+    verdicts = []
+    for twisted in (False, True):
+        basis = surf.h0(3, twisted).sections
+        for n, sec in enumerate(basis):
+            other = basis[(n + 1) % len(basis)]
+            comps = list(sec.components)
+            perturbed = []
+            for m in monomials:
+                for slot in (0, 1, 3):
+                    bumped = list(comps)
+                    bumped[slot] = bumped[slot] + m
+                    perturbed.append(bumped)
+                perturbed.append([s + m * o for s, o in zip(comps, other.components)])
+            for bumped in perturbed:
+                bad = SectionVector(surf, 3, twisted, bumped)
+                expected = _transformed_pole(bad)
+                verdicts.append(expected is not None)
+                if expected is None:
+                    bad.validate()
+                else:
+                    with pytest.raises(VerificationError) as err:
+                        bad.validate()
+                    assert str(err.value) == expected
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_section_products_and_padding(rational_surface):
     surf = rational_surface
     tw = surf.h0(1, twisted=True).sections[0]
@@ -243,28 +300,35 @@ def test_cocycle_certificate_on_other_fields(f9_surface, f4_surface, f3_surface)
 
 
 # sha256 over json.dumps(h0(level, twisted).serialize(), sort_keys=True) for
-# level = 0..top and twisted = False, True in that order, on
-# E: y^2 = x^3 - x + 1 with q = (0, 1), T = (-1, 1).  The canonical kernel
-# basis (one vector per free column) makes the serialized bases a function
-# of the section spaces and the column order alone, so any solver that
-# states the same conditions must reproduce these digests.
+# level = 0..top and twisted = False, True in that order.  Unless given, the
+# curve is E: y^2 = x^3 - x + 1 with q = (0, 1), T = (-1, 1).  The canonical
+# kernel basis (one vector per free column) makes the serialized bases a
+# function of the section spaces and the column order alone, so any solver
+# that states the same conditions must reproduce these digests.
+_PIN_CURVE = ((0, 0, 0, -1, 1), (0, 1), (-1, 1))
 PINNED_BASES = {
-    (0, 1): (8, "140bafcbc7d4ab5dbc950aa2d97b881b20e4f9e93ed8be0e9444261c5188f3ac"),
-    (1000003, 1): (5, "563b329b7685965cef483afe806ac148b0ae28f5ea84992a7d729aa53f1fb7c5"),
-    (3, 13): (5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
+    "QQ": (0, 1, 8, "140bafcbc7d4ab5dbc950aa2d97b881b20e4f9e93ed8be0e9444261c5188f3ac"),
+    "F1000003": (1000003, 1, 5,
+                 "563b329b7685965cef483afe806ac148b0ae28f5ea84992a7d729aa53f1fb7c5"),
+    "F3^13": (3, 13, 5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
     # the table gear; the curve and points lie over F_3, so the bases pack
     # to the same integers as over F_3^13
-    (3, 2): (5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
+    "F9": (3, 2, 5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
+    "F9-ext": (3, 2, 8, "a8b6d1108beec7d75c03dc98f55f8df60aa9378035920ddd4544b4d62ef6b99c"),
 }
+# every affine point of y^2 = x^3 - x + 1 over F_9 has x in F_3, so the
+# extension arithmetic is pinned on y^2 = x^3 + x + 1 with q = (z, 1) and
+# T = (z + 2, z), z the generator of F_9 over F_3 (coefficient list [0, 1])
+PIN_CURVES = {"F9-ext": ((0, 0, 0, 1, 1), ([0, 1], 1), ([2, 1], [0, 1]))}
 
 
-@pytest.mark.parametrize("p,k", list(PINNED_BASES),
-                         ids=["QQ", "F1000003", "F3^13", "F9"])
-def test_pinned_section_bases(p, k):
-    top, digest = PINNED_BASES[(p, k)]
+@pytest.mark.parametrize("name", list(PINNED_BASES))
+def test_pinned_section_bases(name):
+    p, k, top, digest = PINNED_BASES[name]
+    coeffs, q, T = PIN_CURVES.get(name, _PIN_CURVE)
     field = QQ if p == 0 else make_extension_field(p, k)
-    E = WeierstrassCurve(field, 0, 0, 0, -1, 1)
-    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    E = WeierstrassCurve(field, *coeffs)
+    surf = make_surface(E, E.point(*q), T=E.point(*T))
     h = hashlib.sha256()
     for level in range(top + 1):
         for twisted in (False, True):
