@@ -24,12 +24,9 @@ from .riemann_roch import RRSpace, rr_basis
 from .surface import (
     AtiyahSurface,
     CechCocycle,
-    CechCover,
     SectionSpace,
     SectionVector,
     build_cocycle,
-    h0_fiber_twist,
-    h0_multiple_section,
     make_surface,
     sym_transition,
 )
@@ -43,12 +40,10 @@ from .fat_points import (
     char_p_witness,
     expected_dimension,
     fat_system,
-    genericity_scan,
     h0_fat,
     jet_matrix,
     max_multiplicity,
     min_level,
-    mu,
     multiplicity_step_check,
     sample_fat_point,
     translate_marked_fiber,
@@ -81,12 +76,9 @@ __all__ = [
     "rr_basis",
     "AtiyahSurface",
     "CechCocycle",
-    "CechCover",
     "SectionSpace",
     "SectionVector",
     "build_cocycle",
-    "h0_fiber_twist",
-    "h0_multiple_section",
     "make_surface",
     "sym_transition",
     "EvalMatrix",
@@ -98,12 +90,10 @@ __all__ = [
     "char_p_witness",
     "expected_dimension",
     "fat_system",
-    "genericity_scan",
     "h0_fat",
     "jet_matrix",
     "max_multiplicity",
     "min_level",
-    "mu",
     "multiplicity_step_check",
     "sample_fat_point",
     "translate_marked_fiber",

@@ -21,42 +21,29 @@ Layout::
          | verify-prop27 | example-theorem | group-order | compare-char
     ... job parameters, all exact strings ...
 
-Every coordinate is parsed by the exact field parser (fractions like ``-3/4``
-over the rationals, packed integers over finite fields), so no float ever
-enters the pipeline.
+JOB_SCHEMA lists every job type's keys with their parsers and defaults.
+load_config parses every job through parse_job, so a malformed value is a
+ConfigError before any job runs; jobs.run_job parses again and hands the
+runners only the typed values, while JobSpec.params keeps the strings as
+written for the report.  Coordinates stay exact strings until the run converts them with
+the exact field parser (fractions like ``-3/4``, reduced mod p over a finite
+field), so no float ever enters the pipeline.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 from .errors import ConfigError
+from .fields import is_probable_prime
 
-# Accepted parameter keys per job type, as read by the runners in jobs.py;
-# any other key is a typo that would silently fall back to a default.
-JOB_PARAMS = {
-    "h0": ("levels", "twisted"),
-    "h0-fat": ("level", "points"),
-    "lambda": ("m", "base", "w0", "cap", "trials", "certify"),
-    "mu": ("levels", "base", "w0"),
-    "verify-prop22": ("n",),
-    "verify-prop23": ("levels",),
-    "verify-prop27": ("base", "w0"),
-    "example-theorem": ("level", "multiplicities", "points"),
-    "group-order": ("expect_order", "expect_cyclic"),
-    "compare-char": ("p", "k", "pairs", "base", "w0"),
-}
-# Keys without a default: a job that lacks one cannot run at all.
-REQUIRED_PARAMS = {
-    "h0-fat": ("points",),
-    "compare-char": ("base",),
-}
-JOB_TYPES = tuple(JOB_PARAMS)
 # Job types that run only over a finite field (True) or only over Q (False).
 FINITE_FIELD_NEEDED = {"verify-prop27": True, "group-order": True,
                        "compare-char": False}
-TWIST_VARIANTS = {"false": (False,), "true": (True,), "both": (False, True)}
 
 
 @dataclass
@@ -89,19 +76,14 @@ class ExperimentConfig:
         }
 
 
-def _split_pair(text: str, what: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must be two comma-separated coordinates, "
-                          f"got {text!r}")
-    return parts[0], parts[1]
-
-
-def parse_int(text: str, what: str) -> int:
+def parse_int(text: str, what: str, least: int | None = None) -> int:
     try:
-        return int(text.strip())
+        value = int(text.strip())
     except ValueError as exc:
         raise ConfigError(f"{what} must be an integer, got {text!r}") from exc
+    if least is not None and value < least:
+        raise ConfigError(f"{what} must be at least {least}, got {text!r}")
+    return value
 
 
 def parse_bool(text: str, what: str) -> bool:
@@ -113,7 +95,7 @@ def parse_bool(text: str, what: str) -> bool:
     raise ConfigError(f"{what} must be a boolean, got {text!r}")
 
 
-def parse_int_list(text: str, what: str) -> list:
+def parse_int_list(text: str, what: str, least: int | None = None) -> list:
     """Comma list and/or ``a..b`` inclusive ranges: "0..4, 7" -> [0,1,2,3,4,7]."""
     out = []
     for chunk in text.split(","):
@@ -122,85 +104,155 @@ def parse_int_list(text: str, what: str) -> list:
             continue
         if ".." in chunk:
             lo, _, hi = chunk.partition("..")
-            lo, hi = parse_int(lo, what), parse_int(hi, what)
+            lo, hi = parse_int(lo, what, least), parse_int(hi, what, least)
             if hi < lo:
                 raise ConfigError(f"{what}: empty range {chunk!r}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(parse_int(chunk, what))
+            out.append(parse_int(chunk, what, least))
     if not out:
         raise ConfigError(f"{what} must not be empty")
     return out
 
 
-def parse_fat_points(text: str, what: str) -> list:
-    """Semicolon-separated ``x : y : w0 : m`` quadruples (exact strings)."""
+def parse_coordinate(text: str, what: str) -> str:
+    """An exact number as written (``-3/4``, ``5``); the job's field converts
+    it when the job runs."""
+    text = text.strip()
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{what} must be an exact number, got {text!r}") from None
+    return text
+
+
+def parse_pair(text: str, what: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"{what} must be two comma-separated coordinates, "
+                          f"got {text!r}")
+    return parse_coordinate(parts[0], what), parse_coordinate(parts[1], what)
+
+
+def parse_prime(text: str, what: str) -> int:
+    p = parse_int(text, what)
+    if not is_probable_prime(p):
+        raise ConfigError(f"{what} must be a prime, got {text!r}")
+    return p
+
+
+def parse_twists(text: str, what: str) -> tuple:
+    """The twists an ``h0`` job solves: false, true or both."""
+    mode = text.strip().lower()
+    if mode == "both":
+        return (False, True)
+    if mode in ("false", "true"):
+        return (mode == "true",)
+    raise ConfigError(f"{what} must be true/false/both, got {text!r}")
+
+
+_natural = partial(parse_int, least=0)
+_positive = partial(parse_int, least=1)
+_naturals = partial(parse_int_list, least=0)
+_positives = partial(parse_int_list, least=1)
+# the fields a record layout may name
+_RECORD_FIELDS = {"x": parse_coordinate, "y": parse_coordinate,
+                  "w0": parse_coordinate, "level": _natural, "m": _positive}
+
+
+def parse_records(text: str, what: str, layout: str) -> list:
+    """``;``-separated records of the ``:``-separated fields named by layout:
+    "1:1:2:5; 0:-1:3:2" with layout "x:y:w0:m" -> [("1", "1", "2", 5),
+    ("0", "-1", "3", 2)]."""
+    names = layout.split(":")
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [p.strip() for p in chunk.split(":")]
-        if len(parts) != 4:
-            raise ConfigError(
-                f"{what}: each fat point is x:y:w0:m, got {chunk!r}")
-        out.append((parts[0], parts[1], parts[2], parse_int(parts[3], what)))
+        parts = chunk.split(":")
+        if len(parts) != len(names):
+            raise ConfigError(f"{what}: each entry is {layout}, got {chunk!r}")
+        out.append(tuple(_RECORD_FIELDS[name](part, what)
+                         for name, part in zip(names, parts)))
     if not out:
         raise ConfigError(f"{what} must not be empty")
     return out
 
 
-def parse_plain_points(text: str, what: str) -> list:
-    """Semicolon-separated ``x : y : w0`` triples (exact strings)."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+def _or_random(parse):
+    """A parser that keeps ``random`` and hands any other text to parse."""
+    def parse_or_random(text: str, what: str):
+        return "random" if text.strip() == "random" else parse(text, what)
+    return parse_or_random
+
+
+def _prop22_default(p: int) -> str:
+    """Levels 0..6 over Q; over F_p up to 2p + 2, past the second jump."""
+    return "0..6" if p == 0 else f"0..{2 * p + 2}"
+
+
+# Marks a key without a default: a job that lacks it cannot run at all.
+REQUIRED = object()
+_BASE = _or_random(parse_pair)
+_W0 = _or_random(parse_coordinate)
+
+# Every key of every job type, as (parser, default).  The default is the text
+# parsed when the key is absent (or a function of the characteristic p that
+# gives it), REQUIRED, or None for "not set"; a REQUIRED or None key that is
+# present but empty counts as absent.  Any other key is a typo that would
+# silently fall back to a default, so it is rejected.
+JOB_SCHEMA = {
+    "h0": {"levels": (_naturals, "0..4"), "twisted": (parse_twists, "false")},
+    "h0-fat": {"level": (_natural, "1"),
+               "points": (partial(parse_records, layout="x:y:w0:m"), REQUIRED)},
+    "lambda": {"m": (_positives, "1"), "base": (_BASE, "random"),
+               "w0": (_W0, "random"), "cap": (_natural, None),
+               "trials": (_positive, "1"), "certify": (parse_bool, "true")},
+    "mu": {"levels": (_positives, "1"), "base": (_BASE, "random"),
+           "w0": (_W0, "random")},
+    "verify-prop22": {"n": (_naturals, _prop22_default)},
+    "verify-prop23": {"levels": (_naturals, "0..8")},
+    "verify-prop27": {"base": (_BASE, "random"), "w0": (_W0, "random")},
+    "example-theorem": {
+        "level": (_natural, "11"), "multiplicities": (_positives, "5"),
+        "points": (_or_random(partial(parse_records, layout="x:y:w0")),
+                   "random")},
+    "group-order": {"expect_order": (_positive, None),
+                    "expect_cyclic": (parse_bool, None)},
+    "compare-char": {"p": (parse_prime, "3"), "k": (_positive, "1"),
+                     "pairs": (partial(parse_records, layout="level:m"),
+                               "3:2; 6:3"),
+                     "base": (parse_pair, REQUIRED),
+                     "w0": (parse_coordinate, "1")},
+}
+JOB_TYPES = tuple(JOB_SCHEMA)
+
+
+def parse_job(kind: str, params: dict, p: int) -> SimpleNamespace:
+    """The typed arguments of a job of this kind over characteristic p: one
+    attribute per key of its schema.  Raises ConfigError naming the key."""
+    schema = JOB_SCHEMA[kind]
+    for key in params:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} for type {kind!r} "
+                              f"(accepted: {', '.join(schema)})")
+    args = {}
+    for key, (parse, default) in schema.items():
+        text = params.get(key, "").strip()
+        if not text and default is REQUIRED:
+            raise ConfigError(f"type {kind!r} needs the key {key!r}")
+        if not text and default is None:
+            args[key] = None
             continue
-        parts = [p.strip() for p in chunk.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"{what}: each point is x:y:w0, got {chunk!r}")
-        out.append((parts[0], parts[1], parts[2]))
-    if not out:
-        raise ConfigError(f"{what} must not be empty")
-    return out
-
-
-def parse_level_mult_pairs(text: str, what: str) -> list:
-    """Semicolon-separated ``level : m`` pairs."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(":")]
-        if len(parts) != 2:
-            raise ConfigError(f"{what}: each entry is level:m, got {chunk!r}")
-        out.append((parse_int(parts[0], what), parse_int(parts[1], what)))
-    if not out:
-        raise ConfigError(f"{what} must not be empty")
-    return out
-
-
-def twist_variants(params: dict) -> tuple:
-    """The twists an ``h0`` job solves, from ``twisted = true|false|both``."""
-    mode = params.get("twisted", "false").strip().lower()
-    if mode not in TWIST_VARIANTS:
-        raise ConfigError(f"twisted must be true/false/both, got {mode!r}")
-    return TWIST_VARIANTS[mode]
-
-
-def example_points(params: dict):
-    """(multiplicities, x:y:w0 triples) of an ``example-theorem`` job; the
-    triples are None when ``points = random`` (the default)."""
-    mults = parse_int_list(params.get("multiplicities", "5"), "multiplicities")
-    text = params.get("points", "random").strip()
-    if text == "random":
-        return mults, None
-    triples = parse_plain_points(text, "points")
-    if len(triples) != len(mults):
-        raise ConfigError("one point per multiplicity required")
-    return mults, triples
+        if key not in params:
+            text = default(p) if callable(default) else default
+        args[key] = parse(text, repr(key))
+    args = SimpleNamespace(**args)
+    if (kind == "example-theorem" and args.points != "random"
+            and len(args.points) != len(args.multiplicities)):
+        raise ConfigError("'points': one point per multiplicity required")
+    return args
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -224,10 +276,10 @@ def load_config(path: str) -> ExperimentConfig:
 
     if "surface" not in parser or "q" not in parser["surface"]:
         raise ConfigError("missing [surface] section with key 'q'")
-    q = _split_pair(parser["surface"]["q"], "surface.q")
+    q = parse_pair(parser["surface"]["q"], "surface.q")
     T = None
     if parser["surface"].get("T"):
-        T = _split_pair(parser["surface"]["T"], "surface.T")
+        T = parse_pair(parser["surface"]["T"], "surface.T")
 
     seed = 0
     if "run" in parser and parser["run"].get("seed"):
@@ -249,27 +301,15 @@ def load_config(path: str) -> ExperimentConfig:
         if kind is None:
             raise ConfigError(f"job {ident!r} has no 'type'")
         kind = kind.strip()
-        if kind not in JOB_TYPES:
+        if kind not in JOB_SCHEMA:
             raise ConfigError(
                 f"job {ident!r}: unknown type {kind!r} (known: {', '.join(JOB_TYPES)})")
-        for key in params:
-            if key not in JOB_PARAMS[kind]:
-                raise ConfigError(
-                    f"job {ident!r}: unknown key {key!r} for type {kind!r} "
-                    f"(accepted: {', '.join(JOB_PARAMS[kind])})")
-        for key in REQUIRED_PARAMS.get(kind, ()):
-            if not params.get(key, "").strip():
-                raise ConfigError(
-                    f"job {ident!r}: type {kind!r} needs the key {key!r}")
         finite = FINITE_FIELD_NEEDED.get(kind, p > 0)
         if finite != (p > 0):
             raise ConfigError(f"job {ident!r}: type {kind!r} needs "
                               + ("a finite field" if finite else "the rationals"))
-        try:  # the runners read these values through the same functions
-            if kind == "h0":
-                twist_variants(params)
-            elif kind == "example-theorem":
-                example_points(params)
+        try:  # the runners read the same values through parse_job
+            parse_job(kind, params, p)
         except ConfigError as exc:
             raise ConfigError(f"job {ident!r}: {exc}") from None
         jobs.append(JobSpec(ident, kind, params))

@@ -32,6 +32,8 @@ from .fields import FieldElem
 from .linalg import Matrix, rank_and_kernel, rank_naive
 from .surface import AtiyahSurface, SectionVector
 
+JET_PAD = 3     # coefficients verify_jets expands past the jets it reads
+
 
 class FatPoint:
     """Multiplicity-m condition at the chart-0 point (base, w0)."""
@@ -239,12 +241,12 @@ def h0_fat(surface: AtiyahSurface, level: int, points) -> int:
     return fat_system(surface, level, points).dim
 
 
-def verify_jets(section: SectionVector, fp: FatPoint, pad: int = 3) -> None:
+def verify_jets(section: SectionVector, fp: FatPoint) -> None:
     """Re-expand the section at the fat point from scratch and check that all
     jets of total degree < m vanish; raises VerificationError otherwise."""
     field = section.surface.field
     m = fp.multiplicity
-    exps = [None if comp.is_zero() else comp.expand(fp.base, m + pad)
+    exps = [None if comp.is_zero() else comp.expand(fp.base, m + JET_PAD)
             for comp in section.components]
     if all(e is None for e in exps):
         raise VerificationError("certificate section is zero")
@@ -413,10 +415,6 @@ def max_multiplicity(surface: AtiyahSurface, level: int, sample) -> MuRecord:
         value = m
     raise VerificationError(
         f"multiplicity search still positive at the hard cap {hard_cap}")
-
-
-def mu(surface: AtiyahSurface, level: int, sample) -> int:
-    return max_multiplicity(surface, level, sample).value
 
 
 class WitnessDivisor:
@@ -588,40 +586,6 @@ def sample_fat_point(surface: AtiyahSurface, rng, m: int = 1,
         except CertificationError:
             continue
     raise CertificationError("no certifiable fat point found; field too small")
-
-
-class ScanRecord:
-    """Monte-Carlo genericity scan: dims of h0_fat at independent samples."""
-
-    def __init__(self, level, m, dims, min_dim, min_count, stable):
-        self.level = level
-        self.m = m
-        self.dims = tuple(dims)
-        self.min_dim = min_dim
-        self.min_count = min_count
-        self.stable = stable
-        self.field_too_small = not stable
-
-    def serialize(self) -> dict:
-        return {
-            "level": self.level, "m": self.m, "dims": list(self.dims),
-            "min_dim": self.min_dim, "min_count": self.min_count,
-            "stable": self.stable, "field_too_small": self.field_too_small,
-        }
-
-
-def genericity_scan(surface: AtiyahSurface, level: int, m: int, rng,
-                    trials: int = 5) -> ScanRecord:
-    """h0_fat at ``trials`` independent samples; stable when the minimum is
-    attained at least twice (failure flags the field as too small, it does
-    not raise)."""
-    dims = []
-    for _ in range(trials):
-        fp = sample_fat_point(surface, rng, m)
-        dims.append(h0_fat(surface, level, [fp]))
-    mn = min(dims)
-    cnt = dims.count(mn)
-    return ScanRecord(level, m, dims, mn, cnt, cnt >= 2)
 
 
 def translate_marked_fiber(surface: AtiyahSurface, fp: FatPoint,

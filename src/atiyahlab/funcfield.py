@@ -14,7 +14,7 @@ Local parameters are fixed once and for all:
 * the point at infinity:                   t = x / y.
 
 Expansions are computed by Newton iteration on the curve equation and cached
-per (curve, point) at the largest precision seen so far.
+per (curve, point), the horizon at least doubling whenever it falls short.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .curve import CurvePoint, WeierstrassCurve
 from .errors import SeriesPrecisionError
 from .fields import FieldElem
 from .series import LaurentSeries, eval_poly
+
+VALUATION_PREC = 8      # coefficients valuation_at expands past the valuation
 
 
 def _curve_st(curve):
@@ -262,8 +264,8 @@ class FuncElem:
             f"expansion of {self!r} at {P} did not stabilize at precision {prec}"
         )
 
-    def valuation_at(self, P: CurvePoint, search_prec: int = 8) -> int:
-        return self.expand(P, search_prec).valuation()
+    def valuation_at(self, P: CurvePoint) -> int:
+        return self.expand(P, VALUATION_PREC).valuation()
 
 
 def linear_combination(funcs, coeffs_raw):
@@ -311,18 +313,20 @@ def linearly_independent(funcs) -> bool:
 
 
 def point_expansion(curve: WeierstrassCurve, P: CurvePoint, prec: int):
-    """Series (x(t), y(t)) at P to horizon >= prec in the canonical parameter."""
+    """Series (x(t), y(t)) at P to horizon >= prec in the canonical parameter.
+
+    A cached expansion too short for prec is replaced by one of at least
+    twice its horizon, so a rising run of requests costs a logarithmic
+    number of Newton solves.
+    """
     cache = curve._expansion_cache
     entry = cache.get(P)
-    if entry is not None and entry[0] >= prec:
-        _, xs, ys = entry
-        return xs.truncate(prec) if xs.hi > prec else xs, \
-            ys.truncate(prec) if ys.hi > prec else ys
-    H = max(prec, 8)
-    xs, ys = _expand_uncached(curve, P, H)
-    cache[P] = (H, xs, ys)
-    return xs.truncate(prec) if xs.hi > prec else xs, \
-        ys.truncate(prec) if ys.hi > prec else ys
+    if entry is None or entry[0] < prec:
+        H = max(prec, 8, 2 * entry[0] if entry else 0)
+        entry = cache[P] = (H, *_expand_uncached(curve, P, H))
+    _, xs, ys = entry
+    return (xs.truncate(prec) if xs.hi > prec else xs,
+            ys.truncate(prec) if ys.hi > prec else ys)
 
 
 def _expand_uncached(curve, P, H):

@@ -13,10 +13,8 @@ from __future__ import annotations
 import random
 import time
 
-from .config import (ExperimentConfig, JobSpec, example_points, parse_bool,
-                     parse_fat_points, parse_int, parse_int_list,
-                     parse_level_mult_pairs, twist_variants)
-from .curve import (WeierstrassCurve, certify_non_torsion,
+from .config import ExperimentConfig, JobSpec, parse_job
+from .curve import (CurvePoint, WeierstrassCurve, certify_non_torsion,
                     certify_not_p_torsion, reduce_curve_mod_p,
                     reduce_point_mod_p)
 from .errors import ConfigError
@@ -62,17 +60,19 @@ class RunContext:
             self.curve = WeierstrassCurve(self.field,
                                           *[self.field.elem(c)
                                             for c in config.curve_coeffs])
-            self.q = self.curve.point(self.field.elem(config.q[0]),
-                                      self.field.elem(config.q[1]))
+            self.q = self.point(*config.q)
             self.T = None
             if config.T is not None:
-                self.T = self.curve.point(self.field.elem(config.T[0]),
-                                          self.field.elem(config.T[1]))
+                self.T = self.point(*config.T)
                 if self.T == self.q:
                     raise ValueError("T must differ from the marked point q")
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"inconsistent field/curve data: {exc}") from exc
         self._surface = None
+
+    def point(self, x: str, y: str) -> CurvePoint:
+        """The curve point with these exact-string coordinates."""
+        return self.curve.point(self.field.elem(x), self.field.elem(y))
 
     @property
     def surface(self):
@@ -85,50 +85,38 @@ def _job_rng(config: ExperimentConfig, index: int) -> random.Random:
     return random.Random((config.seed << 20) ^ (index * 0x9E3779B1 + 1))
 
 
-def _parse_point(ctx: RunContext, text: str, what: str):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{what}: expected x,y, got {text!r}")
-    return ctx.curve.point(ctx.field.elem(parts[0]), ctx.field.elem(parts[1]))
-
-
-def _resolve_fat_point(ctx, params, m, rng, certified=False) -> FatPoint:
-    base = params.get("base", "random").strip()
-    w0 = params.get("w0", "random").strip()
-    if base == "random":
+def _fat_point(ctx, args, m, rng, certified=False) -> FatPoint:
+    """The fat point of a job's ``base`` and ``w0``, sampling what is random."""
+    if args.base == "random":
         fp = sample_fat_point(ctx.surface, rng, m, certified=certified)
-        if w0 != "random":
-            fp = FatPoint(fp.base, ctx.field.elem(w0), m)
+        if args.w0 != "random":
+            fp = FatPoint(fp.base, args.w0, m)
         return fp
-    P = _parse_point(ctx, base, "base")
-    w = (FieldElem(ctx.field, ctx.field.random(rng)) if w0 == "random"
-         else ctx.field.elem(w0))
+    P = ctx.point(*args.base)
+    w = (FieldElem(ctx.field, ctx.field.random(rng)) if args.w0 == "random"
+         else args.w0)
     return FatPoint(P, w, m)
 
 
 # --- individual job runners (values, certificates, status) -------------------
+# Each takes the typed arguments of config.parse_job.
 
-def _run_h0(ctx, params, rng):
-    levels = parse_int_list(params.get("levels", "0..4"), "levels")
+def _run_h0(ctx, args, rng):
     dims, certs = {}, {}
-    for tw in twist_variants(params):
+    for tw in args.twisted:
         key = "twisted" if tw else "plain"
         dims[key] = {}
         certs[key] = {}
-        for level in levels:
+        for level in args.levels:
             space = ctx.surface.h0(level, twisted=tw)
             dims[key][str(level)] = space.dim
             certs[key][str(level)] = space.serialize()
     return {"dims": dims}, {"spaces": certs}, "INFO"
 
 
-def _run_h0_fat(ctx, params, rng):
-    level = parse_int(params.get("level", "1"), "level")
-    pts = []
-    for x, y, w0, m in parse_fat_points(params["points"], "points"):
-        P = ctx.curve.point(ctx.field.elem(x), ctx.field.elem(y))
-        pts.append(FatPoint(P, ctx.field.elem(w0), m))
-    system = fat_system(ctx.surface, level, pts)
+def _run_h0_fat(ctx, args, rng):
+    pts = [FatPoint(ctx.point(x, y), w0, m) for x, y, w0, m in args.points]
+    system = fat_system(ctx.surface, args.level, pts)
     values = {"dim": system.dim,
               "projective_dim": system.dim - 1,
               "expected_projective_dim": system.expected,
@@ -136,17 +124,14 @@ def _run_h0_fat(ctx, params, rng):
     return values, {"system": system.serialize()}, "INFO"
 
 
-def _run_lambda(ctx, params, rng):
-    ms = parse_int_list(params.get("m", "1"), "m")
-    cap = parse_int(params["cap"], "cap") if params.get("cap") else None
-    certify = parse_bool(params.get("certify", "true"), "certify")
-    trials = parse_int(params.get("trials", "1"), "trials")
+def _run_lambda(ctx, args, rng):
     values, certs = {}, {}
-    for m in ms:
+    for m in args.m:
         per_trial = []
-        for t in range(trials):
-            fp = _resolve_fat_point(ctx, params, m, rng, certified=certify)
-            rec = min_level(ctx.surface, m, fp, cap=cap, certify=certify)
+        for t in range(args.trials):
+            fp = _fat_point(ctx, args, m, rng, certified=args.certify)
+            rec = min_level(ctx.surface, m, fp, cap=args.cap,
+                            certify=args.certify)
             per_trial.append(rec)
         best = min((r for r in per_trial if r.value is not None),
                    key=lambda r: r.value, default=per_trial[0])
@@ -156,23 +141,20 @@ def _run_lambda(ctx, params, rng):
     return {"lambda": values}, {"records": certs}, "INFO"
 
 
-def _run_mu(ctx, params, rng):
-    levels = parse_int_list(params.get("levels", "1"), "levels")
+def _run_mu(ctx, args, rng):
     values, certs = {}, {}
-    for level in levels:
-        fp = _resolve_fat_point(ctx, params, 1, rng)
+    for level in args.levels:
+        fp = _fat_point(ctx, args, 1, rng)
         rec = max_multiplicity(ctx.surface, level, fp)
         values[str(level)] = rec.value
         certs[str(level)] = rec.serialize()
     return {"mu": values}, {"records": certs}, "INFO"
 
 
-def _run_verify_multiple_section(ctx, params, rng):
+def _run_verify_multiple_section(ctx, args, rng):
     p = ctx.field.characteristic
-    default = "0..6" if p == 0 else f"0..{2 * p + 2}"
-    ns = parse_int_list(params.get("n", default), "n")
     dims, certs, ok = {}, {}, True
-    for n in ns:
+    for n in args.n:
         space = ctx.surface.h0(n, twisted=False)
         expect = 1 if p == 0 else n // p + 1
         dims[str(n)] = {"dim": space.dim, "expected": expect}
@@ -182,10 +164,9 @@ def _run_verify_multiple_section(ctx, params, rng):
             "PASS" if ok else "FAIL")
 
 
-def _run_verify_twist_dimension(ctx, params, rng):
-    levels = parse_int_list(params.get("levels", "0..8"), "levels")
+def _run_verify_twist_dimension(ctx, args, rng):
     dims, certs, ok = {}, {}, True
-    for level in levels:
+    for level in args.levels:
         space = ctx.surface.h0(level, twisted=True)
         dims[str(level)] = {"dim": space.dim, "expected": level + 1}
         certs[str(level)] = space.serialize()
@@ -194,11 +175,10 @@ def _run_verify_twist_dimension(ctx, params, rng):
             "PASS" if ok else "FAIL")
 
 
-def _run_verify_step(ctx, params, rng):
+def _run_verify_step(ctx, args, rng):
     # a callable sample: over Q the library refuses before anything is drawn
     rec_prev, rec_p, holds = multiplicity_step_check(
-        ctx.surface, lambda: _resolve_fat_point(ctx, params, 1, rng,
-                                                certified=True))
+        ctx.surface, lambda: _fat_point(ctx, args, 1, rng, certified=True))
     p = ctx.field.characteristic
     values = {"p": p, "lambda_prev": rec_prev.value, "lambda_p": rec_p.value,
               "bound": p + rec_prev.value, "holds": holds}
@@ -206,12 +186,11 @@ def _run_verify_step(ctx, params, rng):
     return values, certs, "PASS" if holds else "FAIL"
 
 
-def _run_example_theorem(ctx, params, rng):
-    level = parse_int(params.get("level", "11"), "level")
-    mults, triples = example_points(params)
+def _run_example_theorem(ctx, args, rng):
+    level, mults = args.level, args.multiplicities
     p = ctx.field.characteristic
     pts = []
-    if triples is None:
+    if args.points == "random":
         avoid = set()
         for m in mults:
             for _ in range(200):
@@ -221,9 +200,8 @@ def _run_example_theorem(ctx, params, rng):
             avoid.add(fp.base)
             pts.append(fp)
     else:
-        for (x, y, w0), m in zip(triples, mults):
-            P = ctx.curve.point(ctx.field.elem(x), ctx.field.elem(y))
-            pts.append(FatPoint(P, ctx.field.elem(w0), m))
+        for (x, y, w0), m in zip(args.points, mults):
+            pts.append(FatPoint(ctx.point(x, y), w0, m))
     if p == 0:
         for fp in pts:
             certify_non_torsion(fp.class_point(ctx.surface))
@@ -241,33 +219,27 @@ def _run_example_theorem(ctx, params, rng):
             "PASS" if dim >= 1 else "FAIL")
 
 
-def _run_group_order(ctx, params, rng):
+def _run_group_order(ctx, args, rng):
     gs = ctx.curve.group_structure_small()
     values = {"order": gs.order, "cyclic": gs.cyclic, "exponent": gs.exponent,
               "generator": None if gs.generator.is_infinity else
               [gs.generator.x.to_text(), gs.generator.y.to_text()]}
     status = "INFO"
     checks = {}
-    if params.get("expect_order"):
-        want = parse_int(params["expect_order"], "expect_order")
-        checks["order"] = (gs.order == want)
-    if params.get("expect_cyclic"):
-        want = parse_bool(params["expect_cyclic"], "expect_cyclic")
-        checks["cyclic"] = (gs.cyclic == want)
+    if args.expect_order is not None:
+        checks["order"] = (gs.order == args.expect_order)
+    if args.expect_cyclic is not None:
+        checks["cyclic"] = (gs.cyclic == args.expect_cyclic)
     if checks:
         status = "PASS" if all(checks.values()) else "FAIL"
         values["checks"] = checks
     return values, {}, status
 
 
-def _run_compare_char(ctx, params, rng):
-    p = parse_int(params.get("p", "3"), "p")
-    k = parse_int(params.get("k", "1"), "k")
-    pairs = parse_level_mult_pairs(params.get("pairs", "3:2; 6:3"), "pairs")
-    w0_text = params.get("w0", "1").strip()
-
+def _run_compare_char(ctx, args, rng):
+    p, k = args.p, args.k
     curve_p = reduce_curve_mod_p(ctx.curve, p, k)  # refuses a finite field
-    P0 = _parse_point(ctx, params["base"], "base")
+    P0 = ctx.point(*args.base)
     certify_non_torsion(P0 - ctx.q)
     q_p = reduce_point_mod_p(ctx.q, curve_p)
     T_p = reduce_point_mod_p(ctx.surface.T, curve_p)
@@ -276,11 +248,9 @@ def _run_compare_char(ctx, params, rng):
     surface_p = make_surface(curve_p, q_p, T=T_p)
 
     rows, ok = [], True
-    for level, m in pairs:
-        d0 = h0_fat(ctx.surface, level,
-                    [FatPoint(P0, ctx.field.elem(w0_text), m)])
-        dp = h0_fat(surface_p, level,
-                    [FatPoint(P0_p, curve_p.field.elem(w0_text), m)])
+    for level, m in args.pairs:
+        d0 = h0_fat(ctx.surface, level, [FatPoint(P0, args.w0, m)])
+        dp = h0_fat(surface_p, level, [FatPoint(P0_p, args.w0, m)])
         rows.append({"level": level, "m": m, "char0": d0, f"char{p}": dp,
                      "semicontinuous": dp >= d0})
         ok = ok and dp >= d0
@@ -306,7 +276,8 @@ def run_job(ctx: RunContext, spec: JobSpec, index: int) -> ResultRow:
     rng = _job_rng(ctx.config, index)
     start = time.perf_counter()
     try:
-        values, certs, status = _RUNNERS[spec.kind](ctx, spec.params, rng)
+        args = parse_job(spec.kind, spec.params, ctx.config.p)
+        values, certs, status = _RUNNERS[spec.kind](ctx, args, rng)
         return ResultRow(spec.ident, spec.kind, spec.params, status, values,
                          certs, wall_time=time.perf_counter() - start)
     except Exception as exc:  # one failing job must not lose the other rows

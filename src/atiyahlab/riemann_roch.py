@@ -21,6 +21,8 @@ from .fields import QQ, FieldElem
 from .funcfield import FuncElem, linearly_independent, pair_function
 from .linalg import Matrix, rank_and_kernel
 
+PREC_PAD = 4    # coefficients expanded past the valuation verify reads
+
 
 def point_sort_key(P: CurvePoint):
     """Deterministic ordering key for points (infinity last)."""
@@ -76,7 +78,7 @@ class RRSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def verify(self, prec_pad: int = 4) -> None:
+    def verify(self) -> None:
         """Raise VerificationError unless the basis withstands re-checking.
 
         Checks: expected dimension; linear independence; and for every basis
@@ -93,7 +95,7 @@ class RRSpace:
         for f in self.basis:
             for P in D.support():
                 need = -D.multiplicity(P)
-                s = f.expand(P, max(1, -need) + prec_pad)
+                s = f.expand(P, max(1, -need) + PREC_PAD)
                 v = s.valuation()
                 if v is None:
                     v = s.hi

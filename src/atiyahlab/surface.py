@@ -34,9 +34,10 @@ v_inf((A + B y)/D) = min(-2 deg A, -2 deg B - 3) + 2 deg D in every
 characteristic, so t_j is regular at inf exactly when the coefficients of
 x^e vanish in A for e > deg D_j and in B for e >= deg D_j - 1; those
 coefficients are the rows.  SectionVector.validate re-checks every basis
-section by Laurent expansion alone, a path the solver never uses: each s_a
-at q, and at inf the t_j as coefficients of sum_a s_a (w + g)^a, formed by
-Horner in w on truncated series of the s_a and g.
+section on paths the solver never uses: each s_a off inf from its reduced
+denominator and at q by Laurent expansion, and at inf the t_j as
+coefficients of sum_a s_a (w + g)^a, formed by Horner in w on truncated
+series of the s_a and g.
 """
 
 from __future__ import annotations
@@ -54,28 +55,17 @@ from .linalg import Matrix, rank_and_kernel, rank
 from .riemann_roch import monomial_basis, rr_basis
 
 DEFAULT_MARGIN = 4
-
-
-class CechCover:
-    """The two affine charts U0 = E - {inf}, U1 = E - {T}."""
-
-    def __init__(self, curve: WeierstrassCurve, T: CurvePoint):
-        if T.is_infinity:
-            raise ValueError("the second chart point T must be affine")
-        self.curve = curve
-        self.T = T
-
-    def __repr__(self):
-        return f"CechCover(U0 = E - {{inf}}, U1 = E - {{{self.T}}})"
+MAX_COCYCLE_ORDER = 6   # the largest k build_cocycle tries
+PREC_PAD = 4            # coefficients expanded past those a check reads
 
 
 class CechCocycle:
-    """The gluing function g together with its nontriviality certificate."""
+    """The gluing function g of the charts U0 = E - {inf} and U1 = E - {T},
+    together with its nontriviality certificate."""
 
-    def __init__(self, cover, g, order, pole_inf, pole_T, certificate):
-        self.cover = cover
-        self.curve = cover.curve
-        self.T = cover.T
+    def __init__(self, curve, T, g, order, pole_inf, pole_T, certificate):
+        self.curve = curve
+        self.T = T
         self.g = g
         self.order = order
         self.pole_inf = pole_inf
@@ -92,8 +82,8 @@ class CechCocycle:
         return f"CechCocycle(order={self.order}, g={self.g.to_text()})"
 
 
-def _jet_vector(fn, infinity, lo, hi, prec_pad=4):
-    s = fn.expand(infinity, (hi - lo) + prec_pad)
+def _jet_vector(fn, infinity, lo, hi):
+    s = fn.expand(infinity, (hi - lo) + PREC_PAD)
     return [s.coefficient(e) for e in range(lo, hi)]
 
 
@@ -109,7 +99,7 @@ def _coboundary_jets(curve, T, k):
     return rows, rank(Matrix(curve.field, rows, 2 * k + 1))
 
 
-def build_cocycle(curve: WeierstrassCurve, T: CurvePoint, max_order: int = 6) -> CechCocycle:
+def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
     """Gluing function of the nonsplit extension, with certificate.
 
     Searches k = 1, 2, ... for an element of L(k(inf + T)) outside
@@ -117,10 +107,11 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint, max_order: int = 6) ->
     chosen k and at the two next cutoffs (a genuinely split gluing would give
     cokernel 0 at every k, so a positive stable cokernel pins nontriviality).
     """
-    cover = CechCover(curve, T)
+    if T.is_infinity:
+        raise ValueError("the second chart point T must be affine")
     inf = curve.infinity
     field = curve.field
-    for k in range(1, max_order + 1):
+    for k in range(1, MAX_COCYCLE_ORDER + 1):
         both = rr_basis(curve, Divisor(curve, {inf: k, T: k}), check=False)
         image_rows, base_rank = _coboundary_jets(curve, T, k)
         cokernel = both.dim - base_rank
@@ -150,8 +141,9 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint, max_order: int = 6) ->
             raise VerificationError(f"cokernel not stable: {cert}")
         cert["pole_inf"] = pole_inf
         cert["pole_T"] = pole_T
-        return CechCocycle(cover, g, k, pole_inf, pole_T, cert)
-    raise VerificationError(f"no nontrivial gluing found up to order {max_order}")
+        return CechCocycle(curve, T, g, k, pole_inf, pole_T, cert)
+    raise VerificationError(
+        f"no nontrivial gluing found up to order {MAX_COCYCLE_ORDER}")
 
 
 def is_coboundary_jet(cocycle, fn) -> bool:
@@ -225,11 +217,17 @@ class SectionVector:
             out.append(t)
         return out
 
-    def validate(self, prec_pad: int = 4) -> None:
+    def validate(self) -> None:
         """Independent regularity re-check (never looks at solver matrices).
 
         Raises VerificationError if any chart-0 component has a forbidden
-        pole at q or any chart-1 component t_j has a pole at infinity.
+        affine pole or any chart-1 component t_j has a pole at infinity.
+
+        The affine half reads each s_a = (a + b y)/d in its canonical form.
+        As k(E) = k(x) + k(x) y with gcd(a, b, d) = 1, s_a is regular on
+        E - {inf} exactly when d = 1; a twisted s_a may also have d = x - x_q,
+        and then, when -q != q, needs a + b y to vanish at -q.  The pole at q
+        itself is bounded by a Laurent expansion there.
 
         The infinity half works on Laurent series in t = x/y.  Each nonzero
         s_a is expanded to the absolute horizon a * k_inf and g, of valuation
@@ -245,11 +243,26 @@ class SectionVector:
         inf = surf.curve.infinity
         kinf = surf.cocycle.pole_inf
         allowed = -1 if self.twisted else 0
+        field = surf.field
+        one, x_minus_xq = [field.one], [field.neg(surf.q.x.raw), field.one]
+        minus_q = -surf.q
         series, reach = {}, 0
         for a, s in enumerate(self.components):
             if s.is_zero():
                 continue
-            vq = s.expand(surf.q, prec_pad + 2).valuation()
+            if s.d != one and not (self.twisted and s.d == x_minus_xq):
+                raise VerificationError(
+                    f"component {a} has a pole where {poly.to_text(field, s.d)} "
+                    f"vanishes")
+            if s.d != one and minus_q != surf.q:
+                x, y = minus_q.x.raw, minus_q.y.raw
+                num = field.add(poly.evaluate(field, s.a, x),
+                                field.mul(poly.evaluate(field, s.b, x), y))
+                if not field.is_zero(num):
+                    raise VerificationError(
+                        f"component {a} has a pole at the negative of the "
+                        f"marked fiber point")
+            vq = s.expand(surf.q, PREC_PAD + 2).valuation()
             if vq is not None and vq < allowed:
                 raise VerificationError(
                     f"component {a} has a pole of order {-vq} at the marked "
@@ -519,18 +532,8 @@ class AtiyahSurface:
         return f"AtiyahSurface(q={self.q}, T={self.T}, over {self.curve!r})"
 
 
-def h0_multiple_section(surface: AtiyahSurface, n: int) -> SectionSpace:
-    """h^0 of the n-fold multiple of the infinity section."""
-    return surface.h0(n, twisted=False)
-
-
-def h0_fiber_twist(surface: AtiyahSurface, level: int) -> SectionSpace:
-    """h^0 of (marked fiber) + level * (infinity section)."""
-    return surface.h0(level, twisted=True)
-
-
 def make_surface(curve: WeierstrassCurve, q: CurvePoint,
-                 T: CurvePoint | None = None, max_order: int = 6) -> AtiyahSurface:
+                 T: CurvePoint | None = None) -> AtiyahSurface:
     """Build the surface with marked fiber q; T defaults to -q (or, when q is
     2-torsion, the first enumerable point distinct from inf, q)."""
     if q.is_infinity:
@@ -539,5 +542,5 @@ def make_surface(curve: WeierstrassCurve, q: CurvePoint,
         T = -q
         if T.is_infinity or T == q:
             T = curve.first_point(avoid={curve.infinity, q})
-    cocycle = build_cocycle(curve, T, max_order=max_order)
+    cocycle = build_cocycle(curve, T)
     return AtiyahSurface(cocycle, q)

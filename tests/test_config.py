@@ -2,15 +2,17 @@ from pathlib import Path
 
 import pytest
 
+from atiyahlab.cli import main
 from atiyahlab.config import (
+    FINITE_FIELD_NEEDED,
+    JOB_SCHEMA,
+    REQUIRED,
     ConfigError,
     load_config,
     parse_bool,
-    parse_fat_points,
     parse_int,
     parse_int_list,
-    parse_level_mult_pairs,
-    parse_plain_points,
+    parse_records,
 )
 
 GOOD = """\
@@ -135,24 +137,24 @@ def test_parse_int():
 
 
 def test_parse_fat_points():
-    pts = parse_fat_points("1 : 1 : 2 : 5; 0:-1:3:2", "pts")
+    pts = parse_records("1 : 1 : 2 : 5; 0:-1:3:2", "pts", "x:y:w0:m")
     assert pts == [("1", "1", "2", 5), ("0", "-1", "3", 2)]
     with pytest.raises(ConfigError):
-        parse_fat_points("1:1:2", "pts")
+        parse_records("1:1:2", "pts", "x:y:w0:m")
     with pytest.raises(ConfigError):
-        parse_fat_points(";", "pts")
+        parse_records(";", "pts", "x:y:w0:m")
 
 
 def test_parse_plain_points():
-    assert parse_plain_points("1:1:0", "pts") == [("1", "1", "0")]
+    assert parse_records("1:1:0", "pts", "x:y:w0") == [("1", "1", "0")]
     with pytest.raises(ConfigError):
-        parse_plain_points("1:1:0:4", "pts")
+        parse_records("1:1:0:4", "pts", "x:y:w0")
 
 
 def test_parse_level_mult_pairs():
-    assert parse_level_mult_pairs("3:2; 6:3", "pairs") == [(3, 2), (6, 3)]
+    assert parse_records("3:2; 6:3", "pairs", "level:m") == [(3, 2), (6, 3)]
     with pytest.raises(ConfigError):
-        parse_level_mult_pairs("3", "pairs")
+        parse_records("3", "pairs", "level:m")
 
 
 @pytest.mark.parametrize("name", ["acceptance.ini", "char2-witness.ini",
@@ -208,3 +210,38 @@ def test_bad_job_value_rejected_at_load(tmp_path, kind, p, good, bad_p, bad,
     assert load_config(write(tmp_path, with_job(p, kind, good))).jobs[-1].kind == kind
     with pytest.raises(ConfigError, match=f"'third'.*{message}"):
         load_config(write(tmp_path, with_job(bad_p, kind, bad)))
+
+
+# One malformed value per job key; a key missing here fails the test below.
+MALFORMED = {
+    "levels": "0..x", "twisted": "maybe", "level": "one", "points": "1:1:2",
+    "m": "0", "base": "1", "w0": "x", "cap": "-1", "trials": "0",
+    "certify": "maybe", "n": "3..1", "multiplicities": "2, x",
+    "expect_order": "seven", "expect_cyclic": "sometimes", "p": "4", "k": "0",
+    "pairs": "3",
+}
+# 1:1:2 is a well-formed x:y:w0 record
+MALFORMED_FOR = {("example-theorem", "points"): "1:1:2:5"}
+# well-formed values of the keys that have no default
+REQUIRED_VALUES = {"points": "1 : 1 : 2 : 2", "base": "1, 1"}
+SCHEMA_KEYS = [(kind, key) for kind, schema in JOB_SCHEMA.items()
+               for key in schema]
+
+
+@pytest.mark.parametrize("kind,key", SCHEMA_KEYS,
+                         ids=[f"{kind}-{key}" for kind, key in SCHEMA_KEYS])
+def test_malformed_job_value_rejected_at_load(tmp_path, capsys, kind, key):
+    p = 3 if FINITE_FIELD_NEEDED.get(kind) else 0
+    values = {k: REQUIRED_VALUES[k] for k, (_, default) in JOB_SCHEMA[kind].items()
+              if default is REQUIRED}
+    good = "".join(f"{k} = {v}\n" for k, v in values.items())
+    assert load_config(write(tmp_path, with_job(p, kind, good))).jobs[-1].kind == kind
+    values[key] = MALFORMED_FOR.get((kind, key), MALFORMED[key])
+    bad = "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg = write(tmp_path, with_job(p, kind, bad))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value).startswith(f"job 'third': '{key}'")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert str(err.value) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

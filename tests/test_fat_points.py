@@ -9,12 +9,10 @@ from atiyahlab.fat_points import (
     char_p_witness,
     expected_dimension,
     fat_system,
-    genericity_scan,
     h0_fat,
     jet_matrix,
     max_multiplicity,
     min_level,
-    mu,
     multiplicity_step_check,
     sample_fat_point,
     translate_marked_fiber,
@@ -195,7 +193,6 @@ def test_max_multiplicity_char0(rational_surface):
     assert rec1.dims_by_multiplicity[-1] == 0
     rec3 = max_multiplicity(rational_surface, 3, fp)
     assert rec3.value == 2
-    assert mu(rational_surface, 3, fp) == 2
     with pytest.raises(ValueError):
         max_multiplicity(rational_surface, 0, fp)
 
@@ -272,16 +269,6 @@ def test_sample_fat_point(f9_surface):
     assert cert.multiplicity == 2
     certify_ok = cert.class_point(f9_surface)
     assert not certify_ok.is_infinity
-
-
-def test_genericity_scan(f9_surface):
-    rng = random.Random(5)
-    rec = genericity_scan(f9_surface, 2, 1, rng, trials=5)
-    assert len(rec.dims) == 5
-    assert rec.min_dim == 2               # 3 sections minus one point condition
-    assert rec.stable and not rec.field_too_small
-    data = rec.serialize()
-    assert data["min_dim"] == 2 and data["stable"] is True
 
 
 def test_w0_invariance(f9_surface):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from atiyahlab import poly
+from atiyahlab import funcfield, poly
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.funcfield import (
@@ -92,6 +92,27 @@ def test_point_expansion_char2_full_model():
         xs, ys = point_expansion(E, P, 8)
         diff = ys * ys + xs * ys - (xs * xs * xs + series_const(E, E.a6.raw, xs, ys))
         assert diff.is_zero_to_precision()
+
+
+def test_expansion_cache_grows_geometrically(monkeypatch):
+    # the horizons one rational h0 ladder asked for at infinity: a cache that
+    # only ever held the last request re-ran Newton for each of them
+    solves = []
+    expand = funcfield._expand_uncached
+
+    def counting(curve, P, H):
+        solves.append(H)
+        return expand(curve, P, H)
+
+    monkeypatch.setattr(funcfield, "_expand_uncached", counting)
+    E = rational_model()
+    for P in (E.infinity, E.point(0, 1)):
+        solves.clear()
+        for prec in range(15, 44, 2):
+            xs, ys = point_expansion(E, P, prec)
+            fresh = [s.truncate(prec) for s in expand(E, P, prec)]
+            assert (xs, ys) == tuple(fresh) and xs.hi == ys.hi == prec
+        assert solves == [15, 30, 60]
 
 
 def test_expansion_valuations_at_infinity():

@@ -111,7 +111,7 @@ def test_missing_parameter_becomes_error_row():
     cfg = make_config(jobs=[JobSpec("broken", "h0-fat", {"level": "1"})])
     row = run_config(cfg)[0]
     assert row.status == "ERROR"
-    assert "KeyError" in row.error
+    assert row.error == "ConfigError: type 'h0-fat' needs the key 'points'"
     assert row.values == {}
 
 

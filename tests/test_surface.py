@@ -8,13 +8,11 @@ import pytest
 
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import VerificationError
-from atiyahlab.fields import QQ, make_extension_field
+from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import FuncElem
 from atiyahlab.surface import (
     SectionVector,
     build_cocycle,
-    h0_fiber_twist,
-    h0_multiple_section,
     is_coboundary_jet,
     make_surface,
     sym_transition,
@@ -105,7 +103,7 @@ def test_rigid_line_bundle_dimensions(rational_surface):
     # h^0 of n-fold multiples of the infinity section: all one-dimensional
     # in characteristic zero, with the basis concentrated in the w^0 slot.
     for n in range(5):
-        space = h0_multiple_section(rational_surface, n)
+        space = rational_surface.h0(n, twisted=False)
         assert space.dim == 1
         s = space.sections[0]
         assert not s.components[0].is_zero()
@@ -114,14 +112,14 @@ def test_rigid_line_bundle_dimensions(rational_surface):
 
 def test_twisted_dimensions_level_plus_one(rational_surface):
     for level in range(5):
-        assert h0_fiber_twist(rational_surface, level).dim == level + 1
+        assert rational_surface.h0(level, twisted=True).dim == level + 1
 
 
 def test_char_p_multiple_section_pattern(f9_surface, f4_surface):
     # in characteristic p the dimension jumps at multiples of p
-    dims9 = [h0_multiple_section(f9_surface, n).dim for n in range(7)]
+    dims9 = [f9_surface.h0(n, twisted=False).dim for n in range(7)]
     assert dims9 == [1, 1, 1, 2, 2, 2, 3]
-    dims4 = [h0_multiple_section(f4_surface, n).dim for n in range(5)]
+    dims4 = [f4_surface.h0(n, twisted=False).dim for n in range(5)]
     assert dims4 == [1, 1, 2, 2, 3]
 
 
@@ -243,6 +241,40 @@ def test_validate_agrees_with_transformed_oracle(ordinary_surface):
                         bad.validate()
                     assert str(err.value) == expected
     assert any(verdicts) and not all(verdicts)
+
+
+def test_validate_rejects_affine_poles(rational_surface, ordinary_surface):
+    # 1/(x - c) is regular at infinity, so at level 2 only the affine check
+    # can see it: 1/(x - 1) added to s_0 of the plain section on the test
+    # surface, and 1/(x - c) added to any slot of any section of either
+    # twist; for c = x(q) on a twisted section the pole at q is allowed, but
+    # 1/(x - x_q) also has a pole at -q (or a double pole at q when -q = q)
+    x = FuncElem.x_function(rational_surface.curve)
+    plain = rational_surface.h0(2, twisted=False).sections[0]
+    bad = SectionVector(rational_surface, 2, False,
+                        [plain.components[0] + (x - 1).inverse(),
+                         plain.components[1], plain.components[2]])
+    with pytest.raises(VerificationError, match=r"pole where -1 \+ 1\*x vanishes"):
+        bad.validate()
+    surf = ordinary_surface
+    field = surf.field
+    x, x_q = FuncElem.x_function(surf.curve), surf.q.x.raw
+    cs = ([Fraction(v) for v in ("0", "1", "2", "-5/3")] if field is QQ
+          else [field.from_packed(v) for v in range(4)])
+    assert x_q in cs
+    for twisted in (False, True):
+        for sec in surf.h0(2, twisted).sections:
+            sec.validate()
+            for c in cs:
+                pole = (x - FieldElem(field, c)).inverse()
+                for slot in range(3):
+                    comps = list(sec.components)
+                    comps[slot] = comps[slot] + pole
+                    with pytest.raises(VerificationError):
+                        SectionVector(surf, 2, twisted, comps).validate()
+    # the twisted bases do carry the allowed denominator x - x_q
+    assert any(s.d == [field.neg(x_q), field.one]
+               for sec in surf.h0(2, True).sections for s in sec.components)
 
 
 def test_section_products_and_padding(rational_surface):
