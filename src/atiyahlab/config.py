@@ -44,6 +44,10 @@ from .fields import is_probable_prime
 # Job types that run only over a finite field (True) or only over Q (False).
 FINITE_FIELD_NEEDED = {"verify-prop27": True, "group-order": True,
                        "compare-char": False}
+# Keys whose value ``random`` samples from a finite field: Q has no uniform
+# distribution to draw from, so over Q these keys need explicit values.
+RANDOM_NEEDS_FINITE_FIELD = {"lambda": ("base", "w0"), "mu": ("base", "w0"),
+                             "example-theorem": ("points",)}
 
 
 @dataclass
@@ -309,9 +313,14 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"job {ident!r}: type {kind!r} needs "
                               + ("a finite field" if finite else "the rationals"))
         try:  # the runners read the same values through parse_job
-            parse_job(kind, params, p)
+            args = parse_job(kind, params, p)
         except ConfigError as exc:
             raise ConfigError(f"job {ident!r}: {exc}") from None
+        if p == 0:
+            for key in RANDOM_NEEDS_FINITE_FIELD.get(kind, ()):
+                if getattr(args, key) == "random":
+                    raise ConfigError(f"job {ident!r}: {key!r} = random needs "
+                                      f"a finite field; over Q give it explicitly")
         jobs.append(JobSpec(ident, kind, params))
 
     return ExperimentConfig(p, k, coeffs, q, T, seed, jobs, source=str(path))

@@ -344,7 +344,9 @@ class FiniteField:
         return _unpack(self.p, self.k, self.to_packed(a))
 
     def parse(self, text):
-        """Raw value from packed int, Fraction text like '3/4', or coeff list."""
+        """Raw value from an int (reduced mod p), a coefficient list, or text:
+        decimal digits n < p^k name the packed integer n, any other number
+        text like '-3/4' or '10' is a fraction reduced mod p."""
         if isinstance(text, FieldElem):
             if text.field is not self:
                 raise ValueError("mixed field descriptors")
@@ -353,7 +355,11 @@ class FiniteField:
             return self.from_int(text)
         if isinstance(text, (list, tuple)):
             return self.from_coeffs(text)
-        fr = Fraction(str(text).strip())
+        if isinstance(text, str):
+            text = text.strip()
+            if text.isascii() and text.isdigit() and int(text) < self.q:
+                return self._from_packed(int(text))
+        fr = Fraction(text)
         den = fr.denominator % self.p
         if den == 0:
             raise ValueError(f"denominator of {text} vanishes in characteristic {self.p}")

@@ -268,19 +268,6 @@ class FuncElem:
         return self.expand(P, VALUATION_PREC).valuation()
 
 
-def linear_combination(funcs, coeffs_raw):
-    """sum coeff_i * f_i with raw field coefficients (skips zero terms)."""
-    if not funcs:
-        raise ValueError("empty combination")
-    curve = funcs[0].curve
-    f = curve.field
-    acc = FuncElem.zero(curve)
-    for fn, c in zip(funcs, coeffs_raw):
-        if not f.is_zero(c):
-            acc = acc + fn * FieldElem(f, c)
-    return acc
-
-
 def linearly_independent(funcs) -> bool:
     """Linear independence over the base field via coefficient vectors."""
     from .linalg import Matrix, rank

@@ -247,10 +247,11 @@ def _run_compare_char(ctx, args, rng):
     certify_not_p_torsion(P0_p - q_p)
     surface_p = make_surface(curve_p, q_p, T=T_p)
 
+    w0 = ctx.field.parse(args.w0)   # a rational, reduced mod p on the char-p side
     rows, ok = [], True
     for level, m in args.pairs:
-        d0 = h0_fat(ctx.surface, level, [FatPoint(P0, args.w0, m)])
-        dp = h0_fat(surface_p, level, [FatPoint(P0_p, args.w0, m)])
+        d0 = h0_fat(ctx.surface, level, [FatPoint(P0, w0, m)])
+        dp = h0_fat(surface_p, level, [FatPoint(P0_p, w0, m)])
         rows.append({"level": level, "m": m, "char0": d0, f"char{p}": dp,
                      "semicontinuous": dp >= d0})
         ok = ok and dp >= d0

@@ -107,22 +107,27 @@ def _echelon_int(rows, ncols):
     return pivots, ech
 
 
-def _kernel_from_echelon_int(pivots, ech, ncols):
+def _kernel_from_echelon(field, pivots, ech, ncols):
+    """The canonical kernel basis: one vector per free column, by
+    back-substitution through the echelon rows."""
+    fz, fadd, fmul = field.is_zero, field.add, field.mul
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [field.zero] * ncols
+        v[f] = field.one
         for i in range(len(pivots) - 1, -1, -1):
             pc = pivots[i]
             row = ech[i]
-            acc = Fraction(0)
+            acc = field.zero
             for c in range(pc + 1, ncols):
-                if row[c] and v[c]:
-                    acc += Fraction(row[c]) * v[c]
-            v[pc] = -acc / row[pc]
-        basis.append(_primitive_int_vector(v))
+                if not fz(row[c]) and not fz(v[c]):
+                    acc = fadd(acc, fmul(row[c], v[c]))
+            # finite-field pivots are 1; integer pivots divide
+            v[pc] = field.neg(acc if row[pc] == field.one
+                              else field.div(acc, row[pc]))
+        basis.append(_primitive_int_vector(v) if field is QQ else v)
     return basis
 
 
@@ -142,21 +147,21 @@ def _primitive_int_vector(v):
     return [Fraction(a) for a in ints]
 
 
-def _rationals_rank_kernel(mat: Matrix, want_kernel: bool):
+def _echelon(mat: Matrix):
+    """(pivot_cols, echelon_rows): primitive integer rows over Q, rows with
+    pivot 1 over a finite field."""
+    if mat.field is not QQ:
+        return _finite_echelon(mat)
     int_rows = []
     for r in mat.rows:
         den = 1
         for f in r:
             den = den * f.denominator // gcd(den, f.denominator)
         int_rows.append([int(f * den) for f in r])
-    pivots, ech = _echelon_int(int_rows, mat.ncols)
-    rank = len(pivots)
-    if not want_kernel:
-        return rank, None
-    return rank, _kernel_from_echelon_int(pivots, ech, mat.ncols)
+    return _echelon_int(int_rows, mat.ncols)
 
 
-def _finite_rank_kernel(mat: Matrix, want_kernel: bool):
+def _finite_echelon(mat: Matrix):
     field = mat.field
     fz, fmul, fsub, finv = field.is_zero, field.mul, field.sub, field.inv
     work = [list(r) for r in mat.rows]
@@ -190,38 +195,17 @@ def _finite_rank_kernel(mat: Matrix, want_kernel: bool):
         ech.append(prow)
         rowpool = nxt
         col += 1
-    rank = len(pivots)
-    if not want_kernel:
-        return rank, None
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for i in range(rank - 1, -1, -1):
-            pc = pivots[i]
-            row = ech[i]
-            acc = field.zero
-            for c in range(pc + 1, ncols):
-                if not fz(row[c]) and not fz(v[c]):
-                    acc = field.add(acc, fmul(row[c], v[c]))
-            v[pc] = field.neg(acc)  # pivot is normalized to 1
-        basis.append(v)
-    return rank, basis
+    return pivots, ech
 
 
 def rank_and_kernel(mat: Matrix):
     """(rank, kernel basis as raw column vectors), deterministic and exact."""
-    if mat.field is QQ:
-        return _rationals_rank_kernel(mat, True)
-    return _finite_rank_kernel(mat, True)
+    pivots, ech = _echelon(mat)
+    return len(pivots), _kernel_from_echelon(mat.field, pivots, ech, mat.ncols)
 
 
 def rank(mat: Matrix) -> int:
-    if mat.field is QQ:
-        return _rationals_rank_kernel(mat, False)[0]
-    return _finite_rank_kernel(mat, False)[0]
+    return len(_echelon(mat)[0])
 
 
 def rank_naive(mat: Matrix) -> int:

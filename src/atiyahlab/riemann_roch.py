@@ -117,34 +117,31 @@ def expected_rr_dim(D: Divisor) -> int:
     return d
 
 
-def rr_basis(curve, D: Divisor, check: bool = True) -> RRSpace:
-    """Basis of L(D) = {f : div(f) + D >= 0}, deterministic order."""
+def rr_basis(curve, D: Divisor) -> RRSpace:
+    """Basis of L(D) = {f : div(f) + D >= 0}, deterministic order; call
+    ``verify`` on the result to re-check it."""
     hacc, R, d = reduce_divisor(D)
     if d < 0:
-        space = RRSpace(D, [])
-    elif d == 0:
-        space = RRSpace(D, [hacc.inverse()] if R.is_infinity else [])
-    elif R.is_infinity:
+        return RRSpace(D, [])
+    if d == 0:
+        return RRSpace(D, [hacc.inverse()] if R.is_infinity else [])
+    if R.is_infinity:
         hinv = hacc.inverse()
-        space = RRSpace(D, [m * hinv for m in monomial_basis(curve, d)])
-    else:
-        f = curve.field
-        cands = monomial_basis(curve, d + 1)
-        minus_r = -R
-        row = []
-        for m in cands:
-            row.append(m.evaluate(minus_r).raw)
-        _, kern = rank_and_kernel(Matrix(f, [row]))
-        xr = FuncElem(curve, [f.neg(R.x.raw), f.one], [], [f.one], reduce=False)
-        scale = (xr * hacc).inverse()
-        basis = []
-        for vec in kern:
-            g = FuncElem.zero(curve)
-            for c, m in zip(vec, cands):
-                if not f.is_zero(c):
-                    g = g + m * FieldElem(f, c)
-            basis.append(g * scale)
-        space = RRSpace(D, basis)
-    if check:
-        space.verify()
-    return space
+        return RRSpace(D, [m * hinv for m in monomial_basis(curve, d)])
+    f = curve.field
+    cands = monomial_basis(curve, d + 1)
+    minus_r = -R
+    row = []
+    for m in cands:
+        row.append(m.evaluate(minus_r).raw)
+    _, kern = rank_and_kernel(Matrix(f, [row]))
+    xr = FuncElem(curve, [f.neg(R.x.raw), f.one], [], [f.one], reduce=False)
+    scale = (xr * hacc).inverse()
+    basis = []
+    for vec in kern:
+        g = FuncElem.zero(curve)
+        for c, m in zip(vec, cands):
+            if not f.is_zero(c):
+                g = g + m * FieldElem(f, c)
+        basis.append(g * scale)
+    return RRSpace(D, basis)

@@ -18,21 +18,23 @@ inf (plus a simple pole at the marked fiber point q when twisted); each t_j
 has nonnegative valuation at inf.  The solver turns this into one exact
 kernel computation per (level, twisted) with per-component pole cutoffs
 N_a = (level - a) * k_inf + margin — the inverse shift shows true sections
-satisfy the margin-0 bound, so the cutoff loses nothing — and re-checks the
-dimension at margin + 2, raising CutoffInstabilityError on disagreement.
+satisfy the margin-0 bound, so the cutoff loses nothing.  It assembles and
+eliminates the system once, at margin + 2: the kernel must vanish on the
+columns past the margin cutoffs (CutoffInstabilityError otherwise), and its
+restriction to the other columns is the basis at the margin.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
 x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
 function with a simple pole at q, enters only when twisted.  With
 g = (a_g + b_g y)/d_g and h = (a_h + b_h y)/d_h (d_h = 1 untwisted), t_j
-is (A + B y)/D_j over D_j = d_g^(level-j) d_h, and A, B are linear in the
+is (P + Q y)/D_j over D_j = d_g^(level-j) d_h, and P, Q are linear in the
 unknowns: the products are taken unreduced, with y^2 = S + T y, so a
 monomial column is an index shift of the numerator of C(a,j) g^(a-j) d_h
 (times y for the odd orders) and only the h column needs a product.  As
 v_inf(x^i) = -2i and v_inf(x^i y) = -2i - 3 never coincide,
-v_inf((A + B y)/D) = min(-2 deg A, -2 deg B - 3) + 2 deg D in every
+v_inf((P + Q y)/D) = min(-2 deg P, -2 deg Q - 3) + 2 deg D in every
 characteristic, so t_j is regular at inf exactly when the coefficients of
-x^e vanish in A for e > deg D_j and in B for e >= deg D_j - 1; those
+x^e vanish in P for e > deg D_j and in Q for e >= deg D_j - 1; those
 coefficients are the rows.  SectionVector.validate re-checks every basis
 section on paths the solver never uses: each s_a off inf from its reduced
 denominator and at q by Laurent expansion, and at inf the t_j as
@@ -42,7 +44,6 @@ series of the s_a and g.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from math import comb
 
@@ -50,7 +51,7 @@ from . import poly
 from .curve import CurvePoint, Divisor, WeierstrassCurve
 from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationError
 from .fields import FieldElem
-from .funcfield import FuncElem, linear_combination, mul_numerators
+from .funcfield import FuncElem, mul_numerators
 from .linalg import Matrix, rank_and_kernel, rank
 from .riemann_roch import monomial_basis, rr_basis
 
@@ -94,7 +95,7 @@ def _coboundary_jets(curve, T, k):
     rows = [_jet_vector(f, inf, -k, k + 1) for f in monomial_basis(curve, k)]
     rows += [
         _jet_vector(f, inf, -k, k + 1)
-        for f in rr_basis(curve, Divisor(curve, {T: k}), check=False).basis
+        for f in rr_basis(curve, Divisor(curve, {T: k})).basis
     ]
     return rows, rank(Matrix(curve.field, rows, 2 * k + 1))
 
@@ -112,7 +113,7 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
     inf = curve.infinity
     field = curve.field
     for k in range(1, MAX_COCYCLE_ORDER + 1):
-        both = rr_basis(curve, Divisor(curve, {inf: k, T: k}), check=False)
+        both = rr_basis(curve, Divisor(curve, {inf: k, T: k}))
         image_rows, base_rank = _coboundary_jets(curve, T, k)
         cokernel = both.dim - base_rank
         if cokernel < 1:
@@ -134,8 +135,7 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
             raise VerificationError("gluing candidate lacks a pole at a chart point")
         cert = {"order": k, "cokernel_dims": {k: cokernel}}
         for kk in (k + 1, k + 2):
-            dim_kk = rr_basis(curve, Divisor(curve, {inf: kk, T: kk}),
-                              check=False).dim
+            dim_kk = rr_basis(curve, Divisor(curve, {inf: kk, T: kk})).dim
             cert["cokernel_dims"][kk] = dim_kk - _coboundary_jets(curve, T, kk)[1]
         if any(c < 1 for c in cert["cokernel_dims"].values()):
             raise VerificationError(f"cokernel not stable: {cert}")
@@ -406,34 +406,44 @@ class AtiyahSurface:
         nonconstant basis element is taken.
         """
         space = rr_basis(self.curve, Divisor(self.curve, {self.curve.infinity: 1,
-                                                          self.q: 1}), check=False)
+                                                          self.q: 1}))
         for f in space.basis:   # reduced, so a constant has b = 0 and d = 1
             if f.b or len(f.a) > 1 or len(f.d) > 1:
                 return f
         raise VerificationError("no degree-(1,1) function in L(inf + q)")
 
-    def ambient_basis(self, twisted: bool, n: int):
-        """Functions with pole orders at inf equal to 0,1,2,...  (twisted:
-        poles <= 1 at q allowed) spanning L(N inf (+q)) by taking prefixes.
-
-        Pole order 1 is the one-pole function and occurs only when twisted;
-        every other order m is the monomial x^(m/2) or x^((m-3)/2) y.
-        """
-        funcs = monomial_basis(self.curve, n)
-        orders = [0] + list(range(2, n + 1))
-        if twisted and n >= 1:
-            funcs.insert(1, self.one_pole_function)
-            orders.insert(1, 1)
-        return funcs, orders
-
     # -- the solver ---------------------------------------------------------------
 
-    def _solve(self, level: int, twisted: bool, margin: int, want_kernel: bool):
+    def _solve(self, level: int, twisted: bool, margin: int):
+        """The basis at pole cutoffs (level - a) * k_inf + margin, read off
+        one kernel at margin + 2 that also certifies the cutoff stable.
+
+        Slot a takes the pole orders m <= caps[a] at inf (0: the constant; 1:
+        h, twisted only; m >= 2: x^(m/2) or x^((m-3)/2) y), and its columns
+        with m > caps[a] - 2 are the extra columns.  Let M be the matrix and
+        A its rows and columns within the margin cutoffs.
+        * Zero block: a column (a, m) reaches t_j only up to pole order
+          (a - j) * k_inf + m <= caps[j] - 2, and the numerators are reduced
+          P + Q y, so the rows past the margin cutoffs vanish on the margin
+          columns: M = [[A, B], [0, C]] up to row and column order.
+        * Equal dimensions: if every basis vector of ker M vanishes on the
+          extra columns, ker M = {(v, 0) : v in ker A}, so the dimensions at
+          margin and at margin + 2 agree.
+        * Equal canonical bases: a free column of A is free in M and the
+          kernels have equal dimension, so the free sets agree; a canonical
+          vector is fixed by its free entries, and the Q normalization (lcm,
+          gcd, sign of the first nonzero entry) sees only zeros on the extra
+          columns.  So the restriction is the canonical basis of ker A.
+        * Otherwise CutoffInstabilityError, the margin dimension read from
+          the rank of M on the margin columns (= rank A).
+        In slot a the kernel entries are the coefficients of x^(m/2) in U
+        (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
+        s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
+        """
         kinf = self.cocycle.pole_inf
-        caps = [(level - j) * kinf + margin for j in range(level + 1)]
-        funcs, orders = self.ambient_basis(twisted, caps[0])
-        dims = [bisect_right(orders, cap) for cap in caps]
-        columns = [(a, i) for a in range(level, -1, -1) for i in range(dims[a])]
+        caps = [(level - a) * kinf + margin + 2 for a in range(level + 1)]
+        orders = [[m for m in range(cap + 1) if twisted or m != 1] for cap in caps]
+        columns = [(a, m) for a in range(level, -1, -1) for m in orders[a]]
         col_of = {key: idx for idx, key in enumerate(columns)}
 
         field, curve, g = self.field, self.curve, self.cocycle.g
@@ -448,8 +458,8 @@ class AtiyahSurface:
 
         rows = []
         for j in range(level, -1, -1):
-            # numerator A + B y of t_j over D_j = d_g^(level-j) d_h; t_j is
-            # regular at inf iff deg A <= deg D_j and deg B <= deg D_j - 2
+            # numerator P + Q y of t_j over D_j = d_g^(level-j) d_h; t_j is
+            # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2
             deg_d = poly.degree(d_g_pow[level - j]) + poly.degree(d_h)
             keys = [(0, e) for e in range(deg_d + 1, deg_d + caps[j] // 2 + 1)]
             keys += [(1, e) for e in range(max(deg_d - 1, 0),
@@ -464,34 +474,54 @@ class AtiyahSurface:
                 ka, kb = poly.mul(field, ga, dp), poly.mul(field, gb, dp)
                 mono = (poly.mul(field, ka, d_h), poly.mul(field, kb, d_h))
                 mono_y = mul_numerators(curve, *mono, [], one)
-                for i in range(dims[a]):
-                    m = orders[i]
+                for m in orders[a]:
                     if m == 1:
                         num, shift = mul_numerators(curve, ka, kb, h.a, h.b), 0
                     elif m % 2 == 0:
                         num, shift = mono, m // 2
                     else:
                         num, shift = mono_y, (m - 3) // 2
-                    col = col_of[(a, i)]
+                    col = col_of[(a, m)]
                     for row, (part, e) in zip(block, keys):
                         cs, k = num[part], e - shift
                         if 0 <= k < len(cs) and not field.is_zero(cs[k]):
                             row[col] = field.mul(c, cs[k])
             rows.extend(block)
         mat = Matrix(field, rows, len(columns))
-        if not want_kernel:
-            r = rank(mat)
-            return len(columns) - r, None, mat, columns, funcs
-        r, kernel = rank_and_kernel(mat)
-        return len(columns) - r, kernel, mat, columns, funcs
+        _, kernel = rank_and_kernel(mat)
+
+        extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
+        if any(not field.is_zero(vec[idx]) for vec in kernel for idx in extra):
+            kept = [idx for idx in range(len(columns)) if idx not in extra]
+            margin_mat = Matrix(field, [[row[idx] for idx in kept]
+                                        for row in mat.rows], len(kept))
+            raise CutoffInstabilityError(level, twisted, margin,
+                                         len(kept) - rank(margin_mat), len(kernel))
+
+        sections = []
+        for vec in kernel:
+            slots = [{} for _ in caps]
+            for (a, m), coeff in zip(columns, vec):
+                slots[a][m] = coeff
+            comps = []
+            for cap, cs in zip(caps, slots):
+                u = [cs[m] for m in range(0, cap - 1, 2)]
+                v = [cs[m] for m in range(3, cap - 1, 2)]
+                if twisted:
+                    u = poly.add(field, poly.mul(field, u, d_h),
+                                 poly.scalar_mul(field, cs[1], h.a))
+                    v = poly.add(field, poly.mul(field, v, d_h),
+                                 poly.scalar_mul(field, cs[1], h.b))
+                comps.append(FuncElem(curve, u, v, d_h))
+            sections.append(SectionVector(self, level, twisted, comps))
+        return sections
 
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
 
-        Result cached; every basis vector is re-validated by Laurent
-        expansion at q and at infinity (SectionVector.validate), and the
-        dimension is recomputed at an enlarged cutoff before anything is
-        returned (CutoffInstabilityError if the two disagree).
+        Result cached; _solve certifies the basis stable under a larger pole
+        cutoff, and every section is re-validated by Laurent expansion at q
+        and at infinity (SectionVector.validate) before it is returned.
         """
         if level < 0:
             raise ValueError("level must be >= 0")
@@ -499,24 +529,7 @@ class AtiyahSurface:
         space = self._h0.get(key)
         if space is not None:
             return space
-        dim, kernel, _, columns, funcs = self._solve(level, twisted, self.margin, True)
-        dim2 = self._solve(level, twisted, self.margin + 2, False)[0]
-        if dim != dim2:
-            raise CutoffInstabilityError(level, twisted, self.margin, dim, dim2)
-        sections = []
-        for vec in kernel:
-            comps = []
-            for a in range(level + 1):
-                coeffs, fns = [], []
-                for idx, (aa, i) in enumerate(columns):
-                    if aa == a and not self.field.is_zero(vec[idx]):
-                        coeffs.append(vec[idx])
-                        fns.append(funcs[i])
-                comps.append(
-                    linear_combination(fns, coeffs) if fns
-                    else FuncElem.zero(self.curve)
-                )
-            sections.append(SectionVector(self, level, twisted, comps))
+        sections = self._solve(level, twisted, self.margin)
         for s in sections:
             s.validate()
         space = SectionSpace(

@@ -79,11 +79,16 @@ def test_01_riemann_roch_dimensions():
             for i in range(count):
                 deg = 1 + (total % 12)
                 D = _random_divisor(E, pool, rng, deg)
-                assert rr_basis(E, D).dim == deg
+                space = rr_basis(E, D)
+                space.verify()
+                assert space.dim == deg
                 total += 1
-            assert rr_basis(E, Divisor(E)).dim == 1
             P, Q = pool[0], pool[1]
-            assert rr_basis(E, Divisor.of_point(P) - Divisor.of_point(Q)).dim == 0
+            for D, dim in ((Divisor(E), 1),
+                           (Divisor.of_point(P) - Divisor.of_point(Q), 0)):
+                space = rr_basis(E, D)
+                space.verify()
+                assert space.dim == dim
         assert total == 200
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from atiyahlab import jobs
 from atiyahlab.cli import main
-from atiyahlab.surface import AtiyahSurface
+from atiyahlab.curve import WeierstrassCurve
+from atiyahlab.fields import make_extension_field
+from atiyahlab.surface import AtiyahSurface, make_surface
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -228,9 +230,9 @@ def test_jobs_flag_solves_each_space_once(tmp_path, capsys, monkeypatch):
     solves = Counter()
     original = AtiyahSurface._solve
 
-    def counting(self, level, twisted, margin, want_kernel):
+    def counting(self, level, twisted, margin):
         solves[(id(self), level, twisted, margin)] += 1
-        return original(self, level, twisted, margin, want_kernel)
+        return original(self, level, twisted, margin)
 
     monkeypatch.setattr(AtiyahSurface, "_solve", counting)
     cfg = str(CONFIGS / "char3-reduction.ini")
@@ -285,11 +287,51 @@ def test_missing_required_job_key_exits_2(tmp_path, capsys, kind, key, extra):
     ("verify-prop27", 0, ""),
     ("group-order", 0, ""),
     ("compare-char", 3, "base = 1, 1\n"),
+    ("lambda", 0, "base = 1, 1\n"),
+    ("lambda", 0, "w0 = 2\n"),
+    ("mu", 0, "w0 = 2\n"),
+    ("mu", 0, "base = 1, 1\n"),
+    ("example-theorem", 0, ""),
 ], ids=["h0-twisted", "example-theorem-points", "verify-prop27-over-Q",
-        "group-order-over-Q", "compare-char-over-F3"])
+        "group-order-over-Q", "compare-char-over-F3", "lambda-random-w0-over-Q",
+        "lambda-random-base-over-Q", "mu-random-base-over-Q",
+        "mu-random-w0-over-Q", "example-theorem-random-points-over-Q"])
 def test_bad_job_value_exits_2(tmp_path, capsys, kind, p, extra):
     text = TINY.replace("p = 0", f"p = {p}") + f"\n[job.bad]\ntype = {kind}\n"
     cfg = write(tmp_path, text + extra)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "'bad'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+F9_EXT = """\
+[field]
+p = 3
+k = 2
+
+[curve]
+a = 0, 0, 0, 1, 1           ; y^2 = x^3 + x + 1
+
+[surface]
+q = 3, 1                    ; (z, 1), z the generator of F_9 over F_3
+T = 5, 3                    ; (z + 2, z)
+
+[job.spaces]
+type = h0
+levels = 0..3
+twisted = both
+"""
+
+
+def test_config_coordinates_are_packed_integers(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, F9_EXT), "--out", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    spaces = payload["results"][0]["certificates"]["spaces"]
+    F9 = make_extension_field(3, 2)
+    E = WeierstrassCurve(F9, 0, 0, 0, 1, 1)
+    surf = make_surface(E, E.point([0, 1], 1), T=E.point([2, 1], [0, 1]))
+    for key, twisted in (("plain", False), ("twisted", True)):
+        for level in range(4):
+            expect = json.loads(json.dumps(surf.h0(level, twisted).serialize()))
+            assert spaces[key][str(level)] == expect

@@ -6,6 +6,7 @@ from atiyahlab.cli import main
 from atiyahlab.config import (
     FINITE_FIELD_NEEDED,
     JOB_SCHEMA,
+    RANDOM_NEEDS_FINITE_FIELD,
     REQUIRED,
     ConfigError,
     load_config,
@@ -193,9 +194,20 @@ BAD_VALUES = [
     ("verify-prop27", 3, "", 0, "", "needs a finite field"),
     ("group-order", 3, "", 0, "", "needs a finite field"),
     ("compare-char", 0, "base = 1, 1\n", 3, "base = 1, 1\n", "needs the rationals"),
+    # random samples from a finite field, so over Q it cannot run
+    ("lambda", 3, "base = 1, 1\n", 0, "base = 1, 1\n",
+     "'w0' = random needs a finite field"),
+    ("lambda", 3, "w0 = 2\n", 0, "w0 = 2\n", "'base' = random needs a finite field"),
+    ("mu", 3, "w0 = 2\n", 0, "w0 = 2\n", "'base' = random needs a finite field"),
+    ("mu", 3, "base = 1, 1\n", 0, "base = 1, 1\n",
+     "'w0' = random needs a finite field"),
+    ("example-theorem", 3, "", 0, "", "'points' = random needs a finite field"),
 ]
 BAD_VALUE_IDS = ["h0-twisted", "example-theorem-points", "verify-prop27-over-Q",
-                 "group-order-over-Q", "compare-char-over-F3"]
+                 "group-order-over-Q", "compare-char-over-F3",
+                 "lambda-random-w0-over-Q", "lambda-random-base-over-Q",
+                 "mu-random-base-over-Q", "mu-random-w0-over-Q",
+                 "example-theorem-random-points-over-Q"]
 
 
 def with_job(p, kind, lines):
@@ -224,6 +236,8 @@ MALFORMED = {
 MALFORMED_FOR = {("example-theorem", "points"): "1:1:2:5"}
 # well-formed values of the keys that have no default
 REQUIRED_VALUES = {"points": "1 : 1 : 2 : 2", "base": "1, 1"}
+# well-formed values of the keys whose default random needs a finite field
+EXPLICIT_OVER_QQ = {"base": "1, 1", "w0": "2", "points": "1 : 1 : 2"}
 SCHEMA_KEYS = [(kind, key) for kind, schema in JOB_SCHEMA.items()
                for key in schema]
 
@@ -234,6 +248,9 @@ def test_malformed_job_value_rejected_at_load(tmp_path, capsys, kind, key):
     p = 3 if FINITE_FIELD_NEEDED.get(kind) else 0
     values = {k: REQUIRED_VALUES[k] for k, (_, default) in JOB_SCHEMA[kind].items()
               if default is REQUIRED}
+    if p == 0:
+        values.update((k, EXPLICIT_OVER_QQ[k])
+                      for k in RANDOM_NEEDS_FINITE_FIELD.get(kind, ()))
     good = "".join(f"{k} = {v}\n" for k, v in values.items())
     assert load_config(write(tmp_path, with_job(p, kind, good))).jobs[-1].kind == kind
     values[key] = MALFORMED_FOR.get((kind, key), MALFORMED[key])

@@ -89,6 +89,17 @@ def test_parse_rejects_garbage():
         QQ.parse("")
 
 
+def test_parse_reads_digits_as_packed_integers():
+    F9 = make_extension_field(3, 2)
+    assert F9.to_coeffs(F9.parse("5")) == (2, 1)       # 5 = 2 + 1*3: z + 2
+    assert F9.to_coeffs(F9.parse(" 8 ")) == (2, 2)
+    # other number text is a fraction reduced mod p, and ints reduce mod p
+    assert F9.parse("10") == F9.one
+    assert F9.parse("-1") == F9.from_int(2)
+    assert F9.parse("1/2") == F9.from_int(2)
+    assert F9.parse(5) == F9.parse(Fraction(5)) == F9.from_int(2)
+
+
 def test_parse_coefficient_lists():
     F9 = make_extension_field(3, 2)
     a = F9.elem([1, 2])       # 1 + 2z
@@ -353,3 +364,13 @@ def test_field_axioms_on_every_gear(name, xs, n, m):
     assert mul(a, F.inv(a)) == F.one and F.div(b, a) == mul(b, F.inv(a))
     assert F.pow(a, n + m) == mul(F.pow(a, n), F.pow(a, m))
     assert F.pow(a, F.q - 1) == F.one
+
+
+@pytest.mark.parametrize("name", ["prime7", "prime1000003", "table3^5",
+                                  "table2^8", "poly3^5", "poly2^8"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x=st.integers(0, 10 ** 7))
+def test_parse_reads_back_to_text_on_every_gear(name, x):
+    F = _gear(name)
+    a = F.from_packed(x % F.q)
+    assert F.parse(F.to_text(a)) == a

@@ -10,7 +10,6 @@ from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.funcfield import (
     FuncElem,
-    linear_combination,
     linearly_independent,
     pair_function,
     point_expansion,
@@ -176,9 +175,6 @@ def test_linear_combination_and_independence():
     x = FuncElem.x_function(E)
     y = FuncElem.y_function(E)
     one = FuncElem.one(E)
-    lc = linear_combination([one, x, y], [Fraction(2), Fraction(-1), Fraction(3)])
-    P = E.point(1, 1)
-    assert lc.evaluate(P).raw == Fraction(2) - 1 + 3
     assert linearly_independent([one, x, y])
     assert not linearly_independent([x, x])
     assert not linearly_independent([one, x, x + one])

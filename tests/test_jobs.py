@@ -1,6 +1,8 @@
 import pytest
 
+from atiyahlab import jobs
 from atiyahlab.config import ExperimentConfig, JobSpec
+from atiyahlab.fields import make_extension_field
 from atiyahlab.jobs import RunContext, _job_rng, run_config, run_job
 
 
@@ -96,6 +98,24 @@ def test_compare_char_job():
     assert entry["level"] == 3 and entry["m"] == 2
     assert entry["char3"] >= entry["char0"]
     assert row.values["all_semicontinuous"]
+
+
+def test_compare_char_reduces_w0_as_a_rational(monkeypatch):
+    # over F_9 the text "5" names the packed element z + 2, but compare-char
+    # reads w0 as the rational 5 and compares against its reduction mod 3
+    seen = []
+
+    def record(surface, level, points):
+        seen.append(points[0].w0)
+        return 0
+
+    monkeypatch.setattr(jobs, "h0_fat", record)
+    cfg = make_config(jobs=[JobSpec("cmp", "compare-char",
+                                    {"p": "3", "k": "2", "pairs": "3:2",
+                                     "base": "1, 1", "w0": "5"})])
+    assert run_config(cfg)[0].status == "PASS"
+    F9 = make_extension_field(3, 2)
+    assert seen[0].raw == 5 and seen[1].raw == F9.from_int(2)
 
 
 def test_group_order_info_without_expectations():

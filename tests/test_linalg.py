@@ -2,9 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.linalg import Matrix, kernel_check, rank, rank_and_kernel, rank_naive
+
+FIELDS = {"QQ": lambda: QQ,
+          "F7": lambda: make_extension_field(7),
+          "F9": lambda: make_extension_field(3, 2),
+          "F4": lambda: make_extension_field(2, 2),
+          "F1000003": lambda: make_extension_field(1000003),
+          "F3^13": lambda: make_extension_field(3, 13)}
 
 
 def random_matrix(field, rng, nrows, ncols):
@@ -32,17 +41,35 @@ def test_rank_respects_characteristic():
     assert rank(Matrix.from_elems(make_extension_field(5), rows)) == 1
 
 
-@pytest.mark.parametrize("field_key", ["QQ", "F7", "F9", "F4"])
+def product(a, b):
+    field = a.field
+    rows = []
+    for r in a.rows:
+        row = []
+        for j in range(b.ncols):
+            acc = field.zero
+            for x, brow in zip(r, b.rows):
+                acc = field.add(acc, field.mul(x, brow[j]))
+            row.append(acc)
+        rows.append(row)
+    return Matrix(field, rows, b.ncols)
+
+
+@pytest.mark.parametrize("field_key", ["QQ", "F7", "F9", "F4", "F1000003", "F3^13"])
 def test_production_rank_matches_naive_oracle(field_key):
-    field = {"QQ": QQ,
-             "F7": make_extension_field(7),
-             "F9": make_extension_field(3, 2),
-             "F4": make_extension_field(2, 2)}[field_key]
-    rng = random.Random(hash(field_key) & 0xFFFF)
-    for trial in range(25):
+    field = FIELDS[field_key]()
+    rng = random.Random(sum(map(ord, field_key)))
+    for trial in range(40):
         nr = rng.randrange(1, 8)
         nc = rng.randrange(1, 8)
-        m = random_matrix(field, rng, nr, nc)
+        if trial % 2:
+            # a product through r < min(nr, nc) dimensions: rank deficient
+            inner = rng.randrange(0, min(nr, nc))
+            m = product(random_matrix(field, rng, nr, inner),
+                        random_matrix(field, rng, inner, nc))
+            assert rank_naive(m) <= inner
+        else:
+            m = random_matrix(field, rng, nr, nc)
         r, ker = rank_and_kernel(m)
         assert r == rank_naive(m)
         assert r == rank(m)
@@ -112,3 +139,45 @@ def test_kernel_check_rejects_nonkernel_vector():
     m = Matrix.from_elems(QQ, [[1, 1]])
     assert not kernel_check(m, [[Fraction(1), Fraction(0)]])
     assert kernel_check(m, [[Fraction(1), Fraction(-1)]])
+
+
+@pytest.mark.parametrize("field_key", ["QQ", "F9", "F1000003", "F3^13"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), tall_c=st.booleans())
+def test_block_triangular_kernel_restricts_to_top_left(field_key, seed, tall_c):
+    # M = [[A, B], [0, C]] with the columns of B and C (the extra columns)
+    # interleaved among those of A and the rows shuffled: ker M vanishes on
+    # the extra columns exactly when dim ker A = dim ker M, and then its
+    # canonical basis restricted to A's columns is the canonical basis of ker A
+    field = FIELDS[field_key]()
+    rng = random.Random(seed)
+    na, nb = rng.randrange(1, 7), rng.randrange(1, 4)
+    ra = rng.randrange(0, 6)
+    rc = nb + rng.randrange(0, 2) if tall_c else rng.randrange(0, nb + 1)
+
+    def sparse(nrows, ncols):
+        m = random_matrix(field, rng, nrows, ncols)
+        return [[v if rng.random() < 0.6 else field.zero for v in r]
+                for r in m.rows]
+
+    a, b, c = sparse(ra, na), sparse(ra, nb), sparse(rc, nb)
+    extra = sorted(rng.sample(range(na + nb), nb))
+    kept = [i for i in range(na + nb) if i not in extra]
+
+    def place(left, right):
+        row = [field.zero] * (na + nb)
+        for i, v in zip(kept, left):
+            row[i] = v
+        for i, v in zip(extra, right):
+            row[i] = v
+        return row
+
+    rows = ([place(x, y) for x, y in zip(a, b)]
+            + [place([field.zero] * na, z) for z in c])
+    rng.shuffle(rows)
+    _, ker_m = rank_and_kernel(Matrix(field, rows, na + nb))
+    _, ker_a = rank_and_kernel(Matrix(field, a, na))
+    vanishes = all(field.is_zero(v[i]) for v in ker_m for i in extra)
+    assert vanishes == (len(ker_a) == len(ker_m))
+    if vanishes:
+        assert [[v[i] for i in kept] for v in ker_m] == ker_a

@@ -26,10 +26,14 @@ def test_trivial_and_small_spaces():
     inf = Divisor.of_point(E.infinity)
     zero_div = Divisor(E)
     space0 = rr_basis(E, zero_div)
+    space0.verify()
     assert space0.dim == 1
     assert space0.basis[0] == FuncElem.one(E)
-    assert rr_basis(E, inf).dim == 1            # L(1*inf) = constants (genus 1)
+    s1 = rr_basis(E, inf)
+    s1.verify()
+    assert s1.dim == 1                          # L(1*inf) = constants (genus 1)
     s3 = rr_basis(E, inf * 3)
+    s3.verify()
     assert s3.dim == 3                          # {1, x, y}
     x = FuncElem.x_function(E)
     y = FuncElem.y_function(E)
@@ -41,14 +45,19 @@ def test_negative_and_degree_zero_divisors():
     P = E.point(0, 1)
     Q = E.point(1, 1)
     # negative degree: empty space
-    assert rr_basis(E, Divisor.of_point(P, -1)).dim == 0
+    negative = rr_basis(E, Divisor.of_point(P, -1))
+    negative.verify()
+    assert negative.dim == 0
     # degree 0, non-principal: (P) - (Q) with P - Q != identity
     D = Divisor.of_point(P) - Divisor.of_point(Q)
     assert expected_rr_dim(D) == 0
-    assert rr_basis(E, D).dim == 0
+    nonprincipal = rr_basis(E, D)
+    nonprincipal.verify()
+    assert nonprincipal.dim == 0
     # degree 0, principal: (P) + (-P) - 2(inf) = div(x - x_P)
     Dp = Divisor.of_point(P) + Divisor.of_point(-P) - Divisor.of_point(E.infinity, 2)
     sp = rr_basis(E, Dp)
+    sp.verify()
     assert sp.dim == 1
     g = sp.basis[0]
     # the generator's divisor must be exactly -Dp
@@ -76,6 +85,7 @@ def test_poles_confined_to_divisor_support():
     P = E.point(0, 1)
     D = Divisor.of_point(P, 3)
     space = rr_basis(E, D)
+    space.verify()
     assert space.dim == 3
     # each basis function has poles only at P, of order <= 3, and is regular
     # at a point off the support
@@ -127,4 +137,6 @@ def test_rr_basis_on_reduced_curve():
     space.verify()
     # the marked-fiber ambient space L((inf) + (q)) also has dimension 2
     Dq = Divisor.of_point(E3.infinity) + Divisor.of_point(q)
-    assert rr_basis(E3, Dq).dim == 2
+    space_q = rr_basis(E3, Dq)
+    space_q.verify()
+    assert space_q.dim == 2

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from atiyahlab import surface
 from atiyahlab.curve import WeierstrassCurve
-from atiyahlab.errors import VerificationError
+from atiyahlab.errors import CutoffInstabilityError, VerificationError
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import FuncElem
 from atiyahlab.surface import (
@@ -132,9 +133,60 @@ def test_twisted_dimensions_char_p(f9_surface, f4_surface):
 def test_solver_margin_independence(rational_surface):
     # the dimension must not depend on the pole-cutoff margin
     for level, twisted in [(2, True), (3, False), (3, True)]:
-        dims = {rational_surface._solve(level, twisted, margin, False)[0]
+        dims = {len(rational_surface._solve(level, twisted, margin))
                 for margin in (2, 4, 6, 8)}
         assert len(dims) == 1
+
+
+def _fresh_rational_surface():
+    E = WeierstrassCurve(QQ, 0, 0, 0, -1, 1)
+    return make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+
+
+def test_fresh_h0_solves_once_without_rank(monkeypatch):
+    # one matrix and one elimination per space: the margin + 2 kernel gives
+    # both the basis and its stability certificate
+    surf = _fresh_rational_surface()
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(mat):
+            calls.append(name)
+            return fn(mat)
+        return wrapper
+
+    for name in ("rank", "rank_and_kernel"):
+        monkeypatch.setattr(surface, name, counting(name, getattr(surface, name)))
+    for level, twisted in [(0, False), (2, False), (2, True), (4, True)]:
+        calls.clear()
+        surf.h0(level, twisted)
+        assert calls == ["rank_and_kernel"]
+        calls.clear()
+        surf.h0(level, twisted)
+        assert calls == []
+
+
+def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
+    # a kernel vector that is nonzero on a column past the margin cutoff
+    # means the dimension grew with the cutoff; the margin dimension comes
+    # from the rank on the margin columns
+    surf = _fresh_rational_surface()
+    original = surface.rank_and_kernel
+
+    def with_extra_vector(mat):
+        r, kernel = original(mat)
+        field = mat.field
+        # the last column is the top pole order of slot 0, an extra column
+        extra = [field.zero] * (mat.ncols - 1) + [field.one]
+        return r, kernel + [extra]
+
+    monkeypatch.setattr(surface, "rank_and_kernel", with_extra_vector)
+    with pytest.raises(CutoffInstabilityError) as err:
+        surf.h0(2, twisted=True)
+    assert (err.value.dim_lo, err.value.dim_hi) == (3, 4)
+    assert err.value.margin == surf.margin
+    monkeypatch.undo()
+    assert surf.h0(2, twisted=True).dim == 3
 
 
 def test_sym_transition_matches_transformed(rational_surface):
