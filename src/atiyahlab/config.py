@@ -27,7 +27,8 @@ ConfigError before any job runs; jobs.run_job parses again and hands the
 runners only the typed values, while JobSpec.params keeps the strings as
 written for the report.  Coordinates stay exact strings until the run converts them with
 the exact field parser (fractions like ``-3/4``, reduced mod p over a finite
-field), so no float ever enters the pipeline.
+field), so no float ever enters the pipeline.  Over F_{p^k} with k >= 2,
+decimal digits name a packed integer and must be below p^k.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from .errors import ConfigError
-from .fields import is_probable_prime
+from .fields import digits_past_field, is_probable_prime
 
 # Job types that run only over a finite field (True) or only over Q (False).
 FINITE_FIELD_NEEDED = {"verify-prop27": True, "group-order": True,
@@ -128,6 +129,18 @@ def parse_coordinate(text: str, what: str) -> str:
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{what} must be an exact number, got {text!r}") from None
     return text
+
+
+def _check_digits(value, what: str, p: int, k: int) -> None:
+    """Reject digits that name no element of F_{p^k} (see
+    fields.digits_past_field).  value is a parsed coordinate, pair or record
+    list; the integer fields of a record are skipped."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _check_digits(item, what, p, k)
+    elif isinstance(value, str) and digits_past_field(value, p, k):
+        raise ConfigError(f"{what}: {value} names no element of F_{p ** k} "
+                          f"(decimal digits must be below {p ** k})")
 
 
 def parse_pair(text: str, what: str) -> tuple:
@@ -231,6 +244,8 @@ JOB_SCHEMA = {
                      "w0": (parse_coordinate, "1")},
 }
 JOB_TYPES = tuple(JOB_SCHEMA)
+# The job keys whose values hold coordinates.
+COORDINATE_KEYS = ("base", "w0", "points")
 
 
 def parse_job(kind: str, params: dict, p: int) -> SimpleNamespace:
@@ -284,6 +299,8 @@ def load_config(path: str) -> ExperimentConfig:
     T = None
     if parser["surface"].get("T"):
         T = parse_pair(parser["surface"]["T"], "surface.T")
+    _check_digits(q, "surface.q", p, k)
+    _check_digits(T, "surface.T", p, k)
 
     seed = 0
     if "run" in parser and parser["run"].get("seed"):
@@ -321,6 +338,8 @@ def load_config(path: str) -> ExperimentConfig:
                 if getattr(args, key) == "random":
                     raise ConfigError(f"job {ident!r}: {key!r} = random needs "
                                       f"a finite field; over Q give it explicitly")
+        for key in COORDINATE_KEYS:
+            _check_digits(getattr(args, key, None), f"job {ident!r}: {key!r}", p, k)
         jobs.append(JobSpec(ident, kind, params))
 
     return ExperimentConfig(p, k, coeffs, q, T, seed, jobs, source=str(path))

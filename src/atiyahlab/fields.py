@@ -273,6 +273,13 @@ def _canonical_modulus(p: int, k: int):
     raise ValueError(f"no irreducible polynomial found for p={p}, k={k}")
 
 
+def digits_past_field(text: str, p: int, k: int) -> bool:
+    """True when text is decimal digits n >= p^k over F_{p^k} with k >= 2.
+    Such digits would name a packed integer past the field, so they name no
+    element; over F_p (k = 1) digits are the integer n reduced mod p."""
+    return k > 1 and text.isascii() and text.isdigit() and int(text) >= p ** k
+
+
 class FiniteField:
     """F_{p^k} with canonical modulus; the base of the three gears (module doc)."""
 
@@ -346,7 +353,9 @@ class FiniteField:
     def parse(self, text):
         """Raw value from an int (reduced mod p), a coefficient list, or text:
         decimal digits n < p^k name the packed integer n, any other number
-        text like '-3/4' or '10' is a fraction reduced mod p."""
+        text like '-3/4' is a fraction reduced mod p.  Over F_p digits
+        n >= p are reduced too; over F_{p^k}, k >= 2, they name no element
+        and raise ValueError."""
         if isinstance(text, FieldElem):
             if text.field is not self:
                 raise ValueError("mixed field descriptors")
@@ -357,6 +366,9 @@ class FiniteField:
             return self.from_coeffs(text)
         if isinstance(text, str):
             text = text.strip()
+            if digits_past_field(text, self.p, self.k):
+                raise ValueError(f"{text} is no packed element of F_{self.q}: "
+                                 f"digits must be below {self.q}")
             if text.isascii() and text.isdigit() and int(text) < self.q:
                 return self._from_packed(int(text))
         fr = Fraction(text)

@@ -1,13 +1,12 @@
 """Exact rank/kernel computations.
 
-Production path: over the rationals, rows are cleared to integers and
-eliminated by fraction-free cross-multiplication with per-row content
-stripping (every stripped content is divisible by the previous pivot, so
-entries never exceed Bareiss minor bounds); over finite fields, plain Gaussian
-elimination on raw values.  Pivoting is deterministic (first nonzero in
-column order), kernel bases are canonical (one vector per free column,
-normalized: primitive integer vectors with positive leading entry over Q,
-leading coefficient 1 over finite fields).
+Production path: one Gaussian elimination for every field, on raw field
+values (``Fraction`` over the rationals) held in sparse rows {col: value}, so
+the work stays on the non-zeros.  Pivoting is deterministic (first nonzero in
+column order), kernel bases are canonical: one vector per free column, 1 there
+and 0 on the other free columns, made a primitive integer vector with positive
+leading entry over Q.  Both the pivot columns and these vectors are properties
+of the matrix, not of the elimination.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
@@ -59,143 +58,88 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _strip_content(row):
-    g = 0
-    for a in row:
-        if a:
-            g = gcd(g, a)
-            if g == 1:
-                return row
-    if g > 1:
-        return [a // g for a in row]
-    return row
+def _echelon(mat: Matrix):
+    """(pivot_cols, echelon_rows) by Gaussian elimination on sparse rows.
 
-
-def _echelon_int(rows, ncols):
-    """Integer echelon via cross-multiplication + content stripping.
-
-    Returns (pivot_cols, echelon_rows); rows are primitive integer vectors.
+    Every row is a dict {col: value} of its nonzero entries.  The pivot for
+    a column is the first pool row with a nonzero there; it is scaled to
+    pivot 1 and subtracted from the other pool rows on its own non-zeros, and
+    entries that cancel are deleted.  Echelon row i keeps the entries right
+    of pivot i; the pivot entry itself, 1, is left out.
     """
-    work = [_strip_content(list(r)) for r in rows if any(r)]
+    field = mat.field
+    fz, fmul, fsub, zero = field.is_zero, field.mul, field.sub, field.zero
+    pool = []
+    for r in mat.rows:
+        row = {c: a for c, a in enumerate(r) if not fz(a)}
+        if row:
+            pool.append(row)
     pivots = []
     ech = []
     col = 0
-    while col < ncols and work:
-        pr = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                pr = idx
-                break
+    while col < mat.ncols and pool:
+        pr = next((i for i, r in enumerate(pool) if col in r), None)
         if pr is None:
             col += 1
             continue
-        prow = work.pop(pr)
-        p = prow[col]
+        prow = pool.pop(pr)
+        pinv = field.inv(prow.pop(col))
+        prow = {c: fmul(pinv, a) for c, a in prow.items()}
         nxt = []
-        for r in work:
-            a = r[col]
-            if a:
-                nr = [p * x - a * y for x, y in zip(r, prow)]
-                if any(nr):
-                    nxt.append(_strip_content(nr))
-            else:
+        for r in pool:
+            a = r.pop(col, None)
+            if a is not None:
+                for c, b in prow.items():
+                    v = fsub(r.get(c, zero), fmul(a, b))
+                    if fz(v):
+                        r.pop(c, None)
+                    else:
+                        r[c] = v
+            if r:
                 nxt.append(r)
         pivots.append(col)
         ech.append(prow)
-        work = nxt
+        pool = nxt
         col += 1
     return pivots, ech
 
 
 def _kernel_from_echelon(field, pivots, ech, ncols):
-    """The canonical kernel basis: one vector per free column, by
-    back-substitution through the echelon rows."""
+    """The canonical kernel basis: one vector per free column f, 1 at f and 0
+    on the other free columns, by back-substitution through the echelon
+    rows."""
     fz, fadd, fmul = field.is_zero, field.add, field.mul
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
+    steps = list(zip(pivots, ech))[::-1]
     basis = []
     for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            row = ech[i]
+        v = {f: field.one}
+        for pc, row in steps:
+            if pc > f:
+                continue  # the row lies right of pc, where v is 0
             acc = field.zero
-            for c in range(pc + 1, ncols):
-                if not fz(row[c]) and not fz(v[c]):
-                    acc = fadd(acc, fmul(row[c], v[c]))
-            # finite-field pivots are 1; integer pivots divide
-            v[pc] = field.neg(acc if row[pc] == field.one
-                              else field.div(acc, row[pc]))
-        basis.append(_primitive_int_vector(v) if field is QQ else v)
+            for c, a in row.items():
+                if c in v:
+                    acc = fadd(acc, fmul(a, v[c]))
+            if not fz(acc):
+                v[pc] = field.neg(acc)
+        basis.append(_primitive_int_vector(
+            field, [v.get(c, field.zero) for c in range(ncols)]))
     return basis
 
 
-def _primitive_int_vector(v):
-    den = lcm(*(f.denominator for f in v)) if v else 1
+def _primitive_int_vector(field, v):
+    """Over Q, the primitive integer multiple of v with positive first
+    nonzero entry; over a finite field, v itself."""
+    if field is not QQ:
+        return v
+    den = lcm(*(f.denominator for f in v))
     ints = [int(f * den) for f in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    if g > 1:
-        ints = [a // g for a in ints]
-    for a in ints:
-        if a:
-            if a < 0:
-                ints = [-b for b in ints]
-            break
-    return [Fraction(a) for a in ints]
-
-
-def _echelon(mat: Matrix):
-    """(pivot_cols, echelon_rows): primitive integer rows over Q, rows with
-    pivot 1 over a finite field."""
-    if mat.field is not QQ:
-        return _finite_echelon(mat)
-    int_rows = []
-    for r in mat.rows:
-        den = 1
-        for f in r:
-            den = den * f.denominator // gcd(den, f.denominator)
-        int_rows.append([int(f * den) for f in r])
-    return _echelon_int(int_rows, mat.ncols)
-
-
-def _finite_echelon(mat: Matrix):
-    field = mat.field
-    fz, fmul, fsub, finv = field.is_zero, field.mul, field.sub, field.inv
-    work = [list(r) for r in mat.rows]
-    ncols = mat.ncols
-    pivots = []
-    ech = []
-    col = 0
-    rowpool = [r for r in work if not all(fz(a) for a in r)]
-    while col < ncols and rowpool:
-        pr = None
-        for idx, r in enumerate(rowpool):
-            if not fz(r[col]):
-                pr = idx
-                break
-        if pr is None:
-            col += 1
-            continue
-        prow = rowpool.pop(pr)
-        pinv = finv(prow[col])
-        prow = [fmul(pinv, a) for a in prow]
-        nxt = []
-        for r in rowpool:
-            a = r[col]
-            if not fz(a):
-                nr = [fsub(x, fmul(a, y)) for x, y in zip(r, prow)]
-                if not all(fz(v) for v in nr):
-                    nxt.append(nr)
-            else:
-                nxt.append(r)
-        pivots.append(col)
-        ech.append(prow)
-        rowpool = nxt
-        col += 1
-    return pivots, ech
+    g = gcd(*ints)
+    if next(a for a in ints if a) < 0:
+        g = -g
+    return [Fraction(a // g) for a in ints]
 
 
 def rank_and_kernel(mat: Matrix):
@@ -211,9 +155,8 @@ def rank(mat: Matrix) -> int:
 def rank_naive(mat: Matrix) -> int:
     """Independent oracle: textbook Gauss-Jordan elimination.
 
-    Over Q it works directly on Fractions (no integer clearing, no content
-    tricks) so that it exercises a genuinely different code path from
-    :func:`rank_and_kernel`.
+    It differs from :func:`rank_and_kernel` in method: dense lists, row swaps
+    and elimination above as well as below each pivot.
     """
     field = mat.field
     work = [list(r) for r in mat.rows]

@@ -335,3 +335,12 @@ def test_config_coordinates_are_packed_integers(tmp_path, capsys):
         for level in range(4):
             expect = json.loads(json.dumps(surf.h0(level, twisted).serialize()))
             assert spaces[key][str(level)] == expect
+
+
+def test_digits_past_the_extension_field_exit_2(tmp_path, capsys):
+    # over F_9 the digits 10 name no packed element; they once ran as 1
+    text = TINY.replace("p = 0", "p = 3\nk = 2").replace("T = -1, 1", "T = 10, 1")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "surface.T: 10 names no element of F_9" in capsys.readouterr().err
+    assert not out.exists()

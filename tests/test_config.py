@@ -262,3 +262,39 @@ def test_malformed_job_value_rejected_at_load(tmp_path, capsys, kind, key):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert str(err.value) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+F9 = GOOD.replace("p = 0\nk = 1", "p = 3\nk = 2").replace("T = -1, 1", "T = 2, 1")
+F9_JOB = "\n[job.third]\ntype = {kind}\n{lines}"
+
+
+@pytest.mark.parametrize("where,lines,key", [
+    ("surface", "q = 0, 1\nT = 10, 1", "surface.T"),
+    ("surface", "q = 0, 9\nT = 2, 1", "surface.q"),
+    ("job", ("h0-fat", "points = 0 : 1 : 2 : 1; 1 : 11 : 2 : 1"), "'points'"),
+    ("job", ("lambda", "base = 1, 1\nw0 = 9"), "'w0'"),
+    ("job", ("mu", "base = 12, 1\nw0 = 2"), "'base'"),
+    ("job", ("example-theorem", "multiplicities = 2\npoints = 1 : 1 : 27"),
+     "'points'"),
+], ids=["T", "q", "record-y", "w0", "base", "record-w0"])
+def test_digits_past_the_extension_field_rejected_at_load(tmp_path, capsys,
+                                                          where, lines, key):
+    # over F_9 decimal digits name packed integers 0..8: 10 names no element
+    if where == "surface":
+        text = F9.replace("q = 0, 1\nT = 2, 1", lines)
+    else:
+        kind, body = lines
+        text = F9 + F9_JOB.format(kind=kind, lines=body)
+    cfg = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"{key}.*no element of F_9"):
+        load_config(cfg)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_digits_below_the_field_order_load(tmp_path):
+    text = F9 + F9_JOB.format(kind="lambda", lines="base = 1, 1\nw0 = 8")
+    assert load_config(write(tmp_path, text)).T == ("2", "1")
+    # over F_p digits n >= p still reduce mod p
+    F3 = GOOD.replace("p = 0", "p = 3").replace("T = -1, 1", "T = 11, 1")
+    assert load_config(write(tmp_path, F3)).T == ("11", "1")

@@ -94,10 +94,22 @@ def test_parse_reads_digits_as_packed_integers():
     assert F9.to_coeffs(F9.parse("5")) == (2, 1)       # 5 = 2 + 1*3: z + 2
     assert F9.to_coeffs(F9.parse(" 8 ")) == (2, 2)
     # other number text is a fraction reduced mod p, and ints reduce mod p
-    assert F9.parse("10") == F9.one
     assert F9.parse("-1") == F9.from_int(2)
     assert F9.parse("1/2") == F9.from_int(2)
     assert F9.parse(5) == F9.parse(Fraction(5)) == F9.from_int(2)
+
+
+def test_parse_rejects_digits_past_the_extension_field():
+    # over F_{p^k}, k >= 2, digits n >= p^k name no packed element; over F_p
+    # they are still the integer n reduced mod p
+    for F, text in ((make_extension_field(3, 2), "10"),
+                    (make_extension_field(3, 2), "9"),
+                    (make_extension_field(2, 8), "300"),
+                    (make_extension_field(3, 13), str(3 ** 13))):
+        with pytest.raises(ValueError, match="no packed element"):
+            F.parse(text)
+    F7 = make_extension_field(7)
+    assert F7.parse("10") == F7.from_int(3)
 
 
 def test_parse_coefficient_lists():

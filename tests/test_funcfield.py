@@ -220,3 +220,52 @@ def test_valuation_at_infinity_from_numerator_degrees(name, a, b, d):
     assume((a or b) and d)
     fn = FuncElem(E, a, b, d, reduce=False)
     assert fn.expand(E.infinity, 4).valuation() == _closed_form_valuation(a, b, d)
+
+
+# -- arithmetic against evaluation at points ----------------------------------------
+
+_EVAL_CURVES = {
+    "QQ": rational_model(),
+    "F9": WeierstrassCurve(make_extension_field(3, 2), 0, 0, 0, -1, 1),
+    "F1000003": WeierstrassCurve(make_extension_field(1000003), 0, 0, 0, -1, 1),
+    "F256": WeierstrassCurve(make_extension_field(2, 8), 1, 0, 0, 0, 1),
+}
+# affine points of y^2 = x^3 - x + 1 over Q
+_QQ_POINTS = [(0, 1), (1, -1), (-1, 1), (3, 5), (5, -11), (56, 419),
+              (Fraction(1, 4), Fraction(7, 8))]
+
+
+def _value(field, a, b, d, P):
+    """(a(x) + b(x) y) / d(x) at P by Horner, or None where d(x) vanishes."""
+    def at_x(c):
+        acc = field.zero
+        for coeff in reversed(c):
+            acc = field.add(field.mul(acc, P.x.raw), coeff)
+        return acc
+    den = at_x(d)
+    if field.is_zero(den):
+        return None
+    return field.div(field.add(at_x(a), field.mul(at_x(b), P.y.raw)), den)
+
+
+@pytest.mark.parametrize("name", list(_EVAL_CURVES))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(f=st.tuples(_coeffs, _coeffs, _coeffs), g=st.tuples(_coeffs, _coeffs, _coeffs),
+       seed=st.integers(0, 2 ** 32))
+def test_arithmetic_agrees_with_evaluation(name, f, g, seed):
+    # (f + g)(P) = f(P) + g(P), (f g)(P) = f(P) g(P) and f^-1(P) = 1 / f(P)
+    # at an affine point P off the denominators of f and g
+    E = _EVAL_CURVES[name]
+    field = E.field
+    f, g = ([poly.trim(field, _raw_poly(field, c)) for c in h] for h in (f, g))
+    assume(f[2] and g[2])
+    rng = random.Random(seed)
+    P = (E.point(*rng.choice(_QQ_POINTS)) if field is QQ
+         else E.random_point(rng))
+    fv, gv = _value(field, *f, P), _value(field, *g, P)
+    assume(fv is not None and gv is not None)
+    F, G = FuncElem(E, *f), FuncElem(E, *g)
+    assert (F + G).evaluate(P).raw == field.add(fv, gv)
+    assert (F * G).evaluate(P).raw == field.mul(fv, gv)
+    if not field.is_zero(fv):
+        assert F.inverse().evaluate(P).raw == field.inv(fv)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -106,7 +107,6 @@ def test_rational_kernel_is_primitive_integer_form():
     assert len(ker) == 1
     v = ker[0]
     assert all(c.denominator == 1 for c in v)
-    import math
     assert math.gcd(*(abs(c.numerator) for c in v)) == 1
 
 
@@ -181,3 +181,55 @@ def test_block_triangular_kernel_restricts_to_top_left(field_key, seed, tall_c):
     assert vanishes == (len(ker_a) == len(ker_m))
     if vanishes:
         assert [[v[i] for i in kept] for v in ker_m] == ker_a
+
+
+def cancelling_matrix(field, rng, nrows, ncols):
+    """Sparse rows (density at most 0.3) of small entries, plus duplicated
+    rows and sums of rows, shuffled: elimination meets many cancellations."""
+    def entry():
+        if field is QQ:
+            return Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randrange(1, 3))
+        return field.from_packed(rng.randrange(1, min(field.q, 5)))
+
+    density = rng.uniform(0.05, 0.3)
+    rows = [[entry() if rng.random() < density else field.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randrange(0, 4)):
+        if rows:
+            rows.append(list(rng.choice(rows)))
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([field.add(x, y) for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return Matrix(field, rows, ncols)
+
+
+@pytest.mark.parametrize("field_key", ["QQ", "F7", "F9", "F4", "F1000003", "F3^13"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), nrows=st.integers(0, 9),
+       ncols=st.integers(0, 9))
+def test_canonical_kernel_basis_is_fixed_by_the_matrix(field_key, seed, nrows,
+                                                       ncols):
+    # the free columns are those in the span of the columns to their left, and
+    # each basis vector is fixed by its value at its own free column and its
+    # zeros on the others, whatever method eliminates
+    field = FIELDS[field_key]()
+    m = cancelling_matrix(field, random.Random(seed), nrows, ncols)
+    r, ker = rank_and_kernel(m)
+    assert r == rank_naive(m) == rank(m)
+    assert kernel_check(m, ker)
+    assert len(ker) == ncols - r
+
+    def left_rank(c):
+        return rank_naive(Matrix(field, [row[:c] for row in m.rows], c))
+
+    free = [c for c in range(ncols) if left_rank(c + 1) == left_rank(c)]
+    assert len(free) == len(ker)
+    for f, v in zip(free, ker):
+        assert all(field.is_zero(v[g]) for g in free if g != f)
+        if field is QQ:
+            assert all(c.denominator == 1 for c in v)
+            assert math.gcd(*(c.numerator for c in v)) == 1
+            assert next(c for c in v if c) > 0
+            assert v[f] != 0
+        else:
+            assert v[f] == field.one

@@ -399,11 +399,17 @@ PINNED_BASES = {
     # to the same integers as over F_3^13
     "F9": (3, 2, 5, "e062870b9f3c7384139d12a1b0adecfa57443bfc0f0c27845be7ed2ad8edf5d3"),
     "F9-ext": (3, 2, 8, "a8b6d1108beec7d75c03dc98f55f8df60aa9378035920ddd4544b4d62ef6b99c"),
+    "QQ-12": (0, 1, 12, "67ee038688909711ef04a873adc9f052037d655ac76b229c9650ec8b5c2887a6"),
+    "F256-2torsion": (2, 8, 8,
+                      "d799a68f002d063bf5fceaa8a9a1b26e50b469c64af6f91410865b974d42b87e"),
 }
 # every affine point of y^2 = x^3 - x + 1 over F_9 has x in F_3, so the
 # extension arithmetic is pinned on y^2 = x^3 + x + 1 with q = (z, 1) and
 # T = (z + 2, z), z the generator of F_9 over F_3 (coefficient list [0, 1])
-PIN_CURVES = {"F9-ext": ((0, 0, 0, 1, 1), ([0, 1], 1), ([2, 1], [0, 1]))}
+# characteristic 2 is pinned on y^2 + xy = x^3 + 1 with the 2-torsion point
+# q = (0, 1), where T is left to make_surface's fallback (T None)
+PIN_CURVES = {"F9-ext": ((0, 0, 0, 1, 1), ([0, 1], 1), ([2, 1], [0, 1])),
+              "F256-2torsion": ((1, 0, 0, 0, 1), (0, 1), None)}
 
 
 @pytest.mark.parametrize("name", list(PINNED_BASES))
@@ -412,7 +418,7 @@ def test_pinned_section_bases(name):
     coeffs, q, T = PIN_CURVES.get(name, _PIN_CURVE)
     field = QQ if p == 0 else make_extension_field(p, k)
     E = WeierstrassCurve(field, *coeffs)
-    surf = make_surface(E, E.point(*q), T=E.point(*T))
+    surf = make_surface(E, E.point(*q), T=E.point(*T) if T else None)
     h = hashlib.sha256()
     for level in range(top + 1):
         for twisted in (False, True):
