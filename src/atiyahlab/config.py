@@ -28,7 +28,9 @@ runners only the typed values, while JobSpec.params keeps the strings as
 written for the report.  Coordinates stay exact strings until the run converts them with
 the exact field parser (fractions like ``-3/4``, reduced mod p over a finite
 field), so no float ever enters the pipeline.  Over F_{p^k} with k >= 2,
-decimal digits name a packed integer and must be below p^k.
+decimal digits name a packed integer and must be below p^k, and in any other
+number text (``-1``, ``1/2``) every run of digits must be below p; the curve
+coefficients, ``surface`` points and job coordinates are checked at load.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import partial
 from types import SimpleNamespace
 
 from .errors import ConfigError
-from .fields import digits_past_field, is_probable_prime
+from .fields import digits_error, is_probable_prime
 
 # Job types that run only over a finite field (True) or only over Q (False).
 FINITE_FIELD_NEEDED = {"verify-prop27": True, "group-order": True,
@@ -132,15 +134,17 @@ def parse_coordinate(text: str, what: str) -> str:
 
 
 def _check_digits(value, what: str, p: int, k: int) -> None:
-    """Reject digits that name no element of F_{p^k} (see
-    fields.digits_past_field).  value is a parsed coordinate, pair or record
+    """Reject text with no single reading over F_{p^k} (see
+    fields.digits_error).  value is a parsed coordinate, pair or record
     list; the integer fields of a record are skipped."""
     if isinstance(value, (tuple, list)):
         for item in value:
             _check_digits(item, what, p, k)
-    elif isinstance(value, str) and digits_past_field(value, p, k):
-        raise ConfigError(f"{what}: {value} names no element of F_{p ** k} "
-                          f"(decimal digits must be below {p ** k})")
+    elif isinstance(value, str):
+        reason = digits_error(value, p, k)
+        if reason:
+            raise ConfigError(f"{what}: {value} names no element of "
+                              f"F_{p ** k} ({reason})")
 
 
 def parse_pair(text: str, what: str) -> tuple:
@@ -289,9 +293,11 @@ def load_config(path: str) -> ExperimentConfig:
 
     if "curve" not in parser or "a" not in parser["curve"]:
         raise ConfigError("missing [curve] section with key 'a'")
-    coeffs = [c.strip() for c in parser["curve"]["a"].split(",")]
+    coeffs = [parse_coordinate(c, "curve.a")
+              for c in parser["curve"]["a"].split(",")]
     if len(coeffs) != 5:
         raise ConfigError("curve needs exactly five coefficients a1,a2,a3,a4,a6")
+    _check_digits(coeffs, "curve.a", p, k)
 
     if "surface" not in parser or "q" not in parser["surface"]:
         raise ConfigError("missing [surface] section with key 'q'")

@@ -365,9 +365,7 @@ def reduce_curve_mod_p(curve: WeierstrassCurve, p: int, k: int = 1) -> Weierstra
         fr = a.raw
         if fr.denominator % p == 0:
             raise ValueError(f"bad reduction at {p}: coefficient {fr} is not {p}-integral")
-        num = target.from_int(fr.numerator)
-        den = target.from_int(fr.denominator)
-        coeffs.append(FieldElem(target, target.mul(num, target.inv(den))))
+        coeffs.append(FieldElem(target, target.parse(fr)))
     try:
         return WeierstrassCurve(target, *coeffs)
     except ValueError as exc:
@@ -385,6 +383,5 @@ def reduce_point_mod_p(P: CurvePoint, target_curve: WeierstrassCurve) -> CurvePo
         fr = c.raw
         if fr.denominator % p == 0:
             raise ValueError(f"point {P} is not {p}-integral")
-        out.append(FieldElem(f, f.mul(f.from_int(fr.numerator),
-                                      f.inv(f.from_int(fr.denominator)))))
+        out.append(FieldElem(f, f.parse(fr)))
     return target_curve.point(out[0], out[1])

@@ -100,14 +100,6 @@ class EvalMatrix:
     def ncols(self) -> int:
         return self.matrix.ncols
 
-    def serialize(self) -> dict:
-        return {
-            "level": self.level,
-            "points": [fp.serialize() for fp in self.points],
-            "rows": self.matrix.to_text_rows(),
-            "row_labels": [list(lbl) for lbl in self.row_labels],
-        }
-
     def __repr__(self):
         return f"EvalMatrix({self.nrows} conditions x {self.ncols} sections)"
 

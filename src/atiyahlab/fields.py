@@ -32,11 +32,24 @@ coefficients against the power basis of the canonical modulus, whatever the
 internal form is.  The canonical modulus for given (p, k) is the monic
 irreducible whose coefficient tuple ``(c_{k-1}, ..., c_1, c_0)`` is
 lexicographically least; ``k = 1`` uses the identity polynomial ``z``.
+
+Construction
+------------
+Candidates for the modulus are tried in that order with Rabin's
+irreducibility test, computed with :mod:`atiyahlab.poly` over the prime field.
+A table gear builds the :class:`PolyField` gear of the same (p, k), takes as
+generator the least packed value >= 2 whose order is q - 1, and fills ``_exp``
+by repeated multiplication with it there; ``_log`` and the Zech table are read
+off ``_exp``.  So polynomial arithmetic over F_p has two homes only: ``poly``
+and the ``PolyField`` product.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+from . import poly
 
 _TABLE_LIMIT = 1 << 20
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -150,89 +163,33 @@ def _isqrt_exact(n: int):
 QQ = RationalField()
 
 
-def _poly_mul_mod(p: int, f, g, mod):
-    """Product of coefficient tuples f, g modulo the monic tuple ``mod``."""
-    k = len(mod) - 1
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
-    out = out[:k]
-    while len(out) > 1 and out and out[-1] == 0:
-        out.pop()
-    return tuple(out) if out else (0,)
-
-
-def _poly_pow_mod(p: int, f, e: int, mod):
-    result = (1,)
-    base = f
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(p, result, base, mod)
-        base = _poly_mul_mod(p, base, base, mod)
-        e >>= 1
-    return result
-
-
-def _poly_gcd_modp(p: int, f: list, g: list) -> list:
-    f, g = list(f), list(g)
-    while any(g):
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:
-            break
-        inv_lead = pow(g[-1], p - 2, p)
-        f = list(f)
-        while True:
-            while f and f[-1] == 0:
-                f.pop()
-            if len(f) < len(g):
-                break
-            c = f[-1] * inv_lead % p
-            off = len(f) - len(g)
-            for i, gi in enumerate(g):
-                f[off + i] = (f[off + i] - c * gi) % p
-        f, g = g, f
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _is_irreducible(p: int, coeffs) -> bool:
-    """Irreducibility of the monic polynomial with coefficient tuple coeffs."""
+    """Rabin's test for the monic polynomial f with coefficient tuple coeffs:
+    x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for every prime r | k."""
     k = len(coeffs) - 1
     if k == 1:
         return True
-    mod = tuple(c % p for c in coeffs)
-    x = (0, 1)
-    # x^(p^k) == x mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for prime r | k.
-    frob = x
-    powers = []
+    F = make_extension_field(p)
+    f = [c % p for c in coeffs]
+
+    def frobenius(g):
+        """g^p mod f, by left-to-right square-and-multiply."""
+        out = [F.one]
+        for bit in bin(p)[2:]:
+            out = poly.mod(F, poly.mul(F, out, out), f)
+            if bit == "1":
+                out = poly.mod(F, poly.mul(F, out, g), f)
+        return out
+
+    x = [F.zero, F.one]
+    powers = [x]  # powers[i] = x^(p^i) mod f
     for _ in range(k):
-        frob = _poly_pow_mod(p, frob, p, mod)
-        powers.append(frob)
-    xk = list(powers[-1])
-    while len(xk) < 2:
-        xk.append(0)
-    xk[1] = (xk[1] - 1) % p
-    if any(xk):
+        powers.append(frobenius(powers[-1]))
+    if powers[k] != x:
         return False
-    for r in _prime_divisors(k):
-        fr = list(powers[k // r - 1])
-        while len(fr) < 2:
-            fr.append(0)
-        fr[1] = (fr[1] - 1) % p
-        g = _poly_gcd_modp(p, list(mod), fr)
-        if len(g) != 1:
-            return False
-    return True
+    minus_x = [F.zero, F.neg(F.one)]
+    return all(poly.gcd(F, f, poly.add(F, powers[k // r], minus_x)) == [F.one]
+               for r in _prime_divisors(k))
 
 
 def _prime_divisors(n: int):
@@ -273,11 +230,22 @@ def _canonical_modulus(p: int, k: int):
     raise ValueError(f"no irreducible polynomial found for p={p}, k={k}")
 
 
-def digits_past_field(text: str, p: int, k: int) -> bool:
-    """True when text is decimal digits n >= p^k over F_{p^k} with k >= 2.
-    Such digits would name a packed integer past the field, so they name no
-    element; over F_p (k = 1) digits are the integer n reduced mod p."""
-    return k > 1 and text.isascii() and text.isdigit() and int(text) >= p ** k
+def digits_error(text: str, p: int, k: int) -> str | None:
+    """Why number text has no single reading over F_{p^k}, or None.
+
+    Over F_{p^k} with k >= 2, plain decimal digits n name the packed integer
+    n, so n must be below p^k.  Any other text is a fraction reduced mod p,
+    and there every run of digits must be below p: otherwise a sign or a
+    slash would change the element (over F_9, '8' is 2z + 2, '8/1' would be
+    2).  Over F_p (k = 1) both readings agree and every digit string is n
+    reduced mod p."""
+    if k == 1:
+        return None
+    if text.isascii() and text.isdigit():
+        return None if int(text) < p ** k else f"decimal digits must be below {p ** k}"
+    if any(int(run) >= p for run in re.findall(r"\d+", text)):
+        return f"outside plain digits every run of digits must be below {p}"
+    return None
 
 
 class FiniteField:
@@ -351,11 +319,11 @@ class FiniteField:
         return _unpack(self.p, self.k, self.to_packed(a))
 
     def parse(self, text):
-        """Raw value from an int (reduced mod p), a coefficient list, or text:
-        decimal digits n < p^k name the packed integer n, any other number
-        text like '-3/4' is a fraction reduced mod p.  Over F_p digits
-        n >= p are reduced too; over F_{p^k}, k >= 2, they name no element
-        and raise ValueError."""
+        """Raw value from an int or Fraction (reduced mod p), a coefficient
+        list, or text: decimal digits n < p^k name the packed integer n, any
+        other number text like '-3/4' is a fraction reduced mod p.  Over
+        F_{p^k}, k >= 2, text without a single reading (digits_error) raises
+        ValueError."""
         if isinstance(text, FieldElem):
             if text.field is not self:
                 raise ValueError("mixed field descriptors")
@@ -366,9 +334,9 @@ class FiniteField:
             return self.from_coeffs(text)
         if isinstance(text, str):
             text = text.strip()
-            if digits_past_field(text, self.p, self.k):
-                raise ValueError(f"{text} is no packed element of F_{self.q}: "
-                                 f"digits must be below {self.q}")
+            reason = digits_error(text, self.p, self.k)
+            if reason:
+                raise ValueError(f"{text} is no packed element of F_{self.q}: {reason}")
             if text.isascii() and text.isdigit() and int(text) < self.q:
                 return self._from_packed(int(text))
         fr = Fraction(text)
@@ -516,14 +484,21 @@ class TableField(FiniteField):
 
     def _setup(self):
         p, q = self.p, self.q
-        mod = self.modulus
-        gen = self._find_generator(mod)
+        ring = PolyField(p, self.k)
+        factors = _prime_divisors(q - 1)
+        # the generator is the least packed value >= 2 of order q - 1
+        for packed in range(2, q):
+            gen = ring.from_packed(packed)
+            if all(ring.pow(gen, (q - 1) // r) != ring.one for r in factors):
+                break
+        else:
+            raise AssertionError("no multiplicative generator found")
         exp = [0] * q  # exp[q - 1] = 0 packs the zero sentinel
-        acc = (1,)
+        acc = ring.one
         for i in range(q - 1):
-            exp[i] = _pack(p, acc)
-            acc = _poly_mul_mod(p, acc, gen, mod)
-        if _pack(p, acc) != 1:
+            exp[i] = ring.to_packed(acc)
+            acc = ring.mul(gen, acc)
+        if acc != ring.one:
             raise AssertionError("generator order mismatch")
         log = [0] * q
         for i, v in enumerate(exp):
@@ -533,16 +508,6 @@ class TableField(FiniteField):
         self._exp, self._log, self._zech = exp, log, zech
         self.zero = q - 1  # log-form sentinel
         self.one = 0
-
-    def _find_generator(self, mod):
-        p, q = self.p, self.q
-        factors = _prime_divisors(q - 1)
-        for packed in range(2, q):
-            cand = _unpack(p, self.k, packed)
-            if all(_pack(p, _poly_pow_mod(p, cand, (q - 1) // r, mod)) != 1
-                   for r in factors):
-                return cand
-        raise AssertionError("no multiplicative generator found")
 
     def add(self, a, b):
         qm1 = self.zero

@@ -40,10 +40,6 @@ class Matrix:
     def from_elems(cls, field, rows):
         return cls(field, [[field.parse(e) for e in r] for r in rows])
 
-    def to_text_rows(self):
-        tt = self.field.to_text
-        return [[tt(e) for e in r] for r in self.rows]
-
     def mul_vector(self, vec):
         field = self.field
         out = []

@@ -344,3 +344,13 @@ def test_digits_past_the_extension_field_exit_2(tmp_path, capsys):
     assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert "surface.T: 10 names no element of F_9" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_signed_digits_past_p_exit_2(tmp_path, capsys):
+    # over F_9 '+10' is a fraction whose digits 10 exceed 3; it once ran as
+    # (1, 1) and wrote a report
+    text = TINY.replace("p = 0", "p = 3\nk = 2").replace("T = -1, 1", "T = +10, 1")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "surface.T: +10 names no element of F_9" in capsys.readouterr().err
+    assert not out.exists()

@@ -276,12 +276,23 @@ F9_JOB = "\n[job.third]\ntype = {kind}\n{lines}"
     ("job", ("mu", "base = 12, 1\nw0 = 2"), "'base'"),
     ("job", ("example-theorem", "multiplicities = 2\npoints = 1 : 1 : 27"),
      "'points'"),
-], ids=["T", "q", "record-y", "w0", "base", "record-w0"])
+    ("surface", "q = 0, 1\nT = +10, 1", "surface.T"),
+    ("surface", "q = 0, 8/1\nT = 2, 1", "surface.q"),
+    ("curve", "a = 0, 0, 0, -1, -5", "curve.a"),
+    ("job", ("lambda", "base = 1, 1\nw0 = 4/2"), "'w0'"),
+    ("job", ("mu", "base = -5, 1\nw0 = 2"), "'base'"),
+    ("job", ("h0-fat", "points = 0 : 1 : 2 : 1; 1 : 1 : -3 : 1"), "'points'"),
+], ids=["T", "q", "record-y", "w0", "base", "record-w0", "T-sign", "q-slash",
+        "curve-sign", "w0-slash", "base-sign", "record-w0-sign"])
 def test_digits_past_the_extension_field_rejected_at_load(tmp_path, capsys,
                                                           where, lines, key):
-    # over F_9 decimal digits name packed integers 0..8: 10 names no element
+    # over F_9 decimal digits name packed integers 0..8: 10 names no element;
+    # other text is a fraction mod 3, so its runs of digits must be below 3:
+    # '+10' would run as 1 and '8/1' as 2
     if where == "surface":
         text = F9.replace("q = 0, 1\nT = 2, 1", lines)
+    elif where == "curve":
+        text = F9.replace("a = 0, 0, 0, -1, 1", lines)
     else:
         kind, body = lines
         text = F9 + F9_JOB.format(kind=kind, lines=body)
@@ -295,6 +306,20 @@ def test_digits_past_the_extension_field_rejected_at_load(tmp_path, capsys,
 def test_digits_below_the_field_order_load(tmp_path):
     text = F9 + F9_JOB.format(kind="lambda", lines="base = 1, 1\nw0 = 8")
     assert load_config(write(tmp_path, text)).T == ("2", "1")
-    # over F_p digits n >= p still reduce mod p
+    # signs and slashes with digits below p are fractions mod p
+    text = (F9.replace("a = 0, 0, 0, -1, 1", "a = 0, 0, 0, -1/2, 1")
+            + F9_JOB.format(kind="lambda", lines="base = -1, 2/1\nw0 = 1/2"))
+    cfg = load_config(write(tmp_path, text))
+    assert cfg.curve_coeffs[3] == "-1/2"
+    assert cfg.jobs[-1].params["base"] == "-1, 2/1"
+    # over F_p any number text reduces mod p
     F3 = GOOD.replace("p = 0", "p = 3").replace("T = -1, 1", "T = 11, 1")
     assert load_config(write(tmp_path, F3)).T == ("11", "1")
+    F3 = GOOD.replace("p = 0", "p = 3").replace("T = -1, 1", "T = +11, 8/5")
+    assert load_config(write(tmp_path, F3)).T == ("+11", "8/5")
+
+
+def test_curve_coefficients_parsed_at_load(tmp_path):
+    bad = GOOD.replace("a = 0, 0, 0, -1, 1", "a = 0, 0, 0, x, 1")
+    with pytest.raises(ConfigError, match="curve.a must be an exact number"):
+        load_config(write(tmp_path, bad))

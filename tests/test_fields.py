@@ -13,6 +13,9 @@ from atiyahlab.fields import (
     PolyField,
     PrimeField,
     TableField,
+    _canonical_modulus,
+    _is_irreducible,
+    _unpack,
     field_from_config,
     is_probable_prime,
     make_extension_field,
@@ -26,6 +29,52 @@ def test_canonical_moduli_small():
     assert make_extension_field(2, 2).modulus == (1, 1, 1)
     assert make_extension_field(3, 2).modulus == (1, 0, 1)
     assert make_extension_field(5, 2).modulus == (2, 0, 1)
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_irreducible_count_is_gauss_count(p):
+    # every monic candidate of degree k, p^k <= 3000: Rabin's test accepts
+    # exactly (1/k) sum_{d | k} mu(d) p^(k/d) of them
+    k = 1
+    while p ** k <= 3000:
+        accepted = sum(_is_irreducible(p, _unpack(p, k, v) + (1,))
+                       for v in range(p ** k))
+        gauss = sum(_mobius(d) * p ** (k // d)
+                    for d in range(1, k + 1) if k % d == 0) // k
+        assert accepted == gauss, (p, k)
+        k += 1
+
+
+# Recorded before the modulus search moved onto `poly`: the modulus fixes
+# every packed value, and so every report byte over F_{p^k}.
+PINNED_MODULI = {
+    (3, 2): (1, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    (3, 13): (1, 2) + (0,) * 11 + (1,),
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+    (2, 24): (1, 1, 0, 1, 1) + (0,) * 19 + (1,),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(PINNED_MODULI))
+def test_canonical_moduli_pinned(p, k):
+    assert _canonical_modulus(p, k) == PINNED_MODULI[p, k]
+    if p ** k < 1 << 20:  # building F_{2^20} takes seconds; CI builds it
+        assert make_extension_field(p, k).modulus == PINNED_MODULI[p, k]
 
 
 def test_prime_field_basics():
@@ -110,6 +159,22 @@ def test_parse_rejects_digits_past_the_extension_field():
             F.parse(text)
     F7 = make_extension_field(7)
     assert F7.parse("10") == F7.from_int(3)
+
+
+def test_parse_rejects_text_with_two_readings():
+    # over F_{p^k}, k >= 2, text other than plain digits is a fraction mod p,
+    # so each run of digits in it must be below p: '8/1' would be 2 but '8'
+    # is 2z + 2, and '+10' would be 1
+    F9 = make_extension_field(3, 2)
+    for text in ("8/1", "+10", "-5", "2/4", " +8 "):
+        with pytest.raises(ValueError, match="every run of digits must be below 3"):
+            F9.parse(text)
+    assert F9.parse("-2/1") == F9.parse("-2") == F9.from_int(1)
+    assert F9.parse(Fraction(8)) == F9.parse(-7) == F9.from_int(2)
+    F121 = make_extension_field(11, 2)
+    assert F121.parse("-10/7") == F121.from_int(-10 * pow(7, -1, 11))
+    F7 = make_extension_field(7)
+    assert F7.parse("-10/8") == F7.from_int(-10 * pow(8, -1, 7))
 
 
 def test_parse_coefficient_lists():
