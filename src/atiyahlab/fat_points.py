@@ -351,9 +351,28 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
 
 
 def _lambda_bounds(surface, m, value) -> dict:
-    """Characteristic-0 sanity bounds; violation means a library bug."""
-    if surface.field.characteristic != 0:
-        return {"checked": False}
+    """Sanity bounds on a minimal level; violation means a library bug.
+
+    In characteristic p and for m >= p the bound is the level
+    pm - p(p-1)/2 of the product char_p_witness builds: a twisted member of
+    multiplicity p at level C(p+1, 2) (that space has one more dimension than
+    the C(p+1, 2) conditions) times m - p plain level-p members through the
+    point (that space has dimension 2).  It is recorded from m = p + 1 on;
+    at m = p it is the dimension count C(p+1, 2), and the record stays
+    {"checked": False}, the bytes that verify-prop27 reports carry.
+    """
+    p = surface.field.characteristic
+    if p:
+        if m < p:
+            return {"checked": False}
+        upper = p * m - comb(p, 2)
+        if value > upper:
+            raise VerificationError(
+                f"computed minimal level {value} for m={m} exceeds the "
+                f"characteristic-{p} product bound {upper}")
+        if m == p:
+            return {"checked": False}
+        return {"checked": True, "upper": upper, "ok": True}
     lower_triv = comb(m, 2) + 1
     lower_quad = (m * m + 1) // 2  # ceil(m^2 / 2)
     upper = comb(m + 1, 2)

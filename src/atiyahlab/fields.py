@@ -12,7 +12,8 @@ layers on top.
 
 Raw representations
 -------------------
-* rationals (:class:`RationalField`): ``fractions.Fraction``.
+* rationals (:class:`RationalField`): ``int`` for integral values and
+  ``fractions.Fraction`` otherwise; no operation gives a float.
 * F_p, k = 1 (:class:`PrimeField`): ints in ``[0, p)``.
 * F_{p^k}, k >= 2, p^k <= _TABLE_LIMIT (:class:`TableField`): discrete logs
   to a fixed generator (ints in ``[0, q-1)``, with ``q-1`` standing for
@@ -79,15 +80,27 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _integral(f):
+    """f as an int when it is integral, else f itself (a ``Fraction``)."""
+    return f.numerator if f.denominator == 1 else f
+
+
 class RationalField:
-    """The field Q with Fraction raw values."""
+    """The field Q.  A raw value is an ``int`` when the number is integral
+    and a ``Fraction`` otherwise; the two forms of an integer compare, hash
+    and print alike, so either may meet the other.
+
+    ``add``, ``sub`` and ``mul`` are the bare operators, which keep ints ints;
+    ``zero``, ``one``, ``from_int``, ``parse``, ``inv``, ``div``, ``pow`` and
+    ``sqrt`` give an int whenever the result is integral and never a float.
+    """
 
     p = 0
     k = 1
     characteristic = 0
     modulus = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -104,34 +117,37 @@ class RationalField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _integral(a / b)
 
     def pow(self, a, n):
-        if n < 0 and not a:
-            raise ZeroDivisionError("inverse of zero")
-        return a ** n
+        if n < 0:
+            a, n = self.inv(a), -n
+        return _integral(a ** n)
 
     def is_zero(self, a) -> bool:
         return not a
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return int(n)
 
     def parse(self, text):
         if isinstance(text, FieldElem):
             if text.field is not self:
                 raise ValueError("mixed field descriptors")
             return text.raw
-        if isinstance(text, Fraction):
-            return text
         if isinstance(text, int):
-            return Fraction(text)
-        return Fraction(str(text).strip())
+            return int(text)
+        if not isinstance(text, Fraction):
+            text = Fraction(str(text).strip())
+        return _integral(text)
 
     def to_text(self, a) -> str:
         return str(a)
@@ -147,7 +163,7 @@ class RationalField:
         rd = _isqrt_exact(a.denominator)
         if rn is None or rd is None:
             return None
-        return Fraction(rn, rd)
+        return rn if rd == 1 else Fraction(rn, rd)
 
     def __repr__(self):
         return "QQ"

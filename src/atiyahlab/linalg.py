@@ -1,12 +1,15 @@
 """Exact rank/kernel computations.
 
 Production path: one Gaussian elimination for every field, on raw field
-values (``Fraction`` over the rationals) held in sparse rows {col: value}, so
-the work stays on the non-zeros.  Pivoting is deterministic (first nonzero in
-column order), kernel bases are canonical: one vector per free column, 1 there
-and 0 on the other free columns, made a primitive integer vector with positive
-leading entry over Q.  Both the pivot columns and these vectors are properties
-of the matrix, not of the elimination.
+values held in sparse rows {col: value}, so the work stays on the non-zeros.
+Over the rationals a raw value is an ``int`` when integral and a ``Fraction``
+otherwise, so integer matrices stay on ints until a pivot is not a unit.
+Pivoting is deterministic (first nonzero in column order), kernel bases are
+canonical: one vector per free column, 1 there and 0 on the other free
+columns, made a primitive vector of ints with positive leading entry over Q.
+Both the pivot columns and these vectors are properties of the matrix, not of
+the elimination, so :func:`canonical_basis` reads the same basis off any
+spanning set of a kernel found another way.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
@@ -14,9 +17,9 @@ separate as a cross-check oracle; it shares no code with the production path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import VerificationError
 from .fields import QQ
 
 
@@ -60,8 +63,8 @@ def _echelon(mat: Matrix):
     Every row is a dict {col: value} of its nonzero entries.  The pivot for
     a column is the first pool row with a nonzero there; it is scaled to
     pivot 1 and subtracted from the other pool rows on its own non-zeros, and
-    entries that cancel are deleted.  Echelon row i keeps the entries right
-    of pivot i; the pivot entry itself, 1, is left out.
+    entries that cancel are deleted.  Echelon row i holds pivot i, as 1, and
+    the entries right of it.
     """
     field = mat.field
     fz, fmul, fsub, zero = field.is_zero, field.mul, field.sub, field.zero
@@ -93,6 +96,7 @@ def _echelon(mat: Matrix):
                         r[c] = v
             if r:
                 nxt.append(r)
+        prow[col] = field.one
         pivots.append(col)
         ech.append(prow)
         pool = nxt
@@ -100,48 +104,105 @@ def _echelon(mat: Matrix):
     return pivots, ech
 
 
-def _kernel_from_echelon(field, pivots, ech, ncols):
-    """The canonical kernel basis: one vector per free column f, 1 at f and 0
-    on the other free columns, by back-substitution through the echelon
-    rows."""
-    fz, fadd, fmul = field.is_zero, field.add, field.mul
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    steps = list(zip(pivots, ech))[::-1]
+def dot(field, row, vec):
+    """The sum of row[c] * vec[c] over a sparse row and vector {col: value}."""
+    fadd, fmul, acc = field.add, field.mul, field.zero
+    for c, a in row.items():
+        x = vec.get(c)
+        if x is not None:
+            acc = fadd(acc, fmul(a, x))
+    return acc
+
+
+def back_substitute(field, rows, ncols, steps):
+    """For each free column f in order, the solution of the step rows with 1
+    at f and 0 on the other free columns, as a sparse vector {col: value}.
+
+    ``steps`` lists (column, row) pairs in solving order; their columns are
+    the pivots and the others are free.  The entries are checked to make the
+    step rows triangular, each nonzero at its own column and zero on the
+    columns of later steps (VerificationError otherwise), so each solution
+    exists and is unique.  A step divides only where its entry is not 1.
+    """
+    zero, one = field.zero, field.one
+    when = {col: i for i, (col, _) in enumerate(steps)}
+    for i, (col, r) in enumerate(steps):
+        if field.is_zero(rows[r].get(col, zero)):
+            raise VerificationError(f"pivot entry of column {col} is zero")
+        if any(when.get(c, i) > i for c in rows[r]):
+            raise VerificationError(
+                f"pivot row of column {col} reaches a column solved later")
     basis = []
-    for f in free:
-        v = {f: field.one}
-        for pc, row in steps:
-            if pc > f:
-                continue  # the row lies right of pc, where v is 0
-            acc = field.zero
-            for c, a in row.items():
-                if c in v:
-                    acc = fadd(acc, fmul(a, v[c]))
-            if not fz(acc):
-                v[pc] = field.neg(acc)
-        basis.append(_primitive_int_vector(
-            field, [v.get(c, field.zero) for c in range(ncols)]))
+    for f in range(ncols):
+        if f in when:
+            continue
+        vec = {f: one}
+        for col, r in steps:
+            acc = dot(field, rows[r], vec)
+            if not field.is_zero(acc):
+                lc = rows[r][col]
+                vec[col] = field.neg(acc if lc == one else field.div(acc, lc))
+        basis.append(vec)
     return basis
 
 
 def _primitive_int_vector(field, v):
     """Over Q, the primitive integer multiple of v with positive first
-    nonzero entry; over a finite field, v itself."""
+    nonzero entry, as ints; over a finite field, v itself."""
     if field is not QQ:
         return v
     den = lcm(*(f.denominator for f in v))
-    ints = [int(f * den) for f in v]
+    ints = [f.numerator * (den // f.denominator) for f in v]
     g = gcd(*ints)
     if next(a for a in ints if a) < 0:
         g = -g
-    return [Fraction(a // g) for a in ints]
+    return [a // g for a in ints]
+
+
+def canonical_basis(field, vectors, ncols):
+    """The basis :func:`rank_and_kernel` returns for the span of the sparse
+    vectors {col: value}: reduced echelon form taking columns from the last
+    one first, so each vector ends in 1 at its own column f and the others
+    are 0 at f, ordered by f and made primitive integer vectors over Q.
+
+    The canonical kernel vector of a free column f is 1 at f, 0 on the other
+    free columns and supported on f and pivot columns < f, so this is it.  A
+    vector that reduces to zero is dropped: dependent input gives fewer
+    vectors back.
+    """
+    fz, fmul, fsub, zero = field.is_zero, field.mul, field.sub, field.zero
+    pending = [{c: a for c, a in v.items() if not fz(a)} for v in vectors]
+    done = {}
+    for col in range(ncols - 1, -1, -1):
+        i = next((i for i, v in enumerate(pending) if col in v), None)
+        if i is None:
+            continue
+        piv = pending.pop(i)
+        inv = field.inv(piv.pop(col))
+        piv = {c: fmul(inv, a) for c, a in piv.items()}
+        for v in pending + list(done.values()):
+            a = v.pop(col, None)
+            if a is not None:
+                for c, b in piv.items():
+                    x = fsub(v.get(c, zero), fmul(a, b))
+                    if fz(x):
+                        v.pop(c, None)
+                    else:
+                        v[c] = x
+        piv[col] = field.one
+        done[col] = piv
+    return [_primitive_int_vector(field, [done[f].get(c, zero) for c in range(ncols)])
+            for f in sorted(done)]
 
 
 def rank_and_kernel(mat: Matrix):
     """(rank, kernel basis as raw column vectors), deterministic and exact."""
     pivots, ech = _echelon(mat)
-    return len(pivots), _kernel_from_echelon(mat.field, pivots, ech, mat.ncols)
+    field, zero = mat.field, mat.field.zero
+    steps = [(col, i) for i, col in enumerate(pivots)][::-1]
+    return len(pivots), [
+        _primitive_int_vector(field, [v.get(c, zero) for c in range(mat.ncols)])
+        for v in back_substitute(field, ech, mat.ncols, steps)]
 
 
 def rank(mat: Matrix) -> int:

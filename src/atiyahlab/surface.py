@@ -18,10 +18,14 @@ inf (plus a simple pole at the marked fiber point q when twisted); each t_j
 has nonnegative valuation at inf.  The solver turns this into one exact
 kernel computation per (level, twisted) with per-component pole cutoffs
 N_a = (level - a) * k_inf + margin — the inverse shift shows true sections
-satisfy the margin-0 bound, so the cutoff loses nothing.  It assembles and
-eliminates the system once, at margin + 2: the kernel must vanish on the
-columns past the margin cutoffs (CutoffInstabilityError otherwise), and its
-restriction to the other columns is the basis at the margin.
+satisfy the margin-0 bound, so the cutoff loses nothing.  It assembles the
+system once, at margin + 2, as sparse rows, and solves it without a pivot
+search: in slot order the matrix is triangular on the leading terms of its
+columns, so each non-constant column is one back-substitution step, checked
+from the entries, and the only elimination is on the plain obstruction rows.
+The kernel must vanish on the columns past the margin cutoffs
+(CutoffInstabilityError otherwise), every kernel vector is certified by
+M v = 0, and its restriction to the other columns is the basis at the margin.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
 x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
@@ -52,7 +56,8 @@ from .curve import CurvePoint, Divisor, WeierstrassCurve
 from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationError
 from .fields import FieldElem
 from .funcfield import FuncElem, mul_numerators
-from .linalg import Matrix, rank_and_kernel, rank
+from .linalg import (Matrix, back_substitute, canonical_basis, dot,
+                     rank_and_kernel, rank)
 from .riemann_roch import monomial_basis, rr_basis
 
 DEFAULT_MARGIN = 4
@@ -180,6 +185,27 @@ def sym_transition(cocycle: CechCocycle, level: int):
                 row.append(cocycle.g_power(a - j) * FieldElem(field, c))
         rows.append(row)
     return rows
+
+
+def _leading_term_kernel(field, rows, ncols, steps, obstruction):
+    """A basis of the kernel of the sparse rows {col: value}, as sparse
+    vectors: back_substitute on the leading terms in ``steps`` gives one
+    vector per free column, every kernel vector is a combination of these,
+    and the combinations the ``obstruction`` rows allow are read off their
+    kernel by rank_and_kernel (all of them when there is none, as twisted).
+    """
+    basis = back_substitute(field, rows, ncols, steps)
+    mat = Matrix(field, [[dot(field, rows[r], v) for v in basis]
+                         for r in obstruction], len(basis))
+    out = []
+    for combo in rank_and_kernel(mat)[1]:
+        vec = {}
+        for k, v in zip(combo, basis):
+            if not field.is_zero(k):
+                for c, a in v.items():
+                    vec[c] = field.add(vec.get(c, field.zero), field.mul(k, a))
+        out.append(vec)
+    return out
 
 
 class SectionVector:
@@ -422,6 +448,17 @@ class AtiyahSurface:
         h, twisted only; m >= 2: x^(m/2) or x^((m-3)/2) y), and its columns
         with m > caps[a] - 2 are the extra columns.  Let M be the matrix and
         A its rows and columns within the margin cutoffs.
+        * The solve (reduction by leading terms, as in F. Hess, J. Symbolic
+          Comput. 33 (2002)): column (a, m), m >= 1, has its leading term in
+          the row of t_a at pole order m, with entry lc(D_a) (for h, h.b
+          times lc(d_g)^(level - a)), and lower orders and lower slots do not
+          reach that row.  Taken slot by slot from a = level down and from
+          the highest order down, the columns are one substitution step
+          each, back_substitute checks this from the entries, and the
+          constants are free.  Twisted, every row leads; plain, the rows of
+          order 1 (B at x^(deg D_j - 1), j < level) are left over and cut
+          the constants by rank_and_kernel.  Every kernel vector is
+          certified by M v = 0 on every row.
         * Zero block: a column (a, m) reaches t_j only up to pole order
           (a - j) * k_inf + m <= caps[j] - 2, and the numerators are reduced
           P + Q y, so the rows past the margin cutoffs vanish on the margin
@@ -429,7 +466,8 @@ class AtiyahSurface:
         * Equal dimensions: if every basis vector of ker M vanishes on the
           extra columns, ker M = {(v, 0) : v in ker A}, so the dimensions at
           margin and at margin + 2 agree.
-        * Equal canonical bases: a free column of A is free in M and the
+        * Equal canonical bases: canonical_basis gives the basis that
+          rank_and_kernel(M) would.  A free column of A is free in M and the
           kernels have equal dimension, so the free sets agree; a canonical
           vector is fixed by its free entries, and the Q normalization (lcm,
           gcd, sign of the first nonzero entry) sees only zeros on the extra
@@ -439,6 +477,56 @@ class AtiyahSurface:
         In slot a the kernel entries are the coefficients of x^(m/2) in U
         (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
         s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
+        """
+        columns, caps, rows, steps, obstruction = self._system(level, twisted,
+                                                               margin)
+        field, curve = self.field, self.curve
+        h = self.one_pole_function if twisted else None
+        d_h = h.d if twisted else [field.one]
+        kernel = _leading_term_kernel(field, rows, len(columns), steps,
+                                      obstruction)
+
+        extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
+        if any(not field.is_zero(vec.get(idx, field.zero))
+               for vec in kernel for idx in extra):
+            kept = [idx for idx in range(len(columns)) if idx not in extra]
+            margin_mat = Matrix(field, [[row.get(idx, field.zero) for idx in kept]
+                                        for row in rows], len(kept))
+            raise CutoffInstabilityError(level, twisted, margin,
+                                         len(kept) - rank(margin_mat), len(kernel))
+        if any(not field.is_zero(dot(field, row, vec))
+               for vec in kernel for row in rows):
+            raise VerificationError("a kernel vector leaves M v nonzero")
+        basis = canonical_basis(field, kernel, len(columns))
+        if len(basis) != len(kernel):
+            raise VerificationError("the kernel vectors are linearly dependent")
+
+        sections = []
+        for vec in basis:
+            slots = [{} for _ in caps]
+            for (a, m), coeff in zip(columns, vec):
+                slots[a][m] = coeff
+            comps = []
+            for cap, cs in zip(caps, slots):
+                u = [cs[m] for m in range(0, cap - 1, 2)]
+                v = [cs[m] for m in range(3, cap - 1, 2)]
+                if twisted:
+                    u = poly.add(field, poly.mul(field, u, d_h),
+                                 poly.scalar_mul(field, cs[1], h.a))
+                    v = poly.add(field, poly.mul(field, v, d_h),
+                                 poly.scalar_mul(field, cs[1], h.b))
+                comps.append(FuncElem(curve, u, v, d_h))
+            sections.append(SectionVector(self, level, twisted, comps))
+        return sections
+
+    def _system(self, level: int, twisted: bool, margin: int):
+        """The matrix _solve reads its kernel off, at cutoffs
+        (level - a) * k_inf + margin + 2: (columns, caps, rows, steps,
+        obstruction).  columns lists the (slot, pole order) of each column,
+        caps the cutoff of each slot, rows the sparse rows {col: value};
+        steps pairs every non-constant column with the row of its leading
+        term, in solving order, and obstruction lists the rows no column
+        leads.
         """
         kinf = self.cocycle.pole_inf
         caps = [(level - a) * kinf + margin + 2 for a in range(level + 1)]
@@ -456,15 +544,20 @@ class AtiyahSurface:
             g_num.append(mul_numerators(curve, *g_num[-1], g.a, g.b))
             d_g_pow.append(poly.mul(field, d_g_pow[-1], g.d))
 
-        rows = []
+        rows, lead = [], {}     # lead: (slot j, pole order) -> row index
         for j in range(level, -1, -1):
             # numerator P + Q y of t_j over D_j = d_g^(level-j) d_h; t_j is
-            # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2
+            # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2;
+            # the row of x^e in P (x^e y in Q) has pole order 2(e - deg D_j)
+            # (plus 3)
             deg_d = poly.degree(d_g_pow[level - j]) + poly.degree(d_h)
             keys = [(0, e) for e in range(deg_d + 1, deg_d + caps[j] // 2 + 1)]
             keys += [(1, e) for e in range(max(deg_d - 1, 0),
                                            deg_d + (caps[j] - 3) // 2 + 1)]
-            block = [[field.zero] * len(columns) for _ in keys]
+            row_of = {}
+            for part, e in keys:
+                row_of[part, e] = lead[j, 2 * (e - deg_d) + 3 * part] = len(rows)
+                rows.append({})
             for a in range(j, level + 1):
                 c = field.from_int(comb(a, j))
                 if field.is_zero(c):
@@ -482,39 +575,14 @@ class AtiyahSurface:
                     else:
                         num, shift = mono_y, (m - 3) // 2
                     col = col_of[(a, m)]
-                    for row, (part, e) in zip(block, keys):
-                        cs, k = num[part], e - shift
-                        if 0 <= k < len(cs) and not field.is_zero(cs[k]):
-                            row[col] = field.mul(c, cs[k])
-            rows.extend(block)
-        mat = Matrix(field, rows, len(columns))
-        _, kernel = rank_and_kernel(mat)
-
-        extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
-        if any(not field.is_zero(vec[idx]) for vec in kernel for idx in extra):
-            kept = [idx for idx in range(len(columns)) if idx not in extra]
-            margin_mat = Matrix(field, [[row[idx] for idx in kept]
-                                        for row in mat.rows], len(kept))
-            raise CutoffInstabilityError(level, twisted, margin,
-                                         len(kept) - rank(margin_mat), len(kernel))
-
-        sections = []
-        for vec in kernel:
-            slots = [{} for _ in caps]
-            for (a, m), coeff in zip(columns, vec):
-                slots[a][m] = coeff
-            comps = []
-            for cap, cs in zip(caps, slots):
-                u = [cs[m] for m in range(0, cap - 1, 2)]
-                v = [cs[m] for m in range(3, cap - 1, 2)]
-                if twisted:
-                    u = poly.add(field, poly.mul(field, u, d_h),
-                                 poly.scalar_mul(field, cs[1], h.a))
-                    v = poly.add(field, poly.mul(field, v, d_h),
-                                 poly.scalar_mul(field, cs[1], h.b))
-                comps.append(FuncElem(curve, u, v, d_h))
-            sections.append(SectionVector(self, level, twisted, comps))
-        return sections
+                    for part, cs in enumerate(num):
+                        for k, coeff in enumerate(cs):
+                            r = row_of.get((part, k + shift))
+                            if r is not None and not field.is_zero(coeff):
+                                rows[r][col] = field.mul(c, coeff)
+        steps = [(col_of[(a, m)], lead.pop((a, m)))
+                 for a in range(level, -1, -1) for m in reversed(orders[a]) if m]
+        return columns, caps, rows, steps, sorted(lead.values())
 
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import CertificationError, VerificationError
 from atiyahlab.fat_points import (
     FatPoint,
+    _lambda_bounds,
     char_p_witness,
     expected_dimension,
     fat_system,
@@ -18,6 +20,7 @@ from atiyahlab.fat_points import (
     translate_marked_fiber,
     verify_jets,
 )
+from atiyahlab.fields import make_extension_field
 from atiyahlab.linalg import rank
 from atiyahlab.surface import make_surface
 
@@ -248,6 +251,31 @@ def test_multiplicity_step_small_field(f4_surface):
     assert rec1.status == "found" and rec2.status == "found"
     assert holds
     assert rec2.value >= 2 + rec1.value
+
+
+@pytest.mark.parametrize("p, k, coeffs, levels", [
+    (2, 8, (1, 0, 0, 0, 1), [1, 3, 5, 7, 9, 11]),      # 2m - 1
+    (3, 5, (0, 0, 0, -1, 1), [1, 3, 6, 9, 12]),        # 3m - 3 from m = 3
+])
+def test_char_p_lambda_meets_the_product_bound(p, k, coeffs, levels):
+    # in characteristic p, lambda(m) <= pm - p(p-1)/2 for m >= p: the level of
+    # a multiplicity-p member at C(p+1, 2) times m - p plain level-p members
+    F = make_extension_field(p, k)
+    E = WeierstrassCurve(F, *coeffs)
+    surf = make_surface(E, E.point(0, 1))
+    fp = sample_fat_point(surf, random.Random(1), certified=True)
+    for m, want in enumerate(levels, start=1):
+        rec = min_level(surf, m, fp)
+        assert rec.value == want
+        if m <= p:   # at m = p the bound is C(p+1, 2), checked, not recorded
+            assert rec.bounds == {"checked": False}
+        else:
+            assert rec.bounds == {"checked": True, "upper": p * m - p * (p - 1) // 2,
+                                  "ok": True}
+            assert rec.value == rec.bounds["upper"]
+    for m in (p, p + 1):
+        with pytest.raises(VerificationError, match="product bound"):
+            _lambda_bounds(surf, m, p * m - p * (p - 1) // 2 + 1)
 
 
 def test_step_check_needs_positive_characteristic(rational_surface):

@@ -451,3 +451,48 @@ def test_parse_reads_back_to_text_on_every_gear(name, x):
     F = _gear(name)
     a = F.from_packed(x % F.q)
     assert F.parse(F.to_text(a)) == a
+
+
+_rationals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.fractions(max_denominator=1000))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=_rationals, b=_rationals, n=st.integers(-4, 4))
+def test_rational_ops_match_fraction_arithmetic(a, b, n):
+    # raw values of Q are ints when integral: the normalizing operations
+    # (parse, from_int, inv, div, pow, sqrt) give an int exactly when the
+    # value is integral, the bare operators keep two ints an int, and no
+    # operation gives a float
+    A, B = Fraction(a), Fraction(b)
+    bare = [(QQ.add(a, b), A + B), (QQ.sub(a, b), A - B),
+            (QQ.mul(a, b), A * B), (QQ.neg(a), -A)]
+    normal = [(QQ.parse(a), A), (QQ.parse(str(a)), A), (QQ.from_int(n), n),
+              (QQ.sqrt(A * A), abs(A))]
+    if B:
+        normal += [(QQ.inv(b), 1 / B), (QQ.div(a, b), A / B)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    if A or n >= 0:
+        normal.append((QQ.pow(a, n), A ** n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.pow(a, n)
+    for got, want in bare + normal:
+        assert got == want and type(got) in (int, Fraction)
+    for got, want in normal:
+        assert (type(got) is int) == (Fraction(want).denominator == 1)
+    if type(a) is int and type(b) is int:
+        assert all(type(got) is int for got, _ in bare)
+    root = QQ.sqrt(A)
+    assert root is None or (QQ.mul(root, root) == A and type(root) in (int, Fraction))
+
+
+def test_rational_constants_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(True)) is int and type(QQ.parse(True)) is int
+    assert type(QQ.parse("6/3")) is int and QQ.parse("6/3") == 2
+    assert type(QQ.inv(-1)) is int and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.pow(Fraction(4, 2), -1)) is Fraction
+    assert str(QQ.parse("-12")) == str(Fraction(-12)) == "-12"

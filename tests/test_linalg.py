@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atiyahlab.errors import VerificationError
 from atiyahlab.fields import QQ, make_extension_field
-from atiyahlab.linalg import Matrix, kernel_check, rank, rank_and_kernel, rank_naive
+from atiyahlab.linalg import (Matrix, back_substitute, kernel_check, rank,
+                              rank_and_kernel, rank_naive)
 
 FIELDS = {"QQ": lambda: QQ,
           "F7": lambda: make_extension_field(7),
@@ -96,8 +98,8 @@ def test_kernel_exactness_rationals():
     r, ker = rank_and_kernel(m)
     assert r == 1 and len(ker) == 2
     assert kernel_check(m, ker)
-    for v in ker:
-        assert all(isinstance(c, Fraction) for c in v)
+    for v in ker:   # exact raw values: an int or a Fraction, never a float
+        assert all(type(c) in (int, Fraction) for c in v)
 
 
 def test_rational_kernel_is_primitive_integer_form():
@@ -233,3 +235,16 @@ def test_canonical_kernel_basis_is_fixed_by_the_matrix(field_key, seed, nrows,
             assert v[f] != 0
         else:
             assert v[f] == field.one
+
+
+def test_back_substitution_checks_the_triangle_from_the_entries():
+    # rows x0 + 2 x1 + x2 = 0 and x1 + x2 = 0: x1 leads the second row and
+    # x0 the first, so x0 must be solved after x1; x2 is free
+    rows = [{0: 1, 1: 2, 2: 1}, {1: 1, 2: 1}]
+    assert back_substitute(QQ, rows, 3, [(1, 1), (0, 0)]) == [{2: 1, 1: -1, 0: 1}]
+    with pytest.raises(VerificationError, match="solved later"):
+        back_substitute(QQ, rows, 3, [(0, 0), (1, 1)])
+    with pytest.raises(VerificationError, match="is zero"):
+        back_substitute(QQ, rows, 3, [(0, 1), (1, 0)])
+    # a pivot entry other than 1 is divided out: 2 x0 + 3 x1 = 0
+    assert back_substitute(QQ, [{0: 2, 1: 3}], 2, [(0, 0)]) == [{1: 1, 0: Fraction(-3, 2)}]

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import subprocess
@@ -5,12 +6,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atiyahlab import surface
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import CutoffInstabilityError, VerificationError
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import FuncElem
+from atiyahlab.linalg import Matrix, canonical_basis, rank_and_kernel
 from atiyahlab.surface import (
     SectionVector,
     build_cocycle,
@@ -144,8 +148,10 @@ def _fresh_rational_surface():
 
 
 def test_fresh_h0_solves_once_without_rank(monkeypatch):
-    # one matrix and one elimination per space: the margin + 2 kernel gives
-    # both the basis and its stability certificate
+    # one matrix and one back-substitution per space: the margin + 2 kernel
+    # gives both the basis and its stability certificate, with no rank; the
+    # one elimination is rank_and_kernel on the plain obstruction rows (no
+    # rows when twisted)
     surf = _fresh_rational_surface()
     calls = []
 
@@ -171,16 +177,14 @@ def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
     # means the dimension grew with the cutoff; the margin dimension comes
     # from the rank on the margin columns
     surf = _fresh_rational_surface()
-    original = surface.rank_and_kernel
+    original = surface._leading_term_kernel
 
-    def with_extra_vector(mat):
-        r, kernel = original(mat)
-        field = mat.field
+    def with_extra_vector(field, rows, ncols, steps, obstruction):
+        kernel = original(field, rows, ncols, steps, obstruction)
         # the last column is the top pole order of slot 0, an extra column
-        extra = [field.zero] * (mat.ncols - 1) + [field.one]
-        return r, kernel + [extra]
+        return kernel + [{ncols - 1: field.one}]
 
-    monkeypatch.setattr(surface, "rank_and_kernel", with_extra_vector)
+    monkeypatch.setattr(surface, "_leading_term_kernel", with_extra_vector)
     with pytest.raises(CutoffInstabilityError) as err:
         surf.h0(2, twisted=True)
     assert (err.value.dim_lo, err.value.dim_hi) == (3, 4)
@@ -425,3 +429,70 @@ def test_pinned_section_bases(name):
             data = surf.h0(level, twisted).serialize()
             h.update(json.dumps(data, sort_keys=True).encode())
     assert h.hexdigest() == digest
+
+
+def _structured_and_dense(surf, level, twisted):
+    """The canonical basis of the back-substituted kernel of one margin + 2
+    system, and rank_and_kernel's kernel of the same rows as a dense Matrix."""
+    columns, _, rows, steps, obstruction = surf._system(level, twisted,
+                                                        surf.margin)
+    field, n = surf.field, len(columns)
+    kernel = surface._leading_term_kernel(field, rows, n, steps, obstruction)
+    dense = Matrix(field, [[row.get(c, field.zero) for c in range(n)]
+                           for row in rows], n)
+    return canonical_basis(field, kernel, n), rank_and_kernel(dense)[1]
+
+
+@pytest.mark.parametrize("name", list(PINNED_BASES))
+def test_structured_basis_equals_dense_kernel_on_pins(name):
+    p, k, top, _ = PINNED_BASES[name]
+    coeffs, q, T = PIN_CURVES.get(name, _PIN_CURVE)
+    field = QQ if p == 0 else make_extension_field(p, k)
+    E = WeierstrassCurve(field, *coeffs)
+    surf = make_surface(E, E.point(*q), T=E.point(*T) if T else None)
+    for level in range(top + 1):
+        for twisted in (False, True):
+            structured, dense = _structured_and_dense(surf, level, twisted)
+            assert structured == dense, (level, twisted)
+
+
+@functools.cache
+def _small_surface(name):
+    field, coeffs = {
+        "QQ": (QQ, (0, 0, 0, -1, 1)),
+        "F9": (make_extension_field(3, 2), (0, 0, 0, -1, 1)),
+        "F1000003": (make_extension_field(1000003), (0, 0, 0, -1, 1)),
+        "F256": (make_extension_field(2, 8), (1, 0, 0, 0, 1)),
+    }[name]
+    E = WeierstrassCurve(field, *coeffs)
+    return make_surface(E, E.point(0, 1))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(name=st.sampled_from(["QQ", "F9", "F1000003", "F256"]),
+       level=st.integers(0, 6), twisted=st.booleans())
+def test_structured_basis_equals_dense_kernel_small(name, level, twisted):
+    # y^2 = x^3 - x + 1 with q = (0, 1), T = -q; in characteristic 2 the
+    # ordinary y^2 + xy = x^3 + 1 (a1 != 0), where q is 2-torsion
+    structured, dense = _structured_and_dense(_small_surface(name), level,
+                                              twisted)
+    assert structured == dense
+
+
+def test_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
+    # a vector that breaks a row, on a margin column so the stability check
+    # passes it on, is caught by M v = 0 before any section is built
+    surf = _fresh_rational_surface()
+    original = surface._leading_term_kernel
+
+    def corrupted(field, rows, ncols, steps, obstruction):
+        kernel = original(field, rows, ncols, steps, obstruction)
+        col = steps[-1][0]    # the h column of slot 0
+        vec = dict(kernel[0])
+        vec[col] = field.add(vec.get(col, field.zero), field.one)
+        return [vec] + kernel[1:]
+
+    monkeypatch.setattr(surface, "_leading_term_kernel", corrupted)
+    with pytest.raises(VerificationError, match="M v"):
+        surf.h0(2, twisted=True)
+
