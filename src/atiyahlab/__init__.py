@@ -28,10 +28,8 @@ from .surface import (
     SectionVector,
     build_cocycle,
     make_surface,
-    sym_transition,
 )
 from .fat_points import (
-    EvalMatrix,
     FatPoint,
     FatSystem,
     LambdaRecord,
@@ -46,7 +44,6 @@ from .fat_points import (
     min_level,
     multiplicity_step_check,
     sample_fat_point,
-    translate_marked_fiber,
     verify_jets,
 )
 from .config import ExperimentConfig, JobSpec, load_config
@@ -80,8 +77,6 @@ __all__ = [
     "SectionVector",
     "build_cocycle",
     "make_surface",
-    "sym_transition",
-    "EvalMatrix",
     "FatPoint",
     "FatSystem",
     "LambdaRecord",
@@ -96,7 +91,6 @@ __all__ = [
     "min_level",
     "multiplicity_step_check",
     "sample_fat_point",
-    "translate_marked_fiber",
     "verify_jets",
     "ExperimentConfig",
     "JobSpec",

@@ -47,10 +47,6 @@ from .fields import digits_error, is_probable_prime
 # Job types that run only over a finite field (True) or only over Q (False).
 FINITE_FIELD_NEEDED = {"verify-prop27": True, "group-order": True,
                        "compare-char": False}
-# Keys whose value ``random`` samples from a finite field: Q has no uniform
-# distribution to draw from, so over Q these keys need explicit values.
-RANDOM_NEEDS_FINITE_FIELD = {"lambda": ("base", "w0"), "mu": ("base", "w0"),
-                             "example-theorem": ("points",)}
 
 
 @dataclass
@@ -135,8 +131,8 @@ def parse_coordinate(text: str, what: str) -> str:
 
 def _check_digits(value, what: str, p: int, k: int) -> None:
     """Reject text with no single reading over F_{p^k} (see
-    fields.digits_error).  value is a parsed coordinate, pair or record
-    list; the integer fields of a record are skipped."""
+    fields.digits_error).  value is any parsed value: the strings in it,
+    at any depth of tuples and lists, are checked and the rest skipped."""
     if isinstance(value, (tuple, list)):
         for item in value:
             _check_digits(item, what, p, k)
@@ -248,8 +244,6 @@ JOB_SCHEMA = {
                      "w0": (parse_coordinate, "1")},
 }
 JOB_TYPES = tuple(JOB_SCHEMA)
-# The job keys whose values hold coordinates.
-COORDINATE_KEYS = ("base", "w0", "points")
 
 
 def parse_job(kind: str, params: dict, p: int) -> SimpleNamespace:
@@ -339,13 +333,13 @@ def load_config(path: str) -> ExperimentConfig:
             args = parse_job(kind, params, p)
         except ConfigError as exc:
             raise ConfigError(f"job {ident!r}: {exc}") from None
-        if p == 0:
-            for key in RANDOM_NEEDS_FINITE_FIELD.get(kind, ()):
-                if getattr(args, key) == "random":
-                    raise ConfigError(f"job {ident!r}: {key!r} = random needs "
-                                      f"a finite field; over Q give it explicitly")
-        for key in COORDINATE_KEYS:
-            _check_digits(getattr(args, key, None), f"job {ident!r}: {key!r}", p, k)
+        for key, value in vars(args).items():
+            # random samples from a finite field: Q has no uniform
+            # distribution to draw from, so over Q the value must be given
+            if p == 0 and value == "random":
+                raise ConfigError(f"job {ident!r}: {key!r} = random needs "
+                                  f"a finite field; over Q give it explicitly")
+            _check_digits(value, f"job {ident!r}: {key!r}", p, k)
         jobs.append(JobSpec(ident, kind, params))
 
     return ExperimentConfig(p, k, coeffs, q, T, seed, jobs, source=str(path))

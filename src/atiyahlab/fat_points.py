@@ -81,29 +81,6 @@ def expected_dimension(dim_l: int, multiplicities) -> int:
     return max(-1, dim_l - cost)
 
 
-class EvalMatrix:
-    """Jet-condition matrix: one row per monomial t^alpha u^beta (alpha +
-    beta < m, per point), one column per basis section."""
-
-    def __init__(self, surface, level, points, matrix, row_labels):
-        self.surface = surface
-        self.level = level
-        self.points = tuple(points)
-        self.matrix = matrix
-        self.row_labels = tuple(row_labels)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.matrix.rows)
-
-    @property
-    def ncols(self) -> int:
-        return self.matrix.ncols
-
-    def __repr__(self):
-        return f"EvalMatrix({self.nrows} conditions x {self.ncols} sections)"
-
-
 def _check_admissible(surface: AtiyahSurface, fp: FatPoint) -> None:
     if fp.base.curve != surface.curve:
         raise ValueError("fat point lives on a different curve")
@@ -127,7 +104,7 @@ def _point_jet_rows(surface, sections, fp):
             None if comp.is_zero() else comp.expand(fp.base, m)
             for comp in sec.components
         ])
-    rows, labels = [], []
+    rows = []
     for beta in range(m):
         binoms = {}
         for j in range(beta, level + 1):
@@ -144,12 +121,13 @@ def _point_jet_rows(surface, sections, fp):
                         acc = field.add(acc, field.mul(cw, s.coefficient(alpha)))
                 row.append(acc)
             rows.append(row)
-            labels.append((alpha, beta))
-    return rows, labels
+    return rows
 
 
-def jet_matrix(surface: AtiyahSurface, level: int, points) -> EvalMatrix:
-    """Condition matrix of the fat points against the twisted basis at level."""
+def jet_matrix(surface: AtiyahSurface, level: int, points) -> Matrix:
+    """Condition matrix of the fat points against the twisted basis at level:
+    one row per monomial t^alpha u^beta (alpha + beta < m, per point, points
+    in order), one column per basis section."""
     points = list(points)
     bases = set()
     for fp in points:
@@ -158,23 +136,20 @@ def jet_matrix(surface: AtiyahSurface, level: int, points) -> EvalMatrix:
             raise ValueError("fat-point base points must be distinct")
         bases.add(fp.base)
     space = surface.h0(level, twisted=True)
-    rows, labels = [], []
-    for idx, fp in enumerate(points):
-        prow, plab = _point_jet_rows(surface, space.sections, fp)
-        rows.extend(prow)
-        labels.extend((idx, a, b) for a, b in plab)
-    return EvalMatrix(surface, level, points,
-                      Matrix(surface.field, rows, space.dim), labels)
+    rows = []
+    for fp in points:
+        rows.extend(_point_jet_rows(surface, space.sections, fp))
+    return Matrix(surface.field, rows, space.dim)
 
 
 class FatSystem:
     """Kernel of one jet matrix, with the sections it spans."""
 
-    def __init__(self, surface, level, points, eval_matrix, kernel):
+    def __init__(self, surface, level, points, matrix, kernel):
         self.surface = surface
         self.level = level
         self.points = tuple(points)
-        self.eval_matrix = eval_matrix
+        self.matrix = matrix
         self.kernel = tuple(kernel)
 
     @property
@@ -222,9 +197,9 @@ def _combine(sections, vec) -> SectionVector:
 
 
 def fat_system(surface: AtiyahSurface, level: int, points) -> FatSystem:
-    em = jet_matrix(surface, level, points)
-    _, kernel = rank_and_kernel(em.matrix)
-    return FatSystem(surface, level, points, em, kernel)
+    matrix = jet_matrix(surface, level, points)
+    _, kernel = rank_and_kernel(matrix)
+    return FatSystem(surface, level, points, matrix, kernel)
 
 
 def h0_fat(surface: AtiyahSurface, level: int, points) -> int:
@@ -323,25 +298,25 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
             certify_not_p_torsion(cls)
     if cap is None:
         cap = comb(m + 1, 2) + 2
-    dims, em = [], None
+    dims, below = [], None
     for level in range(cap + 1):
         system = fat_system(surface, level, [fp])
         dims.append(system.dim)
         if system.dim == 0:
-            em = system.eval_matrix  # full-rank witness if the next level wins
+            below = system.matrix  # full-rank witness if the next level wins
             continue
         certificate = system.section(0)
         certificate.validate()
         verify_jets(certificate, fp)
         witness = None
-        if em is not None:
-            r = rank_naive(em.matrix)
-            if r != em.ncols:
+        if below is not None:
+            r = rank_naive(below)
+            if r != below.ncols:
                 raise VerificationError(
                     f"level {level - 1} matrix is rank-deficient ({r} < "
-                    f"{em.ncols}); the claimed minimality is wrong")
-            witness = {"level": level - 1, "rows": em.nrows,
-                       "cols": em.ncols, "rank": r,
+                    f"{below.ncols}); the claimed minimality is wrong")
+            witness = {"level": level - 1, "rows": below.nrows,
+                       "cols": below.ncols, "rank": r,
                        "rank_method": "independent-elimination"}
         bounds = _lambda_bounds(surface, m, level)
         return LambdaRecord(m, fp, cls, "found", level, cap, dims,
@@ -597,18 +572,3 @@ def sample_fat_point(surface: AtiyahSurface, rng, m: int = 1,
         except CertificationError:
             continue
     raise CertificationError("no certifiable fat point found; field too small")
-
-
-def translate_marked_fiber(surface: AtiyahSurface, fp: FatPoint,
-                           shift: CurvePoint):
-    """Move the marked fiber and the fat point by the same curve translation,
-    preserving the class: returns (surface', fat point').  Raises ValueError
-    when the translated data collides with a chart point."""
-    q2 = surface.q + shift
-    base2 = fp.base + shift
-    if q2.is_infinity or q2 == surface.T:
-        raise ValueError("translated marked fiber hits a chart point")
-    if base2.is_infinity or base2 == surface.T or base2 == q2:
-        raise ValueError("translated base point is inadmissible")
-    s2 = AtiyahSurface(surface.cocycle, q2)
-    return s2, FatPoint(base2, fp.w0, fp.multiplicity)

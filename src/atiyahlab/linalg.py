@@ -1,15 +1,21 @@
 """Exact rank/kernel computations.
 
-Production path: one Gaussian elimination for every field, on raw field
-values held in sparse rows {col: value}, so the work stays on the non-zeros.
-Over the rationals a raw value is an ``int`` when integral and a ``Fraction``
-otherwise, so integer matrices stay on ints until a pivot is not a unit.
-Pivoting is deterministic (first nonzero in column order), kernel bases are
-canonical: one vector per free column, 1 there and 0 on the other free
-columns, made a primitive vector of ints with positive leading entry over Q.
-Both the pivot columns and these vectors are properties of the matrix, not of
-the elimination, so :func:`canonical_basis` reads the same basis off any
-spanning set of a kernel found another way.
+Production path: one reduced Gaussian elimination, :func:`_reduce`, for every
+field, on raw field values held in sparse rows {col: value}, so the work stays
+on the non-zeros.  Over the rationals a raw value is an ``int`` when integral
+and a ``Fraction`` otherwise, so integer matrices stay on ints until a pivot
+is not a unit.  It takes pivot columns in a given order, the first row with a
+nonzero there as pivot, and clears each pivot column from every other row, so
+it ends in the reduced echelon form of the row space for that column order,
+which is unique.  :func:`rank` counts its pivots, :func:`rank_and_kernel`
+takes the columns left to right and reads one kernel vector per free column
+off the reduced rows (1 there, 0 on the other free columns), made a
+primitive vector of ints with positive leading entry over Q, and
+:func:`canonical_basis` takes them right to left over a spanning set of a
+kernel found another way, which gives the same vectors.
+
+:func:`back_substitute` solves rows that are already triangular on given
+columns; it checks that shape from the entries and eliminates nothing.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
@@ -39,69 +45,46 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged matrix")
 
-    @classmethod
-    def from_elems(cls, field, rows):
-        return cls(field, [[field.parse(e) for e in r] for r in rows])
-
-    def mul_vector(self, vec):
-        field = self.field
-        out = []
-        for r in self.rows:
-            acc = field.zero
-            for a, v in zip(r, vec):
-                acc = field.add(acc, field.mul(a, v))
-            out.append(acc)
-        return out
-
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _echelon(mat: Matrix):
-    """(pivot_cols, echelon_rows) by Gaussian elimination on sparse rows.
+def _reduce(field, rows, cols):
+    """The reduced echelon form of the rows, each given by its (col, value)
+    pairs, as {pivot column: sparse row {col: value}}.
 
-    Every row is a dict {col: value} of its nonzero entries.  The pivot for
-    a column is the first pool row with a nonzero there; it is scaled to
-    pivot 1 and subtracted from the other pool rows on its own non-zeros, and
-    entries that cancel are deleted.  Echelon row i holds pivot i, as 1, and
-    the entries right of it.
+    Every row is held as a dict of its nonzero entries.  Pivot columns are
+    taken in the order of ``cols``: the pivot for a column is the first
+    remaining row with a nonzero there, scaled to pivot 1 and subtracted, on
+    its own non-zeros, from the remaining rows and the earlier pivot rows
+    alike; entries that cancel are deleted, and so are rows that become
+    zero.  Each pivot row is then 1 at its pivot, 0 on the other pivot
+    columns, and 0 on every column before its pivot in ``cols``.
     """
-    field = mat.field
     fz, fmul, fsub, zero = field.is_zero, field.mul, field.sub, field.zero
-    pool = []
-    for r in mat.rows:
-        row = {c: a for c, a in enumerate(r) if not fz(a)}
-        if row:
-            pool.append(row)
-    pivots = []
-    ech = []
-    col = 0
-    while col < mat.ncols and pool:
-        pr = next((i for i, r in enumerate(pool) if col in r), None)
-        if pr is None:
-            col += 1
+    pool = [r for r in ({c: a for c, a in row if not fz(a)} for row in rows)
+            if r]
+    done = {}
+    for col in cols:
+        i = next((i for i, r in enumerate(pool) if col in r), None)
+        if i is None:
             continue
-        prow = pool.pop(pr)
-        pinv = field.inv(prow.pop(col))
-        prow = {c: fmul(pinv, a) for c, a in prow.items()}
-        nxt = []
-        for r in pool:
+        piv = pool.pop(i)
+        inv = field.inv(piv.pop(col))
+        piv = {c: fmul(inv, a) for c, a in piv.items()}
+        for r in pool + list(done.values()):
             a = r.pop(col, None)
             if a is not None:
-                for c, b in prow.items():
+                for c, b in piv.items():
                     v = fsub(r.get(c, zero), fmul(a, b))
                     if fz(v):
                         r.pop(c, None)
                     else:
                         r[c] = v
-            if r:
-                nxt.append(r)
-        prow[col] = field.one
-        pivots.append(col)
-        ech.append(prow)
-        pool = nxt
-        col += 1
-    return pivots, ech
+        pool = [r for r in pool if r]
+        piv[col] = field.one
+        done[col] = piv
+    return done
 
 
 def dot(field, row, vec):
@@ -170,50 +153,40 @@ def canonical_basis(field, vectors, ncols):
     vector that reduces to zero is dropped: dependent input gives fewer
     vectors back.
     """
-    fz, fmul, fsub, zero = field.is_zero, field.mul, field.sub, field.zero
-    pending = [{c: a for c, a in v.items() if not fz(a)} for v in vectors]
-    done = {}
-    for col in range(ncols - 1, -1, -1):
-        i = next((i for i, v in enumerate(pending) if col in v), None)
-        if i is None:
-            continue
-        piv = pending.pop(i)
-        inv = field.inv(piv.pop(col))
-        piv = {c: fmul(inv, a) for c, a in piv.items()}
-        for v in pending + list(done.values()):
-            a = v.pop(col, None)
-            if a is not None:
-                for c, b in piv.items():
-                    x = fsub(v.get(c, zero), fmul(a, b))
-                    if fz(x):
-                        v.pop(c, None)
-                    else:
-                        v[c] = x
-        piv[col] = field.one
-        done[col] = piv
-    return [_primitive_int_vector(field, [done[f].get(c, zero) for c in range(ncols)])
+    done = _reduce(field, (v.items() for v in vectors), range(ncols - 1, -1, -1))
+    return [_primitive_int_vector(field, [done[f].get(c, field.zero)
+                                          for c in range(ncols)])
             for f in sorted(done)]
 
 
 def rank_and_kernel(mat: Matrix):
-    """(rank, kernel basis as raw column vectors), deterministic and exact."""
-    pivots, ech = _echelon(mat)
-    field, zero = mat.field, mat.field.zero
-    steps = [(col, i) for i, col in enumerate(pivots)][::-1]
-    return len(pivots), [
-        _primitive_int_vector(field, [v.get(c, zero) for c in range(mat.ncols)])
-        for v in back_substitute(field, ech, mat.ncols, steps)]
+    """(rank, kernel basis as raw column vectors), deterministic and exact:
+    for each free column f of the reduced rows, the vector with 1 at f, 0 on
+    the other free columns and -row[f] at the pivot of each row."""
+    field, n = mat.field, mat.ncols
+    done = _reduce(field, map(enumerate, mat.rows), range(n))
+    basis = []
+    for f in range(n):
+        if f in done:
+            continue
+        vec = [field.zero] * n
+        vec[f] = field.one
+        for col, row in done.items():
+            if f in row:
+                vec[col] = field.neg(row[f])
+        basis.append(_primitive_int_vector(field, vec))
+    return len(done), basis
 
 
 def rank(mat: Matrix) -> int:
-    return len(_echelon(mat)[0])
+    return len(_reduce(mat.field, map(enumerate, mat.rows), range(mat.ncols)))
 
 
 def rank_naive(mat: Matrix) -> int:
     """Independent oracle: textbook Gauss-Jordan elimination.
 
-    It differs from :func:`rank_and_kernel` in method: dense lists, row swaps
-    and elimination above as well as below each pivot.
+    It differs from :func:`_reduce` in method: dense lists holding every
+    entry, zeros included, and a row swap to bring each pivot row up.
     """
     field = mat.field
     work = [list(r) for r in mat.rows]
@@ -240,12 +213,3 @@ def rank_naive(mat: Matrix) -> int:
         if r == nr:
             break
     return r
-
-
-def kernel_check(mat: Matrix, vectors) -> bool:
-    """True iff every vector multiplies to zero against the matrix."""
-    field = mat.field
-    for v in vectors:
-        if any(not field.is_zero(e) for e in mat.mul_vector(v)):
-            return False
-    return True

@@ -77,12 +77,6 @@ class CechCocycle:
         self.pole_inf = pole_inf
         self.pole_T = pole_T
         self.certificate = certificate
-        self._g_powers = [FuncElem.one(self.curve), g]
-
-    def g_power(self, m: int) -> FuncElem:
-        while len(self._g_powers) <= m:
-            self._g_powers.append(self._g_powers[-1] * self.g)
-        return self._g_powers[m]
 
     def __repr__(self):
         return f"CechCocycle(order={self.order}, g={self.g.to_text()})"
@@ -151,42 +145,6 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
         f"no nontrivial gluing found up to order {MAX_COCYCLE_ORDER}")
 
 
-def is_coboundary_jet(cocycle, fn) -> bool:
-    """True iff fn (poles only in {inf, T}, order <= cocycle.order) splits as
-    f0 - f1 with f0 in L(k inf), f1 in L(k T).  The zero function trivially
-    does (f0 = f1 = 0)."""
-    curve, T, k = cocycle.curve, cocycle.T, cocycle.order
-    if fn.is_zero():
-        return True
-    rows, base = _coboundary_jets(curve, T, k)
-    v = _jet_vector(fn, curve.infinity, -k, k + 1)
-    return rank(Matrix(curve.field, rows + [v], 2 * k + 1)) == base
-
-
-def sym_transition(cocycle: CechCocycle, level: int):
-    """(level+1) x (level+1) chart-change matrix: entry[j][a] = C(a,j) g^(a-j).
-
-    Upper triangular with unit diagonal (so determinant 1); row j gives
-    t_j = sum_a entry[j][a] s_a.
-    """
-    curve = cocycle.curve
-    field = curve.field
-    rows = []
-    for j in range(level + 1):
-        row = []
-        for a in range(level + 1):
-            if a < j:
-                row.append(FuncElem.zero(curve))
-                continue
-            c = field.from_int(comb(a, j))
-            if field.is_zero(c):
-                row.append(FuncElem.zero(curve))
-            else:
-                row.append(cocycle.g_power(a - j) * FieldElem(field, c))
-        rows.append(row)
-    return rows
-
-
 def _leading_term_kernel(field, rows, ncols, steps, obstruction):
     """A basis of the kernel of the sparse rows {col: value}, as sparse
     vectors: back_substitute on the leading terms in ``steps`` gives one
@@ -230,16 +188,18 @@ class SectionVector:
         Exact gcd-reduced FuncElem sums; validate does not build them, and
         the tests keep them as its oracle.
         """
-        cocycle = self.surface.cocycle
-        field = self.surface.field
+        curve, field = self.surface.curve, self.surface.field
+        g_powers = [FuncElem.one(curve)]
+        for _ in range(self.level):
+            g_powers.append(g_powers[-1] * self.surface.cocycle.g)
         out = []
         for j in range(self.level + 1):
-            t = FuncElem.zero(self.surface.curve)
+            t = FuncElem.zero(curve)
             for a in range(j, self.level + 1):
                 c = field.from_int(comb(a, j))
                 if field.is_zero(c) or self.components[a].is_zero():
                     continue
-                t = t + cocycle.g_power(a - j) * self.components[a] * FieldElem(field, c)
+                t = t + g_powers[a - j] * self.components[a] * FieldElem(field, c)
             out.append(t)
         return out
 

@@ -6,7 +6,6 @@ from atiyahlab.cli import main
 from atiyahlab.config import (
     FINITE_FIELD_NEEDED,
     JOB_SCHEMA,
-    RANDOM_NEEDS_FINITE_FIELD,
     REQUIRED,
     ConfigError,
     load_config,
@@ -250,7 +249,8 @@ def test_malformed_job_value_rejected_at_load(tmp_path, capsys, kind, key):
               if default is REQUIRED}
     if p == 0:
         values.update((k, EXPLICIT_OVER_QQ[k])
-                      for k in RANDOM_NEEDS_FINITE_FIELD.get(kind, ()))
+                      for k, (_, default) in JOB_SCHEMA[kind].items()
+                      if default == "random")
     good = "".join(f"{k} = {v}\n" for k, v in values.items())
     assert load_config(write(tmp_path, with_job(p, kind, good))).jobs[-1].kind == kind
     values[key] = MALFORMED_FOR.get((kind, key), MALFORMED[key])

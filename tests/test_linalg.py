@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from atiyahlab.errors import VerificationError
 from atiyahlab.fields import QQ, make_extension_field
-from atiyahlab.linalg import (Matrix, back_substitute, kernel_check, rank,
+from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis, rank,
                               rank_and_kernel, rank_naive)
+from oracles import from_elems, kernel_check, mul_vector
 
 FIELDS = {"QQ": lambda: QQ,
           "F7": lambda: make_extension_field(7),
@@ -29,19 +30,19 @@ def random_matrix(field, rng, nrows, ncols):
 
 
 def test_hand_checked_ranks():
-    m = Matrix.from_elems(QQ, [[1, 2], [2, 4]])
+    m = from_elems(QQ, [[1, 2], [2, 4]])
     assert rank(m) == 1
-    m = Matrix.from_elems(QQ, [[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+    m = from_elems(QQ, [[1, 0, 1], [0, 1, 1], [1, 1, 2]])
     assert rank(m) == 2
-    m = Matrix.from_elems(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    m = from_elems(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert rank(m) == 3
 
 
 def test_rank_respects_characteristic():
     # determinant 5: invertible over Q, singular over F_5
     rows = [[1, 2], [3, 11]]
-    assert rank(Matrix.from_elems(QQ, rows)) == 2
-    assert rank(Matrix.from_elems(make_extension_field(5), rows)) == 1
+    assert rank(from_elems(QQ, rows)) == 2
+    assert rank(from_elems(make_extension_field(5), rows)) == 1
 
 
 def product(a, b):
@@ -94,7 +95,7 @@ def test_kernel_vectors_are_independent():
 
 def test_kernel_exactness_rationals():
     # 1x3 matrix [1 1 1]: kernel is 2-dimensional, exact over Q
-    m = Matrix.from_elems(QQ, [[1, 1, 1]])
+    m = from_elems(QQ, [[1, 1, 1]])
     r, ker = rank_and_kernel(m)
     assert r == 1 and len(ker) == 2
     assert kernel_check(m, ker)
@@ -104,7 +105,7 @@ def test_kernel_exactness_rationals():
 
 def test_rational_kernel_is_primitive_integer_form():
     # the rational backend normalizes kernel vectors to integer content-1 form
-    m = Matrix.from_elems(QQ, [["1/2", "1/3"]])
+    m = from_elems(QQ, [["1/2", "1/3"]])
     _, ker = rank_and_kernel(m)
     assert len(ker) == 1
     v = ker[0]
@@ -132,13 +133,13 @@ def test_ragged_rows_rejected():
 
 def test_mul_vector():
     F = make_extension_field(7)
-    m = Matrix.from_elems(F, [[1, 2], [3, 4]])
-    out = m.mul_vector([F.from_int(1), F.from_int(1)])
+    m = from_elems(F, [[1, 2], [3, 4]])
+    out = mul_vector(m, [F.from_int(1), F.from_int(1)])
     assert [F.to_packed(v) for v in out] == [3, 0]
 
 
 def test_kernel_check_rejects_nonkernel_vector():
-    m = Matrix.from_elems(QQ, [[1, 1]])
+    m = from_elems(QQ, [[1, 1]])
     assert not kernel_check(m, [[Fraction(1), Fraction(0)]])
     assert kernel_check(m, [[Fraction(1), Fraction(-1)]])
 
@@ -235,6 +236,43 @@ def test_canonical_kernel_basis_is_fixed_by_the_matrix(field_key, seed, nrows,
             assert v[f] != 0
         else:
             assert v[f] == field.one
+
+
+def random_elem(field, rng, nonzero=False):
+    if field is QQ:
+        num = rng.choice([-3, -2, -1, 1, 2, 3] if nonzero else range(-3, 4))
+        return Fraction(num, rng.randrange(1, 4))
+    return field.from_packed(rng.randrange(1 if nonzero else 0, field.q))
+
+
+@pytest.mark.parametrize("field_key", ["QQ", "F4", "F9", "F1000003", "F3^13"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), nrows=st.integers(0, 7),
+       ncols=st.integers(0, 8), extra=st.integers(0, 4))
+def test_canonical_basis_of_any_spanning_set_is_the_kernel_basis(
+        field_key, seed, nrows, ncols, extra):
+    # mix the kernel basis by an invertible L U (L unit lower triangular, U
+    # upper triangular with a nonzero diagonal), add combinations of it and
+    # zero vectors, and shuffle: the span is the kernel, so canonical_basis
+    # must give back rank_and_kernel's basis
+    field = FIELDS[field_key]()
+    rng = random.Random(seed)
+    _, ker = rank_and_kernel(cancelling_matrix(field, rng, nrows, ncols))
+    k = len(ker)
+    lower = [[field.one if i == j else random_elem(field, rng) if j < i
+              else field.zero for j in range(k)] for i in range(k)]
+    upper = [[random_elem(field, rng, nonzero=True) if i == j
+              else random_elem(field, rng) if j > i else field.zero
+              for j in range(k)] for i in range(k)]
+    combos = [[random_elem(field, rng) for _ in range(k)] for _ in range(extra)]
+    basis = Matrix(field, ker, ncols)
+    mixed = product(Matrix(field, lower, k), Matrix(field, upper, k))
+    spanning = (product(mixed, basis).rows
+                + product(Matrix(field, combos, k), basis).rows
+                + [[field.zero] * ncols for _ in range(extra % 3)])
+    rng.shuffle(spanning)
+    assert canonical_basis(field, [dict(enumerate(v)) for v in spanning],
+                           ncols) == ker
 
 
 def test_back_substitution_checks_the_triangle_from_the_entries():
