@@ -81,21 +81,27 @@ class WeierstrassCurve:
             return P
         return CurvePoint(self, P.x, -P.y - self.a1 * P.x - self.a3)
 
+    def line(self, P: "CurvePoint", Q: "CurvePoint"):
+        """(lambda, nu) of the chord y = lambda x + nu through affine P and Q,
+        the tangent if P = Q; None when that line is vertical."""
+        if P.x == Q.x:
+            den = 2 * P.y + self.a1 * P.x + self.a3
+            if P.y != Q.y or not den:
+                return None
+            lam = (3 * P.x * P.x + 2 * self.a2 * P.x + self.a4 - self.a1 * P.y) / den
+        else:
+            lam = (Q.y - P.y) / (Q.x - P.x)
+        return lam, P.y - lam * P.x
+
     def add(self, P: "CurvePoint", Q: "CurvePoint") -> "CurvePoint":
         if P.is_infinity:
             return Q
         if Q.is_infinity:
             return P
-        if P.x == Q.x:
-            if P.y != Q.y:
-                return self.infinity
-            den = 2 * P.y + self.a1 * P.x + self.a3
-            if not den:
-                return self.infinity  # 2-torsion
-            lam = (3 * P.x * P.x + 2 * self.a2 * P.x + self.a4 - self.a1 * P.y) / den
-        else:
-            lam = (Q.y - P.y) / (Q.x - P.x)
-        nu = P.y - lam * P.x
+        line = self.line(P, Q)
+        if line is None:
+            return self.infinity
+        lam, nu = line
         x3 = lam * lam + self.a1 * lam - self.a2 - P.x - Q.x
         y3 = -(lam + self.a1) * x3 - nu - self.a3
         return CurvePoint(self, x3, y3)
@@ -133,33 +139,29 @@ class WeierstrassCurve:
                 return P
         raise CertificationError("field too small: no admissible point found")
 
-    def first_point(self, avoid=()):
-        """First affine point in canonical coordinate order, off ``avoid``."""
+    def _affine_points(self):
+        """Affine points in canonical coordinate order (finite fields)."""
         f = self.field
         if f is QQ:
             raise ValueError("enumeration requires a finite field")
+        xs = (FieldElem(f, f.from_packed(v)) for v in range(f.q))
+        return (CurvePoint(self, x, y) for x in xs for y in self.y_coordinates(x))
+
+    def first_point(self, avoid=()):
+        """First affine point in canonical coordinate order, off ``avoid``."""
         avoid = set(avoid)
-        for xv in range(f.q):
-            x = FieldElem(f, f.from_packed(xv))
-            for y in self.y_coordinates(x):
-                P = CurvePoint(self, x, y)
-                if P not in avoid:
-                    return P
+        for P in self._affine_points():
+            if P not in avoid:
+                return P
         raise CertificationError("field too small: no admissible point found")
 
     def points(self) -> list:
         """All rational points, infinity first (finite fields, q <= 10^6)."""
-        f = self.field
-        if f is QQ:
-            raise ValueError("enumeration requires a finite field")
-        if f.q > _ENUMERATION_CAP:
-            raise ValueError(f"field size {f.q} above enumeration cap {_ENUMERATION_CAP}")
-        out = [self.infinity]
-        for xv in range(f.q):
-            x = FieldElem(f, f.from_packed(xv))
-            for y in self.y_coordinates(x):
-                out.append(CurvePoint(self, x, y))
-        return out
+        affine = self._affine_points()
+        if self.field.q > _ENUMERATION_CAP:
+            raise ValueError(f"field size {self.field.q} above enumeration cap "
+                             f"{_ENUMERATION_CAP}")
+        return [self.infinity, *affine]
 
     def group_structure_small(self) -> "GroupStructure":
         """Order, cyclicity and a maximal-order witness by full enumeration."""
@@ -347,6 +349,15 @@ def certify_not_p_torsion(P: CurvePoint) -> None:
         raise ValueError("characteristic-p certificate requested over the rationals")
     if P.is_infinity or P.curve.mul(p, P).is_infinity:
         raise CertificationError(f"class point is {p}-torsion")
+
+
+def certify_class_point(P: CurvePoint) -> None:
+    """Raise unless the class point certifies: non-torsion over Q, not
+    p-torsion in characteristic p."""
+    if P.curve.field.characteristic == 0:
+        certify_non_torsion(P)
+    else:
+        certify_not_p_torsion(P)
 
 
 def reduce_curve_mod_p(curve: WeierstrassCurve, p: int, k: int = 1) -> WeierstrassCurve:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .curve import (CurvePoint, certify_non_torsion, certify_not_p_torsion)
+from .curve import CurvePoint, certify_class_point, certify_not_p_torsion
 from .errors import CertificationError, VerificationError
 from .fields import FieldElem
 from .linalg import Matrix, rank_and_kernel, rank_naive
@@ -292,10 +292,7 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
     _check_admissible(surface, fp)
     cls = fp.class_point(surface)
     if certify:
-        if surface.field.characteristic == 0:
-            certify_non_torsion(cls)
-        else:
-            certify_not_p_torsion(cls)
+        certify_class_point(cls)
     if cap is None:
         cap = comb(m + 1, 2) + 2
     dims, below = [], None
@@ -564,10 +561,7 @@ def sample_fat_point(surface: AtiyahSurface, rng, m: int = 1,
         if not certified:
             return fp
         try:
-            if surface.field.characteristic == 0:
-                certify_non_torsion(fp.class_point(surface))
-            else:
-                certify_not_p_torsion(fp.class_point(surface))
+            certify_class_point(fp.class_point(surface))
             return fp
         except CertificationError:
             continue

@@ -7,14 +7,18 @@ relation y^2 = S(x) + T(x) y with S = x^3 + a2 x^2 + a4 x + a6 and
 T = -(a1 x + a3); inverses go through the conjugate (a + bT) - b y and the
 norm a^2 + a b T - b^2 S.
 
-Local parameters are fixed once and for all:
+Local parameters are fixed once and for all, each chart knowing one
+coordinate as a series in t and solving for the other:
 
-* affine P with 2 y_P + a1 x_P + a3 != 0:  t = x - x_P,
-* affine P on the ramification locus:      t = y - y_P,
-* the point at infinity:                   t = x / y.
+* affine P with 2 y_P + a1 x_P + a3 != 0:  t = x - x_P, x known, solve y,
+* affine P on the ramification locus:      t = y - y_P, y known, solve x,
+* the point at infinity:                   t = x / y, t known, solve w = 1/y.
 
-Expansions are computed by Newton iteration on the curve equation and cached
-per (curve, point), the horizon at least doubling whenever it falls short.
+Each chart writes the curve equation as a polynomial in its unknown with
+series coefficients and hands it to one Newton step, whose residual and
+derivative go through the Horner loop of ``series.eval_poly``.  Expansions
+are cached per (curve, point), the horizon at least doubling whenever it
+falls short.
 """
 
 from __future__ import annotations
@@ -316,76 +320,52 @@ def point_expansion(curve: WeierstrassCurve, P: CurvePoint, prec: int):
             ys.truncate(prec) if ys.hi > prec else ys)
 
 
+def _newton(field, coeffs, u, P):
+    """The root of sum c_i u^i near the start value u, to u's horizon.
+
+    Each c_i is a raw field value or a series, the leading one raw; the
+    residual and the derivative sum i c_i u^(i-1) both go through Horner.
+    """
+    deriv = [c.scale(field.from_int(i)) if isinstance(c, LaurentSeries)
+             else field.mul(field.from_int(i), c)
+             for i, c in enumerate(coeffs[1:], 1)]
+    for _ in range(u.hi.bit_length() + 3):
+        r = eval_poly(field, coeffs, u)
+        if r.is_zero_to_precision():
+            return u
+        u = u - r * eval_poly(field, deriv, u).inverse()
+    raise SeriesPrecisionError(f"Newton failed to converge at {P}")
+
+
 def _expand_uncached(curve, P, H):
     f = curve.field
-    S, T = _curve_st(curve)
+    a1, a2, a3, a4, a6 = (c.raw for c in
+                          (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    neg, one = f.neg, f.one
     if P.is_infinity:
-        return _expand_at_infinity(curve, H)
-    tangent_den = f.add(
-        f.add(f.mul(f.from_int(2), P.y.raw), f.mul(curve.a1.raw, P.x.raw)),
-        curve.a3.raw,
-    )
-    if not f.is_zero(tangent_den):
-        # t = x - x_P, solve y(t) by Newton on C(x, y) = y^2 - T y - S
-        xs = LaurentSeries(f, 0, [P.x.raw, f.one] + [f.zero] * (H - 2), H)
-        Ts = eval_poly(f, T, xs)
-        Ss = eval_poly(f, S, xs)
-        y = LaurentSeries.constant(f, P.y.raw, H)
-        for _ in range(H.bit_length() + 3):
-            c = y * y - Ts * y - Ss
-            if c.is_zero_to_precision():
-                break
-            cy = y + y - Ts
-            y = y - c * cy.inverse()
-        else:
-            raise SeriesPrecisionError(f"Newton failed to converge at {P}")
-        return xs, y
-    # ramified: t = y - y_P, solve x(t); smoothness gives C_x(P) != 0
-    ys = LaurentSeries(f, 0, [P.y.raw, f.one] + [f.zero] * (H - 2), H)
-    Sx = poly.trim(f, [curve.a4.raw, f.mul(f.from_int(2), curve.a2.raw),
-                       f.from_int(3)])
-    x = LaurentSeries.constant(f, P.x.raw, H)
-    for _ in range(H.bit_length() + 3):
-        Txs = eval_poly(f, T, x)
-        Sxs = eval_poly(f, S, x)
-        c = ys * ys - Txs * ys - Sxs
-        if c.is_zero_to_precision():
-            break
-        # dC/dx = -T'(x) y - S'(x) with T' = -a1
-        cx = ys.scale(curve.a1.raw) - eval_poly(f, Sx, x)
-        x = x - c * cx.inverse()
-    else:
-        raise SeriesPrecisionError(f"Newton failed to converge at {P}")
-    return x, ys
-
-
-def _expand_at_infinity(curve, H):
-    """t = x/y; w = 1/y satisfies w = t^3 + a2 t^2 w + a4 t w^2 + a6 w^3 - a1 t w - a3 w^2."""
-    f = curve.field
-    Hw = H + 6
-    t = LaurentSeries.t_power(f, 1, Hw)
-    a1, a2, a3, a4, a6 = (curve.a1.raw, curve.a2.raw, curve.a3.raw,
-                          curve.a4.raw, curve.a6.raw)
-    w = LaurentSeries.t_power(f, 3, Hw)
-    one = LaurentSeries.one(f, Hw)
-    t2, t3 = t * t, t * t * t
-    for _ in range(Hw.bit_length() + 3):
-        rhs = t3 + (t2.scale(a2) - t.scale(a1)) * w \
-            + (t.scale(a4) - one.scale(a3)) * (w * w) + (w * w * w).scale(a6)
-        c = w - rhs
-        if c.is_zero_to_precision():
-            break
-        # F'(w) = 1 - a2 t^2 - 2 a4 t w - 3 a6 w^2 + a1 t + 2 a3 w
-        fp = one - t2.scale(a2) + t.scale(a1) \
-            - (t * w).scale(f.mul(f.from_int(2), a4)) \
-            + w.scale(f.mul(f.from_int(2), a3)) \
-            - (w * w).scale(f.mul(f.from_int(3), a6))
-        w = w - c * fp.inverse()
-    else:
-        raise SeriesPrecisionError("Newton failed to converge at infinity")
-    ys = w.inverse()
-    xs = t * ys
-    return xs.truncate(H), ys.truncate(H)
+        # t = x/y, w = 1/y: a6 w^3 + (a4 t - a3) w^2 + (a2 t^2 - a1 t - 1) w + t^3
+        Hw = H + 6
+        t = LaurentSeries.t_power(f, 1, Hw)
+        t3 = LaurentSeries.t_power(f, 3, Hw)
+        w = _newton(f, [t3, eval_poly(f, [neg(one), neg(a1), a2], t),
+                        eval_poly(f, [neg(a3), a4], t), a6], t3, P)
+        ys = w.inverse()
+        return (t * ys).truncate(H), ys.truncate(H)
+    x0, y0 = P.x.raw, P.y.raw
+    if not f.is_zero(f.add(f.add(f.add(y0, y0), f.mul(a1, x0)), a3)):
+        # t = x - x_P: y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6)
+        xs = LaurentSeries(f, 0, [x0, one] + [f.zero] * (H - 2), H)
+        ys = _newton(f, [eval_poly(f, [neg(a6), neg(a4), neg(a2), neg(one)], xs),
+                         eval_poly(f, [a3, a1], xs), one],
+                     LaurentSeries.constant(f, y0, H), P)
+        return xs, ys
+    # ramified, t = y - y_P: x^3 + a2 x^2 + (a4 - a1 y) x + a6 - a3 y - y^2,
+    # a simple root by smoothness
+    ys = LaurentSeries(f, 0, [y0, one] + [f.zero] * (H - 2), H)
+    xs = _newton(f, [eval_poly(f, [a6, neg(a3), neg(one)], ys),
+                     eval_poly(f, [a4, neg(a1)], ys), a2, one],
+                 LaurentSeries.constant(f, x0, H), P)
+    return xs, ys
 
 
 def pair_function(P: CurvePoint, Q: CurvePoint) -> FuncElem:
@@ -394,16 +374,11 @@ def pair_function(P: CurvePoint, Q: CurvePoint) -> FuncElem:
     f = curve.field
     if P.is_infinity or Q.is_infinity:
         return FuncElem.one(curve)
-    R = P + Q
-    if R.is_infinity:
+    line = curve.line(P, Q)
+    if line is None:
         # vertical line x - x_P
         return FuncElem(curve, [f.neg(P.x.raw), f.one], [], [f.one], reduce=False)
-    if P.x == Q.x and P.y == Q.y:
-        den = 2 * P.y + curve.a1 * P.x + curve.a3
-        lam = (3 * P.x * P.x + 2 * curve.a2 * P.x + curve.a4 - curve.a1 * P.y) / den
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    nu = P.y - lam * P.x
+    lam, nu = line
     # (y - lam x - nu) / (x - x_R)
     a = poly.trim(f, [f.neg(nu.raw), f.neg(lam.raw)])
-    return FuncElem(curve, a, [f.one], [f.neg(R.x.raw), f.one])
+    return FuncElem(curve, a, [f.one], [f.neg((P + Q).x.raw), f.one])

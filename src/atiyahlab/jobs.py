@@ -151,28 +151,26 @@ def _run_mu(ctx, args, rng):
     return {"mu": values}, {"records": certs}, "INFO"
 
 
-def _run_verify_multiple_section(ctx, args, rng):
-    p = ctx.field.characteristic
+def _check_dimensions(ctx, levels, twisted, expected):
+    """h0 at each level against expected(level): PASS only if all match."""
     dims, certs, ok = {}, {}, True
-    for n in args.n:
-        space = ctx.surface.h0(n, twisted=False)
-        expect = 1 if p == 0 else n // p + 1
-        dims[str(n)] = {"dim": space.dim, "expected": expect}
-        certs[str(n)] = space.serialize()
-        ok = ok and space.dim == expect
+    for level in levels:
+        space = ctx.surface.h0(level, twisted=twisted)
+        dims[str(level)] = {"dim": space.dim, "expected": expected(level)}
+        certs[str(level)] = space.serialize()
+        ok = ok and space.dim == expected(level)
     return ({"dims": dims, "all_match": ok}, {"spaces": certs},
             "PASS" if ok else "FAIL")
+
+
+def _run_verify_multiple_section(ctx, args, rng):
+    p = ctx.field.characteristic
+    return _check_dimensions(ctx, args.n, False,
+                             lambda n: 1 if p == 0 else n // p + 1)
 
 
 def _run_verify_twist_dimension(ctx, args, rng):
-    dims, certs, ok = {}, {}, True
-    for level in args.levels:
-        space = ctx.surface.h0(level, twisted=True)
-        dims[str(level)] = {"dim": space.dim, "expected": level + 1}
-        certs[str(level)] = space.serialize()
-        ok = ok and space.dim == level + 1
-    return ({"dims": dims, "all_match": ok}, {"spaces": certs},
-            "PASS" if ok else "FAIL")
+    return _check_dimensions(ctx, args.levels, True, lambda level: level + 1)
 
 
 def _run_verify_step(ctx, args, rng):

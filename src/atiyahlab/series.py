@@ -130,6 +130,8 @@ class LaurentSeries:
         field = self.field
         if field.is_zero(c):
             return LaurentSeries.zero(field, self.hi)
+        if c == field.one:
+            return self
         return LaurentSeries(
             field, self.start, [field.mul(c, a) for a in self.coeffs], self.hi
         )
@@ -205,18 +207,23 @@ class LaurentSeries:
 
 
 def eval_poly(field, coeffs, s: LaurentSeries) -> LaurentSeries:
-    """Evaluate a dense polynomial (raw coefficient list) at a series.
+    """Evaluate sum c_i s^i by Horner; each c_i is a raw field value or a series.
 
-    Horner.  Polynomial coefficients are exact, so they enter with a horizon
-    safely above anything the multiplications can propagate; the series class
-    then computes the sharp sound window on its own.
+    Raw coefficients are exact, so they enter with a horizon safely above
+    anything the multiplications can propagate; the series class then
+    computes the sharp sound window on its own.  The leading coefficient is
+    raw and is applied with ``scale``, which saves a series product.
     """
     cs = list(coeffs)
     if not cs:
         return LaurentSeries.zero(field, s.hi)
     v = s._val_eff()
     big = s.hi + (len(cs) + 2) * (abs(v) + 1) + abs(s.hi) + 4
-    acc = LaurentSeries.constant(field, cs[-1], big)
-    for c in reversed(cs[:-1]):
-        acc = acc * s + LaurentSeries.constant(field, c, big)
+    if len(cs) == 1:
+        return LaurentSeries.constant(field, cs[0], big)
+    lifted = (c if isinstance(c, LaurentSeries) else LaurentSeries.constant(field, c, big)
+              for c in reversed(cs[:-1]))
+    acc = s.scale(cs[-1]) + next(lifted)
+    for c in lifted:
+        acc = acc * s + c
     return acc

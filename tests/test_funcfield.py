@@ -93,6 +93,41 @@ def test_point_expansion_char2_full_model():
         assert diff.is_zero_to_precision()
 
 
+# long-form models with a1, a2 and a3 all nonzero; over F_16 the text "2"
+# and "3" name the packed elements z and z + 1
+_LONG_FORM_MODELS = {
+    "QQ": (QQ, (1, -1, 1, -2, 0)),          # y^2 + xy + y = x^3 - x^2 - 2x
+    "F25": (make_extension_field(5, 2), (1, 2, 3, 4, 1)),
+    "F9": (make_extension_field(3, 2), (1, 1, 1, 1, 1)),
+    "F16": (make_extension_field(2, 4), ("1", "2", "1", "3", "1")),
+}
+
+
+@pytest.mark.parametrize("name", list(_LONG_FORM_MODELS))
+def test_point_expansion_satisfies_long_form_equation(name):
+    # y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 through the shared
+    # window, at every affine point (ramified ones included) and at infinity
+    field, a = _LONG_FORM_MODELS[name]
+    E = WeierstrassCurve(field, *a)
+    if field is QQ:
+        pts = [E.point(-1, 0), E.point(0, -1), E.point(2, -3), E.point(3, 2),
+               E.infinity]
+    else:
+        pts = E.points()
+    a1, a2, a3, a4, a6 = (c.raw for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
+    ramified = 0
+    for P in pts:
+        if not P.is_infinity and not (2 * P.y + E.a1 * P.x + E.a3):
+            ramified += 1
+        xs, ys = point_expansion(E, P, 10)
+        one = series_const(E, field.one, xs, ys)
+        lhs = ys * ys + (xs * ys).scale(a1) + ys.scale(a3)
+        rhs = xs * xs * xs + (xs * xs).scale(a2) + xs.scale(a4) + one.scale(a6)
+        assert (lhs - rhs).is_zero_to_precision(), P
+        assert min(xs.hi, ys.hi) >= 10
+    assert ramified >= 1
+
+
 def test_expansion_cache_grows_geometrically(monkeypatch):
     # the horizons one rational h0 ladder asked for at infinity: a cache that
     # only ever held the last request re-ran Newton for each of them

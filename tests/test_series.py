@@ -138,6 +138,9 @@ def test_eval_poly_matches_direct_expansion():
     assert out.coefficient(-1) == 1
     assert out.coefficient(0) == 2
     assert out.coefficient(1) == 0
+    # a series coefficient: s - s + s^2 = t^-2 + 2 t^-1 + 1
+    out = eval_poly(QQ, [s, Fraction(-1), Fraction(1)], s)
+    assert [out.coefficient(e) for e in range(-2, 2)] == [1, 2, 1, 0]
 
 
 def test_eval_poly_empty_and_constant():
