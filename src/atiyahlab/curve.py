@@ -67,7 +67,8 @@ class WeierstrassCurve:
         return lhs == rhs
 
     def y_coordinates(self, x) -> list:
-        """All y with (x, y) on the curve, canonically ordered."""
+        """All y with (x, y) on the curve, canonically ordered (finite fields
+        only: over Q this raises ValueError)."""
         xe = self.field.elem(x)
         f = self.field
         b = self.a1 * xe + self.a3

@@ -279,16 +279,15 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
     """Smallest level whose twisted system has a member of multiplicity >= m
     at the sampled point, with a fully re-verified certificate pair.
 
-    ``sample`` is a FatPoint or a zero-argument callable producing one; its
-    multiplicity field is ignored in favour of m.  The search is capped at
-    C(m+1, 2) + 2 by default; hitting the cap yields status
-    "exceeded-bound" rather than an exception, since the cap sits above the
-    conjectured value and exceeding it is a finding, not a failure.
+    The multiplicity field of the FatPoint ``sample`` is ignored in favour
+    of m.  The search is capped at C(m+1, 2) + 2 by default; hitting the cap
+    yields status "exceeded-bound" rather than an exception, since the cap
+    sits above the conjectured value and exceeding it is a finding, not a
+    failure.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
-    fp0 = sample() if callable(sample) else sample
-    fp = fp0.with_multiplicity(m)
+    fp = sample.with_multiplicity(m)
     _check_admissible(surface, fp)
     cls = fp.class_point(surface)
     if certify:
@@ -385,16 +384,15 @@ def max_multiplicity(surface: AtiyahSurface, level: int, sample) -> MuRecord:
     the sampled point, found by incrementing m from 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    fp0 = sample() if callable(sample) else sample
-    _check_admissible(surface, fp0.with_multiplicity(1))
+    _check_admissible(surface, sample.with_multiplicity(1))
     hard_cap = 4 * level + 16
     dims = []
     value = 0
     for m in range(1, hard_cap + 1):
-        d = h0_fat(surface, level, [fp0.with_multiplicity(m)])
+        d = h0_fat(surface, level, [sample.with_multiplicity(m)])
         dims.append(d)
         if d == 0:
-            return MuRecord(level, fp0, value, dims, hard_cap)
+            return MuRecord(level, sample, value, dims, hard_cap)
         value = m
     raise VerificationError(
         f"multiplicity search still positive at the hard cap {hard_cap}")
@@ -538,11 +536,9 @@ def multiplicity_step_check(surface: AtiyahSurface, sample):
     p = surface.field.characteristic
     if p == 0:
         raise ValueError("step check is a positive-characteristic statement")
-    fp0 = sample() if callable(sample) else sample
-    certify_not_p_torsion(fp0.class_point(surface))
-    rec_prev = (min_level(surface, p - 1, fp0, certify=False)
-                if p >= 2 else None)
-    rec_p = min_level(surface, p, fp0, certify=False)
+    certify_not_p_torsion(sample.class_point(surface))
+    rec_prev = min_level(surface, p - 1, sample, certify=False)
+    rec_p = min_level(surface, p, sample, certify=False)
     if rec_prev.status != "found" or rec_p.status != "found":
         raise VerificationError("minimal-level search hit its cap")
     holds = rec_p.value >= p + rec_prev.value

@@ -43,6 +43,13 @@ generator the least packed value >= 2 whose order is q - 1, and fills ``_exp``
 by repeated multiplication with it there; ``_log`` and the Zech table are read
 off ``_exp``.  So polynomial arithmetic over F_p has two homes only: ``poly``
 and the ``PolyField`` product.
+
+Quadratic roots
+---------------
+:func:`solve_quadratic` is the one root finder, in every characteristic:
+Rabin's gcd with z^q - z, then a gcd with a fixed sequence of splitters.
+Its powers mod the quadratic come from ``poly.powmod``, which also gives the
+Frobenius powers of the irreducibility test.  Over Q it raises ValueError.
 """
 
 from __future__ import annotations
@@ -91,8 +98,8 @@ class RationalField:
     and print alike, so either may meet the other.
 
     ``add``, ``sub`` and ``mul`` are the bare operators, which keep ints ints;
-    ``zero``, ``one``, ``from_int``, ``parse``, ``inv``, ``div``, ``pow`` and
-    ``sqrt`` give an int whenever the result is integral and never a float.
+    ``zero``, ``one``, ``from_int``, ``parse``, ``inv``, ``div`` and ``pow``
+    give an int whenever the result is integral and never a float.
     """
 
     p = 0
@@ -155,25 +162,8 @@ class RationalField:
     def elem(self, value) -> "FieldElem":
         return FieldElem(self, self.parse(value))
 
-    def sqrt(self, a):
-        """Exact square root, or None when a is not a rational square."""
-        if a < 0:
-            return None
-        rn = _isqrt_exact(a.numerator)
-        rd = _isqrt_exact(a.denominator)
-        if rn is None or rd is None:
-            return None
-        return rn if rd == 1 else Fraction(rn, rd)
-
     def __repr__(self):
         return "QQ"
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 QQ = RationalField()
@@ -187,20 +177,10 @@ def _is_irreducible(p: int, coeffs) -> bool:
         return True
     F = make_extension_field(p)
     f = [c % p for c in coeffs]
-
-    def frobenius(g):
-        """g^p mod f, by left-to-right square-and-multiply."""
-        out = [F.one]
-        for bit in bin(p)[2:]:
-            out = poly.mod(F, poly.mul(F, out, out), f)
-            if bit == "1":
-                out = poly.mod(F, poly.mul(F, out, g), f)
-        return out
-
     x = [F.zero, F.one]
     powers = [x]  # powers[i] = x^(p^i) mod f
     for _ in range(k):
-        powers.append(frobenius(powers[-1]))
+        powers.append(poly.powmod(F, powers[-1], p, f))
     if powers[k] != x:
         return False
     minus_x = [F.zero, F.neg(F.one)]
@@ -283,7 +263,6 @@ class FiniteField:
         self.p, self.k, self.q = p, k, p ** k
         self.characteristic = p
         self.modulus = _canonical_modulus(p, k)
-        self._trace_one = None
         self._setup()
 
     # -- raw arithmetic written once ------------------------------------------
@@ -370,96 +349,6 @@ class FiniteField:
 
     def random(self, rng):
         return self.from_packed(rng.randrange(self.q))
-
-    # -- square roots / quadratics ---------------------------------------------
-
-    def sqrt(self, a):
-        """The square root of a with the lesser packed value, or None."""
-        if a == self.zero:
-            return self.zero
-        if self.p == 2:
-            # squaring is bijective: sqrt = a^(q/2)
-            return self.pow(a, self.q // 2)
-        if self.pow(a, (self.q - 1) // 2) != self.one:
-            return None
-        r = self._tonelli(a)
-        rn = self.neg(r)
-        return r if self.to_packed(r) <= self.to_packed(rn) else rn
-
-    def _tonelli(self, a):
-        q = self.q
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            t //= 2
-            s += 1
-        # first non-residue in canonical order
-        for v in range(2, q):
-            n = self.from_packed(v)
-            if self.pow(n, (q - 1) // 2) != self.one:
-                break
-        else:
-            raise AssertionError("no quadratic non-residue found")
-        c = self.pow(n, t)
-        r = self.pow(a, (t + 1) // 2)
-        u = self.pow(a, t)
-        m = s
-        while u != self.one:
-            i, z = 0, u
-            while z != self.one:
-                z = self.mul(z, z)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            r = self.mul(r, b)
-            c = self.mul(b, b)
-            u = self.mul(u, c)
-            m = i
-        return r
-
-    def trace(self, a):
-        """Absolute trace to F_p, returned as a raw value of this field."""
-        acc, cur = self.zero, a
-        for _ in range(self.k):
-            acc = self.add(acc, cur)
-            cur = self.pow(cur, self.p)
-        return acc
-
-    def trace_one(self):
-        """delta = z^i for the least i with Tr(z^i) != 0 (cached).
-
-        The trace is F_p-linear and the powers z^0..z^(k-1) form a basis, so
-        such an i < k exists; every packed value below p^i lies in the span
-        of z^0..z^(i-1), all of trace 0, so delta is also the least packed
-        value of nonzero trace.
-        """
-        if self._trace_one is None:
-            i = 0
-            while self.is_zero(self.trace(self.from_packed(self.p ** i))):
-                i += 1
-            self._trace_one = self.from_packed(self.p ** i)
-        return self._trace_one
-
-    def solve_artin_schreier(self, d):
-        """A solution z of z^2 + z = d in characteristic 2, or None.
-
-        Solvable iff Tr(d) = 0; a solution is sum_i s_i delta^(2^i) with
-        s_i = sum_{j>i} d^(2^j) for any delta of trace 1.
-        """
-        if self.p != 2:
-            raise ValueError("Artin-Schreier solver requires characteristic 2")
-        if not self.is_zero(self.trace(d)):
-            return None
-        delta = self.trace_one()
-        powers_d = [d]
-        powers_delta = [delta]
-        for _ in range(self.k - 1):
-            powers_d.append(self.mul(powers_d[-1], powers_d[-1]))
-            powers_delta.append(self.mul(powers_delta[-1], powers_delta[-1]))
-        z = self.zero
-        s = self.zero
-        for i in range(self.k - 2, -1, -1):
-            s = self.add(s, powers_d[i + 1])
-            z = self.add(z, self.mul(s, powers_delta[i]))
-        return z
 
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
@@ -645,34 +534,56 @@ def make_extension_field(p: int, k: int = 1) -> FiniteField:
 
 
 def solve_quadratic(field, a, b, c):
-    """Roots in ``field`` of a z^2 + b z + c = 0 (a != 0), as a sorted raw list.
+    """Roots in the finite ``field`` of a z^2 + b z + c = 0 (a != 0), as raw
+    values sorted by packed value; a double root is listed once.
 
-    Works in every characteristic, including 2.  Double roots are listed once.
+    Rabin's root finding: the roots of f = z^2 + (b/a) z + c/a are those of
+    g = gcd(f, z^q - z).  A g of degree 2 is split by gcd(g, s) for the first
+    splitter s that leaves a linear factor; s vanishes on the roots r with
+    r + d a nonzero square (q odd) or Tr(d r) = 0 (q even).
     """
+    if field.characteristic == 0:
+        raise ValueError("quadratic roots require a finite field")
     if field.is_zero(a):
         raise ValueError("leading coefficient is zero")
-    if field.characteristic == 2:
-        if field.is_zero(b):
-            # z^2 = c/a has the unique root (c/a)^(q/2)
-            return [field.sqrt(field.div(c, a))]
-        # substitute z = (b/a) w:  w^2 + w = ac/b^2
-        d = field.div(field.mul(a, c), field.mul(b, b))
-        w = field.solve_artin_schreier(d)
-        if w is None:
-            return []
-        scale = field.div(b, a)
-        r1 = field.mul(scale, w)
-        r2 = field.add(r1, scale)
+    f = poly.monic(field, [c, b, a])
+    z = [field.zero, field.one]
+    g = poly.gcd(field, f, poly.add(field, poly.powmod(field, z, field.q, f),
+                                    poly.neg(field, z)))
+    if len(g) < 3:  # no root, or the one root of z - r
+        return [field.neg(r) for r in g[:-1]]
+    for s in _splitters(field, g):
+        h = poly.gcd(field, g, s)
+        if len(h) == 2:
+            r = field.neg(h[0])
+            return sorted([r, field.sub(field.neg(g[1]), r)], key=field.to_packed)
+    raise AssertionError(f"no splitter separates the roots of {g}")
+
+
+def _splitters(field, g):
+    """The splitting polynomials mod g in their fixed order.
+
+    q even: the trace sum_{i<k} (d z)^(2^i) for d = z^0, z^1, ..., z^(k-1);
+    the roots differ, so some d in this basis gives them traces 0 and 1.
+    q odd: (z + d)^((q-1)/2) - 1 for the packed values d = p, p + 1, ...,
+    q - 1 and then 0, ..., p - 1.  A shift d in F_p commutes with the
+    Frobenius, so it never splits the conjugate roots of a quadratic over
+    F_p; the first p shifts, z + i, lie in no proper subfield.
+    """
+    if field.p == 2:
+        for j in range(field.k):
+            term = [field.zero, field.from_packed(1 << j)]
+            s = term
+            for _ in range(field.k - 1):
+                term = poly.mod(field, poly.mul(field, term, term), g)
+                s = poly.add(field, s, term)
+            yield s
     else:
-        disc = field.sub(field.mul(b, b), field.mul(field.from_int(4), field.mul(a, c)))
-        root = field.sqrt(disc)
-        if root is None:
-            return []
-        two_a = field.mul(field.from_int(2), a)
-        r1 = field.div(field.sub(root, b), two_a)
-        r2 = field.div(field.sub(field.neg(root), b), two_a)
-    # raw values are canonical, so the set drops a double root
-    return sorted({r1, r2}, key=None if field.characteristic == 0 else field.to_packed)
+        minus_one = [field.neg(field.one)]
+        for v in range(field.q):
+            shifted = [field.from_packed((v + field.p) % field.q), field.one]
+            yield poly.add(field, poly.powmod(field, shifted, (field.q - 1) // 2, g),
+                           minus_one)
 
 
 class FieldElem:

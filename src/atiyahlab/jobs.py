@@ -174,9 +174,8 @@ def _run_verify_twist_dimension(ctx, args, rng):
 
 
 def _run_verify_step(ctx, args, rng):
-    # a callable sample: over Q the library refuses before anything is drawn
-    rec_prev, rec_p, holds = multiplicity_step_check(
-        ctx.surface, lambda: _fat_point(ctx, args, 1, rng, certified=True))
+    fp = _fat_point(ctx, args, 1, rng, certified=True)
+    rec_prev, rec_p, holds = multiplicity_step_check(ctx.surface, fp)
     p = ctx.field.characteristic
     values = {"p": p, "lambda_prev": rec_prev.value, "lambda_p": rec_p.value,
               "bound": p + rec_prev.value, "holds": holds}

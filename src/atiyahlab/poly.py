@@ -78,6 +78,16 @@ def mod(field, f, g):
     return divmod_poly(field, f, g)[1]
 
 
+def powmod(field, f, n, m):
+    """f^n mod m for n >= 0, by left-to-right square-and-multiply."""
+    out = [field.one]
+    for bit in bin(n)[2:]:
+        out = mod(field, mul(field, out, out), m)
+        if bit == "1":
+            out = mod(field, mul(field, out, f), m)
+    return out
+
+
 def gcd(field, f, g):
     """Monic greatest common divisor."""
     f, g = trim(field, f), trim(field, g)

@@ -61,7 +61,6 @@ from .linalg import (Matrix, back_substitute, canonical_basis, dot,
 from .riemann_roch import monomial_basis, rr_basis
 
 DEFAULT_MARGIN = 4
-MAX_COCYCLE_ORDER = 6   # the largest k build_cocycle tries
 PREC_PAD = 4            # coefficients expanded past those a check reads
 
 
@@ -99,50 +98,53 @@ def _coboundary_jets(curve, T, k):
     return rows, rank(Matrix(curve.field, rows, 2 * k + 1))
 
 
+def _one_pole_function(curve: WeierstrassCurve, P: CurvePoint) -> FuncElem:
+    """The element of L(inf + P) with a simple pole at both points.
+
+    L(inf) holds only the constants, and no function has a single simple
+    pole, so every nonconstant element of L(inf + P) qualifies; the first
+    nonconstant basis element is taken.
+    """
+    space = rr_basis(curve, Divisor(curve, {curve.infinity: 1, P: 1}))
+    for f in space.basis:   # reduced, so a constant has b = 0 and d = 1
+        if f.b or len(f.a) > 1 or len(f.d) > 1:
+            return f
+    raise VerificationError("no degree-(1,1) function in L(inf + P)")
+
+
 def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
     """Gluing function of the nonsplit extension, with certificate.
 
-    Searches k = 1, 2, ... for an element of L(k(inf + T)) outside
-    L(k inf) + L(k T); the certificate records the cokernel dimension at the
-    chosen k and at the two next cutoffs (a genuinely split gluing would give
-    cokernel 0 at every k, so a positive stable cokernel pins nontriviality).
+    g is the one-pole function of L(inf + T), normalized to leading
+    coefficient 1 at inf: dim L(inf + T) = 2 while L(inf) + L(T) holds only
+    the constants, so g lies outside the coboundaries at order k = 1.  The
+    certificate records the cokernel dimension at k = 1, 2, 3 (a genuinely
+    split gluing would give cokernel 0 at every k, so a positive stable
+    cokernel pins nontriviality).
     """
     if T.is_infinity:
         raise ValueError("the second chart point T must be affine")
     inf = curve.infinity
     field = curve.field
-    for k in range(1, MAX_COCYCLE_ORDER + 1):
-        both = rr_basis(curve, Divisor(curve, {inf: k, T: k}))
+    g = _one_pole_function(curve, T)
+    dims = {}
+    for k in (1, 2, 3):
         image_rows, base_rank = _coboundary_jets(curve, T, k)
-        cokernel = both.dim - base_rank
-        if cokernel < 1:
-            continue
-        g = None
-        for f in both.basis:
-            v = _jet_vector(f, inf, -k, k + 1)
-            if rank(Matrix(field, image_rows + [v], 2 * k + 1)) > base_rank:
-                g = f
-                break
-        if g is None:
-            raise VerificationError("positive cokernel but no witness element")
-        gs = g.expand(inf, 2 * k + 4)
-        lead = gs.coefficient(gs.valuation())
-        g = g * FieldElem(field, field.inv(lead))
-        pole_inf = -g.expand(inf, 4).valuation()
-        pole_T = -g.expand(T, 4).valuation()
-        if pole_inf < 1 or pole_T < 1:
-            raise VerificationError("gluing candidate lacks a pole at a chart point")
-        cert = {"order": k, "cokernel_dims": {k: cokernel}}
-        for kk in (k + 1, k + 2):
-            dim_kk = rr_basis(curve, Divisor(curve, {inf: kk, T: kk})).dim
-            cert["cokernel_dims"][kk] = dim_kk - _coboundary_jets(curve, T, kk)[1]
-        if any(c < 1 for c in cert["cokernel_dims"].values()):
-            raise VerificationError(f"cokernel not stable: {cert}")
-        cert["pole_inf"] = pole_inf
-        cert["pole_T"] = pole_T
-        return CechCocycle(curve, T, g, k, pole_inf, pole_T, cert)
-    raise VerificationError(
-        f"no nontrivial gluing found up to order {MAX_COCYCLE_ORDER}")
+        dims[k] = rr_basis(curve, Divisor(curve, {inf: k, T: k})).dim - base_rank
+        if k == 1 and rank(Matrix(field, image_rows + [_jet_vector(g, inf, -1, 2)],
+                                  3)) == base_rank:
+            raise VerificationError("gluing candidate is a coboundary")
+    gs = g.expand(inf, 6)
+    lead = gs.coefficient(gs.valuation())
+    g = g * FieldElem(field, field.inv(lead))
+    pole_inf = -g.expand(inf, 4).valuation()
+    pole_T = -g.expand(T, 4).valuation()
+    if pole_inf < 1 or pole_T < 1:
+        raise VerificationError("gluing candidate lacks a pole at a chart point")
+    cert = {"order": 1, "cokernel_dims": dims, "pole_inf": pole_inf, "pole_T": pole_T}
+    if any(c < 1 for c in dims.values()):
+        raise VerificationError(f"cokernel not stable: {cert}")
+    return CechCocycle(curve, T, g, 1, pole_inf, pole_T, cert)
 
 
 def _leading_term_kernel(field, rows, ncols, steps, obstruction):
@@ -385,18 +387,8 @@ class AtiyahSurface:
 
     @cached_property
     def one_pole_function(self) -> FuncElem:
-        """The element of L((inf) + (q)) with a simple pole at both points.
-
-        L(inf) holds only the constants, and no function has a single simple
-        pole, so every nonconstant element of L(inf + q) qualifies; the first
-        nonconstant basis element is taken.
-        """
-        space = rr_basis(self.curve, Divisor(self.curve, {self.curve.infinity: 1,
-                                                          self.q: 1}))
-        for f in space.basis:   # reduced, so a constant has b = 0 and d = 1
-            if f.b or len(f.a) > 1 or len(f.d) > 1:
-                return f
-        raise VerificationError("no degree-(1,1) function in L(inf + q)")
+        """The unnormalized one-pole function of L(inf + q)."""
+        return _one_pole_function(self.curve, self.q)
 
     # -- the solver ---------------------------------------------------------------
 

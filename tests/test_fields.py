@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atiyahlab import poly
 from atiyahlab.fields import (
     QQ,
     FieldElem,
@@ -196,52 +197,6 @@ def test_cross_field_guard():
         F5.parse(F7.elem(2))
 
 
-def test_sqrt_rationals():
-    assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert QQ.sqrt(Fraction(2)) is None
-    assert QQ.sqrt(Fraction(-1)) is None
-    assert QQ.sqrt(Fraction(0)) == 0
-
-
-def test_sqrt_large_prime_field():
-    F = make_extension_field(1000003)
-    a = F.from_int(123456789)
-    sq = F.mul(a, a)
-    r = F.sqrt(sq)
-    assert r is not None and F.mul(r, r) == sq
-    # find a non-residue and confirm sqrt rejects it
-    for t in range(2, 60):
-        cand = F.from_int(t)
-        if F.pow(cand, (F.q - 1) // 2) != F.one:
-            assert F.sqrt(cand) is None
-            break
-    else:
-        pytest.fail("no quadratic non-residue below 60 (should be impossible)")
-
-
-def test_sqrt_char2_is_total():
-    F = make_extension_field(2, 8)
-    for i in range(40):
-        a = F.from_packed(i)
-        r = F.sqrt(a)
-        assert r is not None and F.mul(r, r) == a
-
-
-def test_sqrt_extension_field():
-    F9 = make_extension_field(3, 2)
-    squares = set()
-    for i in range(9):
-        a = F9.from_packed(i)
-        sq = F9.mul(a, a)
-        squares.add(F9.to_packed(sq))
-        r = F9.sqrt(sq)
-        assert r is not None and F9.mul(r, r) == sq
-    assert len(squares) == 5          # 0 plus (q-1)/2 nonzero squares
-    for i in range(9):
-        if i not in squares:
-            assert F9.sqrt(F9.from_packed(i)) is None
-
-
 def test_poly_mode_large_extension():
     # q = 2^21 is past the log-table threshold, exercising coefficient mode.
     F = make_extension_field(2, 21)
@@ -254,16 +209,12 @@ def test_poly_mode_large_extension():
 
 
 def test_solve_quadratic_all_characteristics():
-    fields = [QQ, make_extension_field(7), make_extension_field(3, 2),
+    fields = [make_extension_field(7), make_extension_field(3, 2),
               make_extension_field(2, 2), make_extension_field(2, 8)]
     rng = random.Random(11)
     for F in fields:
         for _ in range(8):
-            if F is QQ:
-                b = Fraction(rng.randrange(-5, 6))
-                c = Fraction(rng.randrange(-5, 6))
-            else:
-                b, c = F.random(rng), F.random(rng)
+            b, c = F.random(rng), F.random(rng)
             roots = solve_quadratic(F, F.one, b, c)
             assert len(roots) <= 2
             for r in roots:
@@ -273,43 +224,99 @@ def test_solve_quadratic_all_characteristics():
         solve_quadratic(QQ, Fraction(0), Fraction(1), Fraction(1))
 
 
-def test_solve_quadratic_counts_roots_exactly():
-    # Exhaustive check over F_9: the number of roots of z^2 + bz + c matches
-    # a brute-force scan of the whole field.
-    F = make_extension_field(3, 2)
-    all_elems = [F.from_packed(i) for i in range(9)]
+def test_solve_quadratic_rejects_rationals_and_zero_leading_coefficient():
+    with pytest.raises(ValueError):
+        solve_quadratic(QQ, 1, 0, -4)
+    F = make_extension_field(5)
+    with pytest.raises(ValueError):
+        solve_quadratic(F, F.zero, F.one, F.one)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (2, 4), (5, 2), (3, 3)],
+                         ids=["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F16",
+                              "F25", "F27"])
+def test_solve_quadratic_counts_roots_exactly(p, k):
+    # Exhaustive: for every b, c the roots of z^2 + bz + c are those of a
+    # brute-force scan of the whole field, in packed order.
+    F = make_extension_field(p, k)
+    all_elems = [F.from_packed(i) for i in range(F.q)]
     for b in all_elems:
         for c in all_elems:
-            brute = [z for z in all_elems
+            brute = [F.to_packed(z) for z in all_elems
                      if F.is_zero(F.add(F.add(F.mul(z, z), F.mul(b, z)), c))]
             got = solve_quadratic(F, F.one, b, c)
-            assert sorted(F.to_packed(r) for r in got) == sorted(
-                F.to_packed(z) for z in brute)
+            assert [F.to_packed(r) for r in got] == brute, (b, c)
 
 
-def test_artin_schreier_char2():
-    F4 = make_extension_field(2, 2)
-    seen_none = seen_two = False
-    for i in range(4):
-        d = F4.from_packed(i)
-        z = F4.solve_artin_schreier(d)
-        if z is None:
-            assert not F4.is_zero(F4.trace(d))
-            seen_none = True
-        else:
-            assert F4.add(F4.mul(z, z), z) == d
-            seen_two = True
-    assert seen_none and seen_two
-    with pytest.raises(ValueError):
-        make_extension_field(3).solve_artin_schreier(1)
+_LARGE_FIELDS = [(1000003, 1), (1009, 2), (2, 16), (3, 13), (2, 21)]
+_LARGE_IDS = ["F1000003", "F1009^2", "F2^16", "F3^13", "F2^21"]
 
 
-def test_trace_one_is_least_packed_value_of_trace_one():
-    for k in range(1, 13):
-        F = make_extension_field(2, k)
-        scan = next(v for v in range(1, F.q)
-                    if not F.is_zero(F.trace(F.from_packed(v))))
-        assert F.to_packed(F.trace_one()) == scan
+def _solve_within_budget(monkeypatch, F, a, b, c):
+    """solve_quadratic with its poly.powmod calls capped at 16: one for z^q,
+    and one per splitter tried when q is odd.  A splitter leaves a linear
+    factor about half the time, so a solve that runs past the cap has lost
+    the splitting, even if a far-off splitter would still find the roots."""
+    calls = [0]
+    powmod = poly.powmod
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= 16, "root solve ran past 16 powers mod the quadratic"
+        return powmod(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "powmod", counted)
+        return solve_quadratic(F, a, b, c)
+
+
+@pytest.mark.parametrize("p,k", _LARGE_FIELDS, ids=_LARGE_IDS)
+def test_solve_quadratic_round_trips(p, k, monkeypatch):
+    # the roots of a (z - r1)(z - r2) are {r1, r2}; the first trip is a
+    # double root
+    F = make_extension_field(p, k)
+    rng = random.Random(p * 100 + k)
+    for trip in range(8):
+        r1 = F.random(rng)
+        r2 = r1 if trip == 0 else F.random(rng)
+        a = F.from_packed(rng.randrange(1, F.q))
+        b = F.neg(F.mul(a, F.add(r1, r2)))
+        c = F.mul(a, F.mul(r1, r2))
+        got = _solve_within_budget(monkeypatch, F, a, b, c)
+        assert got == sorted({r1, r2}, key=F.to_packed), (trip, r1, r2)
+
+
+def test_solve_quadratic_splits_roots_conjugate_over_the_prime_field(monkeypatch):
+    # z^2 - c for a non-square c of F_1009 has the roots +-r in F_{1009^2},
+    # swapped by the Frobenius; no shift z + d with d in F_1009 splits them,
+    # so those shifts come last
+    F = make_extension_field(1009, 2)
+    c = F.from_int(next(v for v in range(2, 1009) if pow(v, 504, 1009) != 1))
+    roots = _solve_within_budget(monkeypatch, F, F.one, F.zero, F.neg(c))
+    assert len(roots) == 2 and all(F.mul(r, r) == c for r in roots)
+    assert F.add(*roots) == F.zero
+
+
+@pytest.mark.parametrize("p,k", [(3, 13), (2, 21)], ids=["F3^13", "F2^21"])
+def test_solve_quadratic_rootless_on_poly_gear(p, k, monkeypatch):
+    # z^2 - c for the least non-square c (Euler's criterion) when q is odd;
+    # z^2 + z + d for the least d of trace 1 when q is even
+    F = make_extension_field(p, k)
+    assert isinstance(F, PolyField)
+    if p == 2:
+        def trace(d):
+            acc = F.zero
+            for _ in range(k):
+                acc, d = F.add(acc, d), F.mul(d, d)
+            return acc
+        d = next(F.from_packed(v) for v in range(1, F.q)
+                 if trace(F.from_packed(v)) == F.one)
+        assert _solve_within_budget(monkeypatch, F, F.one, F.one, d) == []
+    else:
+        c = next(F.from_packed(v) for v in range(1, F.q)
+                 if F.pow(F.from_packed(v), (F.q - 1) // 2) != F.one)
+        assert _solve_within_budget(monkeypatch, F, F.one, F.zero, F.neg(c)) == []
 
 
 def test_is_probable_prime():
@@ -353,12 +360,6 @@ def test_elem_text_roundtrip():
     for i in range(9):
         a = FieldElem(F9, F9.from_packed(i))
         assert F9.from_packed(int(a.to_text())) == a.raw
-
-
-def test_trace_surjects_onto_prime_field():
-    F = make_extension_field(2, 8)
-    traces = {F.to_packed(F.trace(F.from_packed(i))) for i in range(256)}
-    assert traces == {0, 1}
 
 
 # -- the three gears -------------------------------------------------------------
@@ -461,14 +462,13 @@ _rationals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
 @given(a=_rationals, b=_rationals, n=st.integers(-4, 4))
 def test_rational_ops_match_fraction_arithmetic(a, b, n):
     # raw values of Q are ints when integral: the normalizing operations
-    # (parse, from_int, inv, div, pow, sqrt) give an int exactly when the
+    # (parse, from_int, inv, div, pow) give an int exactly when the
     # value is integral, the bare operators keep two ints an int, and no
     # operation gives a float
     A, B = Fraction(a), Fraction(b)
     bare = [(QQ.add(a, b), A + B), (QQ.sub(a, b), A - B),
             (QQ.mul(a, b), A * B), (QQ.neg(a), -A)]
-    normal = [(QQ.parse(a), A), (QQ.parse(str(a)), A), (QQ.from_int(n), n),
-              (QQ.sqrt(A * A), abs(A))]
+    normal = [(QQ.parse(a), A), (QQ.parse(str(a)), A), (QQ.from_int(n), n)]
     if B:
         normal += [(QQ.inv(b), 1 / B), (QQ.div(a, b), A / B)]
     else:
@@ -485,8 +485,6 @@ def test_rational_ops_match_fraction_arithmetic(a, b, n):
         assert (type(got) is int) == (Fraction(want).denominator == 1)
     if type(a) is int and type(b) is int:
         assert all(type(got) is int for got, _ in bare)
-    root = QQ.sqrt(A)
-    assert root is None or (QQ.mul(root, root) == A and type(root) in (int, Fraction))
 
 
 def test_rational_constants_are_ints():

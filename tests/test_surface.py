@@ -76,9 +76,10 @@ def test_make_surface_two_torsion_fallback():
 
 
 def test_two_torsion_fallback_in_large_char2_field():
-    # over F_{2^24} the least trace-1 power of z is z^21; a per-call scan for
-    # it made first_point (one Artin-Schreier solve per candidate x) hang.
-    # Run in a child so that a regression fails at the budget, not never.
+    # over F_{2^24} first_point makes one root solve per candidate x on the
+    # poly gear, each a power z^q and up to k = 24 trace splitters mod the
+    # quadratic.  Run in a child so that a regression fails at the budget,
+    # not never.
     script = """
 from atiyahlab import WeierstrassCurve, make_extension_field, make_surface
 F = make_extension_field(2, 24)
