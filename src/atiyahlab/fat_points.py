@@ -90,20 +90,34 @@ def _check_admissible(surface: AtiyahSurface, fp: FatPoint) -> None:
         raise ValueError("fat-point base on the marked fiber is not supported")
 
 
-def _point_jet_rows(surface, sections, fp):
+def _expansions(space, P, prec):
+    """Per section of the space, its component expansions at P (None for a
+    zero component), each cut to the coefficients of t^0 .. t^(prec-1).
+
+    Cached on the space; an entry too short for prec is replaced by one of at
+    least twice its precision, so a rising run of multiplicities costs a
+    logarithmic number of expansions.
+    """
+    entry = space.expansions.get(P)
+    if entry is None or entry[0] < prec:
+        if entry is not None:
+            prec = max(prec, 2 * entry[0])
+        entry = space.expansions[P] = (prec, [
+            [None if comp.is_zero() else comp.expand(P, prec).truncate(prec)
+             for comp in sec.components]
+            for sec in space.sections])
+    return entry[1]
+
+
+def _point_jet_rows(surface, space, fp):
     """Rows (alpha, beta) with alpha + beta < m for one fat point."""
     field = surface.field
     m = fp.multiplicity
-    level = sections[0].level if sections else 0
+    level = space.level
     w0pows = [field.one]
     for _ in range(level):
         w0pows.append(field.mul(w0pows[-1], fp.w0.raw))
-    per_section = []
-    for sec in sections:
-        per_section.append([
-            None if comp.is_zero() else comp.expand(fp.base, m)
-            for comp in sec.components
-        ])
+    per_section = _expansions(space, fp.base, m)
     rows = []
     for beta in range(m):
         binoms = {}
@@ -138,7 +152,7 @@ def jet_matrix(surface: AtiyahSurface, level: int, points) -> Matrix:
     space = surface.h0(level, twisted=True)
     rows = []
     for fp in points:
-        rows.extend(_point_jet_rows(surface, space.sections, fp))
+        rows.extend(_point_jet_rows(surface, space, fp))
     return Matrix(surface.field, rows, space.dim)
 
 
@@ -209,8 +223,9 @@ def h0_fat(surface: AtiyahSurface, level: int, points) -> int:
 
 
 def verify_jets(section: SectionVector, fp: FatPoint) -> None:
-    """Re-expand the section at the fat point from scratch and check that all
-    jets of total degree < m vanish; raises VerificationError otherwise."""
+    """Re-expand the section at the fat point from scratch (never from the
+    expansions jet_matrix caches) and check that all jets of total degree
+    < m vanish; raises VerificationError otherwise."""
     field = section.surface.field
     m = fp.multiplicity
     exps = [None if comp.is_zero() else comp.expand(fp.base, m + JET_PAD)
@@ -280,10 +295,19 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
     at the sampled point, with a fully re-verified certificate pair.
 
     The multiplicity field of the FatPoint ``sample`` is ignored in favour
-    of m.  The search is capped at C(m+1, 2) + 2 by default; hitting the cap
-    yields status "exceeded-bound" rather than an exception, since the cap
-    sits above the conjectured value and exceeding it is a finding, not a
-    failure.
+    of m.  padded_to embeds the fat kernel at level l in the one at l + 1
+    (the added component is zero, so no jet moves), so its dimension is
+    nondecreasing in l.  The search solves at U, the proved bound C(m+1, 2)
+    (in characteristic p with m >= p the lower pm - p(p-1)/2) clipped to
+    ``cap``, then at U - 1, and bisects over [0, U - 1] only if U - 1 has a
+    member.  If U has none and U < cap (only a library bug, which
+    _lambda_bounds then reports), it solves at cap and bisects over
+    (U, cap]; none at cap (default C(m+1, 2) + 2) is status
+    "exceeded-bound", a finding rather than an exception.  dims_by_level is
+    what monotonicity proves: zeros below the answer, then its dimension.
+    The answer keeps its full certificate: the first kernel section,
+    validated and re-expanded by verify_jets, and the jet matrix one level
+    below, its full rank recomputed by rank_naive.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -294,31 +318,56 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
         certify_class_point(cls)
     if cap is None:
         cap = comb(m + 1, 2) + 2
-    dims, below = [], None
-    for level in range(cap + 1):
-        system = fat_system(surface, level, [fp])
-        dims.append(system.dim)
-        if system.dim == 0:
-            below = system.matrix  # full-rank witness if the next level wins
-            continue
-        certificate = system.section(0)
-        certificate.validate()
-        verify_jets(certificate, fp)
-        witness = None
-        if below is not None:
-            r = rank_naive(below)
-            if r != below.ncols:
-                raise VerificationError(
-                    f"level {level - 1} matrix is rank-deficient ({r} < "
-                    f"{below.ncols}); the claimed minimality is wrong")
-            witness = {"level": level - 1, "rows": below.nrows,
-                       "cols": below.ncols, "rank": r,
-                       "rank_method": "independent-elimination"}
-        bounds = _lambda_bounds(surface, m, level)
-        return LambdaRecord(m, fp, cls, "found", level, cap, dims,
-                            certificate, witness, bounds)
-    return LambdaRecord(m, fp, cls, "exceeded-bound", None, cap, dims,
-                        None, None, None)
+    systems = {}
+
+    def dim(level):
+        systems[level] = fat_system(surface, level, [fp])
+        return systems[level].dim
+
+    top = min(_upper_level(surface.field.characteristic, m), cap)
+    if dim(top) == 0:
+        if top == cap or dim(cap) == 0:
+            return LambdaRecord(m, fp, cls, "exceeded-bound", None, cap,
+                                [0] * (cap + 1), None, None, None)
+        lo, hi = top + 1, cap
+    elif top and dim(top - 1):
+        lo, hi = 0, top - 1
+    else:
+        lo = hi = top
+    # the answer lies in [lo, hi]: hi is solved and has a member, and lo is
+    # 0 or one past a solved full-rank level, so the answer's level - 1 is
+    # always solved
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dim(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    system = systems[hi]
+    certificate = system.section(0)
+    certificate.validate()
+    verify_jets(certificate, fp)
+    witness = None
+    if hi:
+        below = systems[hi - 1].matrix
+        r = rank_naive(below)
+        if r != below.ncols:
+            raise VerificationError(
+                f"level {hi - 1} matrix is rank-deficient ({r} < "
+                f"{below.ncols}); the claimed minimality is wrong")
+        witness = {"level": hi - 1, "rows": below.nrows,
+                   "cols": below.ncols, "rank": r,
+                   "rank_method": "independent-elimination"}
+    bounds = _lambda_bounds(surface, m, hi)
+    return LambdaRecord(m, fp, cls, "found", hi, cap,
+                        [0] * hi + [system.dim], certificate, witness, bounds)
+
+
+def _upper_level(p, m) -> int:
+    """The proved upper bound on the minimal level for multiplicity m: the
+    dimension count C(m+1, 2), or in characteristic p with m >= p the level
+    pm - p(p-1)/2 of the product char_p_witness builds (never higher)."""
+    return p * m - comb(p, 2) if p and m >= p else comb(m + 1, 2)
 
 
 def _lambda_bounds(surface, m, value) -> dict:
@@ -532,7 +581,8 @@ def char_p_witness(surface: AtiyahSurface, level: int, multiplicities,
 def multiplicity_step_check(surface: AtiyahSurface, sample):
     """In characteristic p, the minimal level for multiplicity p is at least
     p plus the one for multiplicity p - 1 (checked on a class certified not
-    to be p-torsion).  Returns (record_{p-1}, record_p, holds)."""
+    to be p-torsion).  Returns (record_{p-1}, record_p); a violation means a
+    library bug and raises VerificationError, as _lambda_bounds does."""
     p = surface.field.characteristic
     if p == 0:
         raise ValueError("step check is a positive-characteristic statement")
@@ -541,8 +591,11 @@ def multiplicity_step_check(surface: AtiyahSurface, sample):
     rec_p = min_level(surface, p, sample, certify=False)
     if rec_prev.status != "found" or rec_p.status != "found":
         raise VerificationError("minimal-level search hit its cap")
-    holds = rec_p.value >= p + rec_prev.value
-    return rec_prev, rec_p, holds
+    if rec_p.value < p + rec_prev.value:
+        raise VerificationError(
+            f"minimal level {rec_p.value} for m={p} is below p plus the "
+            f"level {rec_prev.value} for m={p - 1}")
+    return rec_prev, rec_p
 
 
 def sample_fat_point(surface: AtiyahSurface, rng, m: int = 1,

@@ -350,6 +350,7 @@ class SectionSpace:
         self.twisted = twisted
         self.sections = tuple(sections)
         self.diagnostics = diagnostics
+        self.expansions = {}     # point -> (precision, per-section expansions)
 
     @property
     def dim(self) -> int:

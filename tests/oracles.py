@@ -2,18 +2,23 @@
 
 None of these is on a production path: each restates a fact the library
 computes another way (a matrix product, the chart-change matrix, the
-coboundary test, a class-preserving translation), so that the tests can
-compare the two.
+coboundary test, a class-preserving translation, span membership of
+sections, the level-by-level search for a minimal level), so that the
+tests can compare the two.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from atiyahlab.fat_points import FatPoint
+from atiyahlab import poly
+from atiyahlab.curve import certify_class_point
+from atiyahlab.errors import VerificationError
+from atiyahlab.fat_points import (FatPoint, LambdaRecord, _check_admissible,
+                                  _lambda_bounds, fat_system, verify_jets)
 from atiyahlab.fields import FieldElem
 from atiyahlab.funcfield import FuncElem
-from atiyahlab.linalg import Matrix, rank
+from atiyahlab.linalg import Matrix, rank, rank_naive
 from atiyahlab.surface import AtiyahSurface, _coboundary_jets, _jet_vector
 
 
@@ -76,6 +81,36 @@ def is_coboundary_jet(cocycle, fn) -> bool:
     return rank(Matrix(curve.field, rows + [v], 2 * k + 1)) == base
 
 
+def in_span(sections, section) -> bool:
+    """True iff the section is a linear combination of the sections.
+
+    Over a common denominator D per component index, a function is
+    (A + B y) / D for exactly one pair (A, B), so the coefficients of A and
+    B over all components are an injective linear image of a section; the
+    section is in the span iff appending its row keeps the rank.
+    """
+    every = list(sections) + [section]
+    field = section.surface.field
+    rows = [[] for _ in every]
+    for j in range(len(section.components)):
+        comps = [sec.components[j] for sec in every]
+        den = [field.one]
+        for c in comps:
+            den = poly.lcm(field, den, c.d)
+        parts = []
+        for c in comps:
+            mult, _ = poly.divmod_poly(field, den, c.d)
+            parts.append((poly.mul(field, c.a, mult), poly.mul(field, c.b, mult)))
+        width_a = max(len(a) for a, _ in parts)
+        width_b = max(len(b) for _, b in parts)
+        for row, (a, b) in zip(rows, parts):
+            row += list(a) + [field.zero] * (width_a - len(a))
+            row += list(b) + [field.zero] * (width_b - len(b))
+    ncols = len(rows[0])
+    return (rank(Matrix(field, rows[:-1], ncols))
+            == rank(Matrix(field, rows, ncols)))
+
+
 def translate_marked_fiber(surface: AtiyahSurface, fp: FatPoint, shift):
     """Move the marked fiber and the fat point by the same curve translation,
     preserving the class: returns (surface', fat point').  Raises ValueError
@@ -88,3 +123,43 @@ def translate_marked_fiber(surface: AtiyahSurface, fp: FatPoint, shift):
         raise ValueError("translated base point is inadmissible")
     s2 = AtiyahSurface(surface.cocycle, q2)
     return s2, FatPoint(base2, fp.w0, fp.multiplicity)
+
+
+def min_level_ladder(surface: AtiyahSurface, m: int, sample, cap=None,
+                     certify: bool = True) -> LambdaRecord:
+    """min_level by solving every level from 0 up to the answer or the cap,
+    recording each dimension as it is computed rather than deriving the
+    list from monotonicity."""
+    if m < 1:
+        raise ValueError("multiplicity must be >= 1")
+    fp = sample.with_multiplicity(m)
+    _check_admissible(surface, fp)
+    cls = fp.class_point(surface)
+    if certify:
+        certify_class_point(cls)
+    if cap is None:
+        cap = comb(m + 1, 2) + 2
+    dims, below = [], None
+    for level in range(cap + 1):
+        system = fat_system(surface, level, [fp])
+        dims.append(system.dim)
+        if system.dim == 0:
+            below = system.matrix  # full-rank witness if the next level wins
+            continue
+        certificate = system.section(0)
+        certificate.validate()
+        verify_jets(certificate, fp)
+        witness = None
+        if below is not None:
+            r = rank_naive(below)
+            if r != below.ncols:
+                raise VerificationError(
+                    f"level {level - 1} matrix is rank-deficient")
+            witness = {"level": level - 1, "rows": below.nrows,
+                       "cols": below.ncols, "rank": r,
+                       "rank_method": "independent-elimination"}
+        bounds = _lambda_bounds(surface, m, level)
+        return LambdaRecord(m, fp, cls, "found", level, cap, dims,
+                            certificate, witness, bounds)
+    return LambdaRecord(m, fp, cls, "exceeded-bound", None, cap, dims,
+                        None, None, None)

@@ -1,13 +1,20 @@
+import functools
 import random
 from fractions import Fraction
+from math import comb
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from atiyahlab import fat_points
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import CertificationError, VerificationError
 from atiyahlab.fat_points import (
     FatPoint,
     _lambda_bounds,
+    _upper_level,
     char_p_witness,
     expected_dimension,
     fat_system,
@@ -19,10 +26,11 @@ from atiyahlab.fat_points import (
     sample_fat_point,
     verify_jets,
 )
-from atiyahlab.fields import make_extension_field
+from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.linalg import rank
+from atiyahlab.series import LaurentSeries
 from atiyahlab.surface import make_surface
-from oracles import translate_marked_fiber
+from oracles import in_span, min_level_ladder, translate_marked_fiber
 
 
 def test_expected_dimension_oracle():
@@ -243,10 +251,9 @@ def test_char_p_witness_small_field(f4_surface):
 def test_multiplicity_step_small_field(f4_surface):
     E = f4_surface.curve
     fp = FatPoint(E.point(1, 1), 1, 1)
-    rec1, rec2, holds = multiplicity_step_check(f4_surface, fp)
+    rec1, rec2 = multiplicity_step_check(f4_surface, fp)
     assert rec1.m == 1 and rec2.m == 2
     assert rec1.status == "found" and rec2.status == "found"
-    assert holds
     assert rec2.value >= 2 + rec1.value
 
 
@@ -317,3 +324,201 @@ def test_translate_marked_fiber(f9_surface):
     bad_shift = f9_surface.T - f9_surface.q
     with pytest.raises(ValueError):
         translate_marked_fiber(f9_surface, fp, bad_shift)
+
+
+# -- the monotone search for a minimal level ----------------------------------
+
+_QQ_POINTS = ((1, 1), (1, -1), (3, 5), (3, -5), (5, 11))
+
+
+@functools.cache
+def _gear_surface(name):
+    """One surface per field gear (and per torsion case), built once."""
+    field, coeffs, q = {
+        "QQ": (QQ, (0, 0, 0, -1, 1), (0, 1)),
+        "QQ-torsion": (QQ, (0, 0, 0, 0, 1), (0, 1)),
+        "F9": (make_extension_field(3, 2), (0, 0, 0, -1, 1), (0, 1)),
+        "F16": (make_extension_field(2, 4), (1, 0, 0, 0, 1), (0, 1)),
+        "F101": (make_extension_field(101), (0, 0, 0, -1, 1), (0, 1)),
+        "F101-torsion": (make_extension_field(101), (0, 0, 0, -1, 1), (0, 1)),
+        "F3^13": (make_extension_field(3, 13), (0, 0, 0, -1, 1), (0, 1)),
+    }[name]
+    E = WeierstrassCurve(field, *coeffs)
+    T = E.point(-1, 1) if name == "QQ" else None
+    return make_surface(E, E.point(*q), T=T)
+
+
+def _gear_case(name, seed):
+    """(surface, fat point) for one gear; the torsion cases put the base where
+    base - q has order 2, so the minimal levels fall below the bound
+    and the search has to bisect."""
+    surf = _gear_surface(name)
+    E = surf.curve
+    if name == "QQ":
+        return surf, FatPoint(E.point(*_QQ_POINTS[seed % len(_QQ_POINTS)]),
+                              Fraction(seed % 5 - 2), 1)
+    if name == "QQ-torsion":    # (2, -3) - (0, 1) = (-1, 0) on y^2 = x^3 + 1
+        return surf, FatPoint(E.point(2, -3), seed % 5 - 2, 1)
+    if name == "F101-torsion":  # (22, 27) - (0, 1) has order 2
+        return surf, FatPoint(E.point(22, 27), seed % 101, 1)
+    if name == "F3^13":         # one point: the poly gear expands slowly
+        seed = 0
+    return surf, sample_fat_point(surf, random.Random(seed))
+
+
+def _assert_same_record(search, ladder):
+    assert (search.value, search.status, search.dims_by_level) == \
+        (ladder.value, ladder.status, ladder.dims_by_level)
+    assert search.fullrank_witness == ladder.fullrank_witness
+    assert ((search.certificate.serialize() if search.certificate else None)
+            == (ladder.certificate.serialize() if ladder.certificate else None))
+    assert search.serialize() == ladder.serialize()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F16", "F101",
+                                  "F101-torsion", "F3^13"])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), data=st.data())
+def test_min_level_search_matches_ladder(name, m, seed, data):
+    # dims_by_level, the witness and the certificate all agree with solving
+    # every level; so do a cap below the answer (exhaustion) and a cap
+    # between the answer and the proved bound
+    surf, fp = _gear_case(name, seed)
+    search = min_level(surf, m, fp, certify=False)
+    _assert_same_record(search, min_level_ladder(surf, m, fp, certify=False))
+    lam = search.value
+    upper = _upper_level(surf.field.characteristic, m)
+    assert search.status == "found" and lam <= upper
+    caps = [data.draw(st.integers(lam, upper), label="cap in [lambda, U]")]
+    if lam:
+        caps.append(data.draw(st.integers(0, lam - 1), label="cap < lambda"))
+    for cap in caps:
+        _assert_same_record(
+            min_level(surf, m, fp, cap=cap, certify=False),
+            min_level_ladder(surf, m, fp, cap=cap, certify=False))
+
+
+def test_min_level_search_reaches_below_the_bound():
+    # the torsion cases are what make the bisection run
+    for name, want in (("QQ-torsion", [1, 2, 5, 8]),
+                       ("F101-torsion", [1, 2, 5, 8])):
+        surf, fp = _gear_case(name, 0)
+        assert [min_level(surf, m, fp, certify=False).value
+                for m in (1, 2, 3, 4)] == want
+
+
+@pytest.mark.parametrize("shortfall", [1, 2, 5, 10])
+def test_min_level_search_climbs_past_a_low_bound(monkeypatch, shortfall):
+    # were the bound too low, the search would solve at the cap and bisect
+    # upward; it still agrees with the ladder, and a cap at the low bound is
+    # exhausted
+    surf, fp = _gear_case("QQ", 0)
+    monkeypatch.setattr(fat_points, "_upper_level",
+                        lambda p, m: max(0, comb(m + 1, 2) - shortfall))
+    for m in (1, 2, 3, 4):
+        _assert_same_record(min_level(surf, m, fp),
+                            min_level_ladder(surf, m, fp))
+        low = max(0, comb(m + 1, 2) - shortfall)
+        rec = min_level(surf, m, fp, cap=low)
+        assert rec.status == "exceeded-bound"
+        assert rec.dims_by_level == (0,) * (low + 1)
+
+
+def test_min_level_solves_twice_at_the_bound(monkeypatch):
+    surf, fp = _gear_case("QQ", 0)
+    levels = []
+    original = fat_points.fat_system
+
+    def counting(surface, level, points):
+        levels.append(level)
+        return original(surface, level, points)
+
+    monkeypatch.setattr(fat_points, "fat_system", counting)
+    rec = min_level(surf, 4, fp)
+    assert rec.value == 10 and levels == [10, 9]
+
+
+@pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F101-torsion"])
+def test_padding_keeps_fat_kernel_members(name):
+    # the search rests on this: a fat-kernel section at level l, padded to
+    # l + 1, is a member there, so dim is nondecreasing in the level
+    surf, fp = _gear_case(name, 0)
+    for m, level in ((1, 1), (2, 3), (2, 4), (3, 6)):
+        fp_m = fp.with_multiplicity(m)
+        lower = fat_system(surf, level, [fp_m])
+        upper = fat_system(surf, level + 1, [fp_m])
+        members = [upper.section(i) for i in range(upper.dim)]
+        for i in range(lower.dim):
+            padded = lower.section(i).padded_to(level + 1)
+            padded.validate()
+            verify_jets(padded, fp_m)
+            assert in_span(members, padded)
+        # and the span test can fail: a basis section off the kernel is out
+        for sec in surf.h0(level + 1, twisted=True).sections:
+            try:
+                verify_jets(sec, fp_m)
+            except VerificationError:
+                assert not in_span(members, sec)
+                break
+        else:
+            pytest.fail("every basis section passed the jets")
+
+
+def _fresh_rational(rational_curve):
+    E = rational_curve
+    return make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+
+
+def test_jet_matrix_reuses_longer_expansions(rational_curve):
+    warm, cold = _fresh_rational(rational_curve), _fresh_rational(rational_curve)
+    fp = FatPoint(rational_curve.point(1, 1), 2, 1)
+    level = 6
+    jet_matrix(warm, level, [fp.with_multiplicity(4)])
+    cache = warm.h0(level, twisted=True).expansions
+    assert cache[fp.base][0] == 4
+    got = jet_matrix(warm, level, [fp.with_multiplicity(2)])
+    assert cache[fp.base][0] == 4          # read, not re-expanded
+    assert got.rows == jet_matrix(cold, level, [fp.with_multiplicity(2)]).rows
+    jet_matrix(warm, level, [fp.with_multiplicity(5)])
+    assert cache[fp.base][0] == 8          # a short entry at least doubles
+
+
+def test_verify_jets_ignores_the_jet_cache(rational_curve):
+    surf = _fresh_rational(rational_curve)
+    fp = FatPoint(rational_curve.point(1, 1), 2, 2)
+    space = surf.h0(3, twisted=True)
+    member = fat_system(surf, 3, [fp]).section(0)
+    candidates = [member, *space.sections]
+
+    def verdicts():
+        out = []
+        for sec in candidates:
+            try:
+                verify_jets(sec, fp)
+                out.append(True)
+            except VerificationError:
+                out.append(False)
+        return out
+
+    before = verdicts()
+    assert before[0] and not all(before)
+    # zero out the cached expansions: jet_matrix reads them, verify_jets not
+    zero = LaurentSeries.zero(surf.field, 64)
+    space.expansions[fp.base] = (64, [[zero] * (space.level + 1)
+                                      for _ in space.sections])
+    assert all(surf.field.is_zero(c)
+               for row in jet_matrix(surf, 3, [fp]).rows for c in row)
+    assert verdicts() == before
+
+
+def test_step_check_raises_on_a_violation(monkeypatch, f4_surface):
+    fp = FatPoint(f4_surface.curve.point(1, 1), 1, 1)
+    levels = {1: 1, 2: 2}          # lambda(2) = 2 < p + lambda(1) = 3
+
+    def fake(surface, m, sample, cap=None, certify=True):
+        return SimpleNamespace(m=m, status="found", value=levels[m])
+
+    monkeypatch.setattr(fat_points, "min_level", fake)
+    with pytest.raises(VerificationError, match="below p plus"):
+        multiplicity_step_check(f4_surface, fp)

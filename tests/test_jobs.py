@@ -39,6 +39,17 @@ def test_lambda_job():
     assert rec["fullrank_witness"]["rank"] == rec["fullrank_witness"]["cols"]
 
 
+def test_lambda_job_random_w0_over_q_names_w0():
+    # load_config rejects this; a JobSpec built directly still gets a
+    # ValueError that names the key, not an AttributeError from the field
+    cfg = make_config(jobs=[JobSpec("lam", "lambda",
+                                    {"m": "1", "base": "1, 1",
+                                     "w0": "random"})])
+    row = run_config(cfg)[0]
+    assert row.status == "ERROR"
+    assert row.error.startswith("ValueError:") and "w0" in row.error
+
+
 def test_mu_job():
     cfg = make_config(jobs=[JobSpec("mu", "mu",
                                     {"levels": "1, 3", "base": "1, 1",
