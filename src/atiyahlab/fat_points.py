@@ -29,6 +29,7 @@ from math import comb
 from .curve import CurvePoint, certify_class_point, certify_not_p_torsion
 from .errors import CertificationError, VerificationError
 from .fields import FieldElem
+from .funcfield import combination
 from .linalg import Matrix, rank_and_kernel, rank_naive
 from .surface import AtiyahSurface, SectionVector
 
@@ -196,18 +197,13 @@ class FatSystem:
 
 def _combine(sections, vec) -> SectionVector:
     """The section sum_i vec[i] * sections[i] for a nonzero kernel vector."""
-    field = sections[0].surface.field
-    out = None
-    for c, sec in zip(vec, sections):
-        if field.is_zero(c):
-            continue
-        term = sec.scaled(c)
-        out = term if out is None else SectionVector(
-            out.surface, out.level, out.twisted,
-            [x + y for x, y in zip(out.components, term.components)])
-    if out is None:
+    first = sections[0]
+    if all(first.surface.field.is_zero(c) for c in vec):
         raise VerificationError("kernel vector is zero")
-    return out
+    return SectionVector(
+        first.surface, first.level, first.twisted,
+        [combination(first.surface.curve, vec, comps)
+         for comps in zip(*(sec.components for sec in sections))])
 
 
 def fat_system(surface: AtiyahSurface, level: int, points) -> FatSystem:
@@ -379,20 +375,22 @@ def _lambda_bounds(surface, m, value) -> dict:
     the C(p+1, 2) conditions) times m - p plain level-p members through the
     point (that space has dimension 2).  It is recorded from m = p + 1 on;
     at m = p it is the dimension count C(p+1, 2), and the record stays
-    {"checked": False}, the bytes that verify-prop27 reports carry.
+    {"checked": False}, the bytes that verify-prop27 reports carry.  Past
+    m = p the record also holds the law min(C(m+1, 2), pm - p(p-1)/2) that
+    the p = 2, 3, 5, 7 tables read; a value off the law is a finding.
     """
     p = surface.field.characteristic
     if p:
-        if m < p:
-            return {"checked": False}
         upper = p * m - comb(p, 2)
-        if value > upper:
+        if m >= p and value > upper:
             raise VerificationError(
                 f"computed minimal level {value} for m={m} exceeds the "
                 f"characteristic-{p} product bound {upper}")
-        if m == p:
+        if m <= p:
             return {"checked": False}
-        return {"checked": True, "upper": upper, "ok": True}
+        law = min(comb(m + 1, 2), upper)
+        return {"checked": True, "upper": upper, "ok": True, "law": law,
+                "matches_law": value == law}
     lower_triv = comb(m, 2) + 1
     lower_quad = (m * m + 1) // 2  # ceil(m^2 / 2)
     upper = comb(m + 1, 2)

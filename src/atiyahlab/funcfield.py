@@ -5,7 +5,8 @@ parts, reduced so that gcd(a, b, d) = 1 and d is monic — a canonical form, so
 equality is coefficient equality.  Products reduce y^2 through the curve
 relation y^2 = S(x) + T(x) y with S = x^3 + a2 x^2 + a4 x + a6 and
 T = -(a1 x + a3); inverses go through the conjugate (a + bT) - b y and the
-norm a^2 + a b T - b^2 S.
+norm a^2 + a b T - b^2 S.  :func:`combination` sums many terms over the lcm of
+the denominators with one reduction; the oracle ``transformed`` keeps ``+``.
 
 Local parameters are fixed once and for all, each chart knowing one
 coordinate as a series in t and solving for the other:
@@ -270,6 +271,24 @@ class FuncElem:
 
     def valuation_at(self, P: CurvePoint) -> int:
         return self.expand(P, VALUATION_PREC).valuation()
+
+
+def combination(curve, coeffs, funcs) -> FuncElem:
+    """sum c_i f_i for raw field values c_i: the numerators over the lcm of
+    the denominators, reduced once."""
+    f = curve.field
+    terms = [(c, fn) for c, fn in zip(coeffs, funcs)
+             if not f.is_zero(c) and not fn.is_zero()]
+    den = [f.one]
+    for _, fn in terms:
+        if fn.d != den:
+            den = poly.lcm(f, den, fn.d)
+    a, b = [], []
+    for c, fn in terms:
+        m = poly.scalar_mul(f, c, poly.divmod_poly(f, den, fn.d)[0])
+        a = poly.add(f, a, poly.mul(f, fn.a, m))
+        b = poly.add(f, b, poly.mul(f, fn.b, m))
+    return FuncElem(curve, a, b, den)
 
 
 def linearly_independent(funcs) -> bool:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from .curve import CurvePoint, Divisor
 from .errors import VerificationError
-from .fields import QQ, FieldElem
-from .funcfield import FuncElem, linearly_independent, pair_function
+from .fields import QQ
+from .funcfield import FuncElem, combination, linearly_independent, pair_function
 from .linalg import Matrix, rank_and_kernel
 
 PREC_PAD = 4    # coefficients expanded past the valuation verify reads
@@ -131,17 +131,8 @@ def rr_basis(curve, D: Divisor) -> RRSpace:
     f = curve.field
     cands = monomial_basis(curve, d + 1)
     minus_r = -R
-    row = []
-    for m in cands:
-        row.append(m.evaluate(minus_r).raw)
+    row = [m.evaluate(minus_r).raw for m in cands]
     _, kern = rank_and_kernel(Matrix(f, [row]))
     xr = FuncElem(curve, [f.neg(R.x.raw), f.one], [], [f.one], reduce=False)
     scale = (xr * hacc).inverse()
-    basis = []
-    for vec in kern:
-        g = FuncElem.zero(curve)
-        for c, m in zip(vec, cands):
-            if not f.is_zero(c):
-                g = g + m * FieldElem(f, c)
-        basis.append(g * scale)
-    return RRSpace(D, basis)
+    return RRSpace(D, [combination(curve, vec, cands) * scale for vec in kern])

@@ -55,7 +55,7 @@ from . import poly
 from .curve import CurvePoint, Divisor, WeierstrassCurve
 from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationError
 from .fields import FieldElem
-from .funcfield import FuncElem, mul_numerators
+from .funcfield import FuncElem, combination, mul_numerators
 from .linalg import (Matrix, back_substitute, canonical_basis, dot,
                      rank_and_kernel, rank)
 from .riemann_roch import monomial_basis, rr_basis
@@ -296,28 +296,20 @@ class SectionVector:
             wp = field.mul(wp, w_raw)
         return FieldElem(field, acc)
 
-    def scaled(self, c_raw):
-        field = self.surface.field
-        return SectionVector(
-            self.surface, self.level, self.twisted,
-            [s * FieldElem(field, c_raw) for s in self.components],
-        )
-
     def __mul__(self, other: "SectionVector"):
         """Product section (polynomial multiplication in the fiber coordinate)."""
         if self.surface is not other.surface:
             raise ValueError("sections live on different surfaces")
         if self.twisted and other.twisted:
             raise ValueError("product of two twisted sections leaves the family")
-        curve = self.surface.curve
         level = self.level + other.level
-        comps = [FuncElem.zero(curve) for _ in range(level + 1)]
+        products = [[] for _ in range(level + 1)]
         for a, s in enumerate(self.components):
-            if s.is_zero():
-                continue
             for b, t in enumerate(other.components):
-                if not t.is_zero():
-                    comps[a + b] = comps[a + b] + s * t
+                if s and t:
+                    products[a + b].append(s * t)
+        curve, one = self.surface.curve, self.surface.field.one
+        comps = [combination(curve, [one] * len(fs), fs) for fs in products]
         return SectionVector(self.surface, level, self.twisted or other.twisted, comps)
 
     def padded_to(self, level: int):

@@ -274,12 +274,19 @@ def test_char_p_lambda_meets_the_product_bound(p, k, coeffs, levels):
         if m <= p:   # at m = p the bound is C(p+1, 2), checked, not recorded
             assert rec.bounds == {"checked": False}
         else:
-            assert rec.bounds == {"checked": True, "upper": p * m - p * (p - 1) // 2,
-                                  "ok": True}
+            upper = p * m - p * (p - 1) // 2
+            assert rec.bounds == {"checked": True, "upper": upper, "ok": True,
+                                  "law": min(comb(m + 1, 2), upper),
+                                  "matches_law": True}
             assert rec.value == rec.bounds["upper"]
     for m in (p, p + 1):
         with pytest.raises(VerificationError, match="product bound"):
             _lambda_bounds(surf, m, p * m - p * (p - 1) // 2 + 1)
+    # a level below the law is a finding, recorded rather than raised
+    law = p * (p + 1) - p * (p - 1) // 2
+    assert _lambda_bounds(surf, p + 1, law - 1) == {
+        "checked": True, "upper": law, "ok": True, "law": law,
+        "matches_law": False}
 
 
 def test_step_check_needs_positive_characteristic(rational_surface):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 from atiyahlab import funcfield, poly
 from atiyahlab.curve import WeierstrassCurve
-from atiyahlab.fields import QQ, make_extension_field
+from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import (
     FuncElem,
+    combination,
     linearly_independent,
     pair_function,
     point_expansion,
 )
+from atiyahlab.surface import make_surface
 
 
 def rational_model():
@@ -304,3 +307,78 @@ def test_arithmetic_agrees_with_evaluation(name, f, g, seed):
     assert (F * G).evaluate(P).raw == field.mul(fv, gv)
     if not field.is_zero(fv):
         assert F.inverse().evaluate(P).raw == field.inv(fv)
+
+
+# -- n-ary sums against the pairwise sum ----------------------------------------------
+
+_COMBINATION_CURVES = {
+    "QQ": rational_model,
+    "F9": lambda: WeierstrassCurve(make_extension_field(3, 2), 0, 0, 0, -1, 1),
+    "F101": lambda: WeierstrassCurve(make_extension_field(101), 0, 0, 0, -1, 1),
+    "F16": lambda: WeierstrassCurve(make_extension_field(2, 4), 1, 0, 0, 0, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _combination_pool(name):
+    """The curve and nonzero functions to combine: the components of small
+    h0 sections (denominators 1 and x - x_q) and pair functions, their
+    products and a quotient (other denominators)."""
+    E = _COMBINATION_CURVES[name]()
+    surf = make_surface(E, E.point(0, 1))
+    funcs = [c for level in (1, 2) for twisted in (False, True)
+             for sec in surf.h0(level, twisted=twisted).sections
+             for c in sec.components]
+    if E.field is QQ:
+        pts = [E.point(*xy) for xy in ((1, -1), (-1, 1), (3, 5), (5, -11))]
+    else:
+        rng = random.Random(0)
+        pts = [E.random_point(rng) for _ in range(4)]
+    pairs = [pair_function(P, Q) for P, Q in zip(pts, pts[1:])]
+    funcs += pairs + [pairs[0] * pairs[1], pairs[0] / pairs[2]]
+    return E, [fn for fn in funcs if fn]
+
+
+def _raw(field, n):
+    return field.from_int(n) if field is QQ else field.from_packed(n % field.q)
+
+
+def _pairwise_sum(E, coeffs, funcs):
+    out = FuncElem.zero(E)
+    for c, fn in zip(coeffs, funcs):
+        out = out + fn * FieldElem(E.field, c)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_COMBINATION_CURVES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(-3, 20), st.integers(-1, 10 ** 6)),
+                      max_size=6),
+       cancel=st.integers(-1, 10 ** 6))
+def test_combination_equals_the_pairwise_sum(name, terms, cancel):
+    # index -1 draws the zero function, coefficient 0 a zero term; cancel
+    # appends f and (-1) f for one pool function f
+    E, pool = _combination_pool(name)
+    field = E.field
+    coeffs = [_raw(field, c) for c, _ in terms]
+    funcs = [FuncElem.zero(E) if i < 0 else pool[i % len(pool)] for _, i in terms]
+    if cancel >= 0:
+        coeffs += [field.one, field.neg(field.one)]
+        funcs += [pool[cancel % len(pool)]] * 2
+    got = combination(E, coeffs, funcs)
+    assert got == _pairwise_sum(E, coeffs, funcs)
+    if got.is_zero():
+        assert got == FuncElem.zero(E)
+
+
+@pytest.mark.parametrize("name", list(_COMBINATION_CURVES))
+def test_combination_zero_cases(name):
+    E, pool = _combination_pool(name)
+    field = E.field
+    zero, one = FuncElem.zero(E), field.one
+    assert combination(E, [], []) == zero
+    assert combination(E, [field.zero] * len(pool), pool) == zero
+    assert combination(E, [one] * 3, [zero] * 3) == zero
+    for fn in pool:
+        assert combination(E, [one, field.neg(one)], [fn, fn]) == zero
+        assert combination(E, [one], [fn]) == fn

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from atiyahlab import surface
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import CutoffInstabilityError, VerificationError
+from atiyahlab.fat_points import _combine
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import FuncElem
 from atiyahlab.linalg import Matrix, canonical_basis, rank_and_kernel
@@ -341,13 +342,15 @@ def test_section_products_and_padding(rational_surface):
 
 
 def test_section_value_and_scale(rational_surface):
+    # value_at is linear: a combination of sections takes the same
+    # combination of their values
     surf = rational_surface
-    s = surf.h0(2, twisted=False).sections[0]
+    sections = surf.h0(2, twisted=True).sections
+    vec = [Fraction(3), Fraction(-2, 5)] + [0] * (len(sections) - 3) + [7]
     P = surf.curve.point(3, 5)
     w = Fraction(2)
-    v = s.value_at(P, w)
-    v2 = s.scaled(Fraction(3)).value_at(P, w)
-    assert v2 == v * 3
+    want = sum(c * s.value_at(P, w).raw for c, s in zip(vec, sections))
+    assert _combine(sections, vec).value_at(P, w).raw == want
 
 
 def test_space_serialization(rational_surface):
