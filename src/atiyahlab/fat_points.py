@@ -14,10 +14,10 @@ coefficient of the inner bracket, expanded at P0.  That is all the geometry
 this module needs; everything else is exact linear algebra over the base
 field plus the certificates that make the computed numbers auditable:
 
-* min_level (the smallest level whose system admits multiplicity m) returns
-  a kernel section that is independently re-expanded at the fat point, and a
-  full-rank witness at level - 1 whose rank is recomputed by a separate
-  elimination routine;
+* min_level (the smallest level whose system admits multiplicity m) reads
+  it off one jet matrix at the proved bound as its first dependent column,
+  with a kernel section independently re-expanded at the fat point and a
+  full-rank witness at level - 1 recomputed by a separate elimination;
 * char_p_witness builds the positive-characteristic divisor as an explicit
   product of low-level sections and re-verifies its jets from scratch.
 """
@@ -248,7 +248,7 @@ def verify_jets(section: SectionVector, fp: FatPoint) -> None:
 
 
 class LambdaRecord:
-    """Result of a minimal-level search for multiplicity m at one fat point."""
+    """The minimal level for multiplicity m at one fat point, certified."""
 
     def __init__(self, m, fat_point, class_point, status, value, cap,
                  dims_by_level, certificate, fullrank_witness, bounds):
@@ -291,19 +291,18 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
     at the sampled point, with a fully re-verified certificate pair.
 
     The multiplicity field of the FatPoint ``sample`` is ignored in favour
-    of m.  padded_to embeds the fat kernel at level l in the one at l + 1
-    (the added component is zero, so no jet moves), so its dimension is
-    nondecreasing in l.  The search solves at U, the proved bound C(m+1, 2)
-    (in characteristic p with m >= p the lower pm - p(p-1)/2) clipped to
-    ``cap``, then at U - 1, and bisects over [0, U - 1] only if U - 1 has a
-    member.  If U has none and U < cap (only a library bug, which
-    _lambda_bounds then reports), it solves at cap and bisects over
-    (U, cap]; none at cap (default C(m+1, 2) + 2) is status
-    "exceeded-bound", a finding rather than an exception.  dims_by_level is
-    what monotonicity proves: zeros below the answer, then its dimension.
-    The answer keeps its full certificate: the first kernel section,
-    validated and re-expanded by verify_jets, and the jet matrix one level
-    below, its full rank recomputed by rank_naive.
+    of m.  The twisted bases nest (AtiyahSurface._solve checks it), so the
+    jet matrix at any level is a column prefix of the one at top =
+    min(U, cap), U the proved bound C(m+1, 2) (in characteristic p with
+    m >= p the lower pm - p(p-1)/2); no level above U is ever solved.  The
+    answer is the first dependent column: rank_and_kernel pivots left to
+    right, so its first kernel vector ends there and is the one the answer's
+    own jet matrix gives.  No kernel at top is status "exceeded-bound" (a
+    finding, not an exception) if top is the cap (default C(m+1, 2) + 2),
+    and contradicts the bound otherwise.  dims_by_level is what the nesting
+    proves: zeros below the answer, then 1.  The certificate pair: the
+    kernel section at the answer, validated and re-expanded by verify_jets,
+    and the columns before it, their full rank recomputed by rank_naive.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -314,49 +313,34 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
         certify_class_point(cls)
     if cap is None:
         cap = comb(m + 1, 2) + 2
-    systems = {}
-
-    def dim(level):
-        systems[level] = fat_system(surface, level, [fp])
-        return systems[level].dim
-
     top = min(_upper_level(surface.field.characteristic, m), cap)
-    if dim(top) == 0:
-        if top == cap or dim(cap) == 0:
-            return LambdaRecord(m, fp, cls, "exceeded-bound", None, cap,
-                                [0] * (cap + 1), None, None, None)
-        lo, hi = top + 1, cap
-    elif top and dim(top - 1):
-        lo, hi = 0, top - 1
-    else:
-        lo = hi = top
-    # the answer lies in [lo, hi]: hi is solved and has a member, and lo is
-    # 0 or one past a solved full-rank level, so the answer's level - 1 is
-    # always solved
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if dim(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    system = systems[hi]
-    certificate = system.section(0)
+    jets = jet_matrix(surface, top, [fp])
+    kernel = rank_and_kernel(jets)[1]
+    if not kernel:
+        if top < cap:
+            raise VerificationError(
+                f"no member of multiplicity {m} at the proved bound {top}")
+        return LambdaRecord(m, fp, cls, "exceeded-bound", None, cap,
+                            [0] * (cap + 1), None, None, None)
+    vec = kernel[0]
+    value = max(i for i, c in enumerate(vec) if not surface.field.is_zero(c))
+    certificate = _combine(surface.h0(value, twisted=True).sections,
+                           vec[:value + 1])
     certificate.validate()
     verify_jets(certificate, fp)
     witness = None
-    if hi:
-        below = systems[hi - 1].matrix
+    if value:
+        below = Matrix(surface.field, [row[:value] for row in jets.rows], value)
         r = rank_naive(below)
-        if r != below.ncols:
+        if r != value:
             raise VerificationError(
-                f"level {hi - 1} matrix is rank-deficient ({r} < "
-                f"{below.ncols}); the claimed minimality is wrong")
-        witness = {"level": hi - 1, "rows": below.nrows,
-                   "cols": below.ncols, "rank": r,
-                   "rank_method": "independent-elimination"}
-    bounds = _lambda_bounds(surface, m, hi)
-    return LambdaRecord(m, fp, cls, "found", hi, cap,
-                        [0] * hi + [system.dim], certificate, witness, bounds)
+                f"level {value - 1} matrix is rank-deficient ({r} < {value}); "
+                f"the claimed minimality is wrong")
+        witness = {"level": value - 1, "rows": below.nrows, "cols": value,
+                   "rank": r, "rank_method": "independent-elimination"}
+    bounds = _lambda_bounds(surface, m, value)
+    return LambdaRecord(m, fp, cls, "found", value, cap,
+                        [0] * value + [1], certificate, witness, bounds)
 
 
 def _upper_level(p, m) -> int:
@@ -376,8 +360,9 @@ def _lambda_bounds(surface, m, value) -> dict:
     point (that space has dimension 2).  It is recorded from m = p + 1 on;
     at m = p it is the dimension count C(p+1, 2), and the record stays
     {"checked": False}, the bytes that verify-prop27 reports carry.  Past
-    m = p the record also holds the law min(C(m+1, 2), pm - p(p-1)/2) that
-    the p = 2, 3, 5, 7 tables read; a value off the law is a finding.
+    m = p the record also says whether the value meets the bound, the law
+    the p = 2, 3, 5, 7 tables read (C(m+1, 2) exceeds it by C(m-p+1, 2));
+    a value below it is a finding.
     """
     p = surface.field.characteristic
     if p:
@@ -388,9 +373,8 @@ def _lambda_bounds(surface, m, value) -> dict:
                 f"characteristic-{p} product bound {upper}")
         if m <= p:
             return {"checked": False}
-        law = min(comb(m + 1, 2), upper)
-        return {"checked": True, "upper": upper, "ok": True, "law": law,
-                "matches_law": value == law}
+        return {"checked": True, "upper": upper, "ok": True,
+                "matches_law": value == upper}
     lower_triv = comb(m, 2) + 1
     lower_quad = (m * m + 1) // 2  # ceil(m^2 / 2)
     upper = comb(m + 1, 2)

@@ -419,6 +419,16 @@ class AtiyahSurface:
           columns.  So the restriction is the canonical basis of ker A.
         * Otherwise CutoffInstabilityError, the margin dimension read from
           the rank of M on the margin columns (= rank A).
+        * Nesting, twisted: a section's top nonzero slot a has t_a = s_a in
+          L(q), the constants, so basis section a should be nonzero at slot
+          a and zero above it; that is checked (VerificationError
+          otherwise).  Then sections 0..l span the level-L sections zero
+          above slot l, the padded level-l space (padding changes no t_j):
+          a combination with a nonzero coefficient past l is nonzero at
+          the highest such slot.  A subset of a reduced echelon basis is
+          the reduced echelon basis of its span, and the columns level L
+          adds vanish there, so sections 0..l are the level-l basis,
+          padded, and min_level reads lower jet matrices as column prefixes.
         In slot a the kernel entries are the coefficients of x^(m/2) in U
         (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
         s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
@@ -462,6 +472,11 @@ class AtiyahSurface:
                                  poly.scalar_mul(field, cs[1], h.b))
                 comps.append(FuncElem(curve, u, v, d_h))
             sections.append(SectionVector(self, level, twisted, comps))
+        if twisted and any(sec.components[a].is_zero()
+                           or any(not c.is_zero() for c in sec.components[a + 1:])
+                           for a, sec in enumerate(sections)):
+            raise VerificationError(
+                "a twisted basis section a is zero at slot a or nonzero above it")
         return sections
 
     def _system(self, level: int, twisted: bool, margin: int):

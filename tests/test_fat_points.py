@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atiyahlab import fat_points
+from atiyahlab import surface as surface_module
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import CertificationError, VerificationError
 from atiyahlab.fat_points import (
@@ -276,7 +277,6 @@ def test_char_p_lambda_meets_the_product_bound(p, k, coeffs, levels):
         else:
             upper = p * m - p * (p - 1) // 2
             assert rec.bounds == {"checked": True, "upper": upper, "ok": True,
-                                  "law": min(comb(m + 1, 2), upper),
                                   "matches_law": True}
             assert rec.value == rec.bounds["upper"]
     for m in (p, p + 1):
@@ -285,8 +285,7 @@ def test_char_p_lambda_meets_the_product_bound(p, k, coeffs, levels):
     # a level below the law is a finding, recorded rather than raised
     law = p * (p + 1) - p * (p - 1) // 2
     assert _lambda_bounds(surf, p + 1, law - 1) == {
-        "checked": True, "upper": law, "ok": True, "law": law,
-        "matches_law": False}
+        "checked": True, "upper": law, "ok": True, "matches_law": False}
 
 
 def test_step_check_needs_positive_characteristic(rational_surface):
@@ -333,7 +332,7 @@ def test_translate_marked_fiber(f9_surface):
         translate_marked_fiber(f9_surface, fp, bad_shift)
 
 
-# -- the monotone search for a minimal level ----------------------------------
+# -- the minimal level off one jet matrix -------------------------------------
 
 _QQ_POINTS = ((1, 1), (1, -1), (3, 5), (3, -5), (5, 11))
 
@@ -357,8 +356,7 @@ def _gear_surface(name):
 
 def _gear_case(name, seed):
     """(surface, fat point) for one gear; the torsion cases put the base where
-    base - q has order 2, so the minimal levels fall below the bound
-    and the search has to bisect."""
+    base - q has order 2, so the minimal levels fall below the bound."""
     surf = _gear_surface(name)
     E = surf.curve
     if name == "QQ":
@@ -407,7 +405,7 @@ def test_min_level_search_matches_ladder(name, m, seed, data):
 
 
 def test_min_level_search_reaches_below_the_bound():
-    # the torsion cases are what make the bisection run
+    # the torsion cases put the first dependent column below the bound
     for name, want in (("QQ-torsion", [1, 2, 5, 8]),
                        ("F101-torsion", [1, 2, 5, 8])):
         surf, fp = _gear_case(name, 0)
@@ -416,40 +414,67 @@ def test_min_level_search_reaches_below_the_bound():
 
 
 @pytest.mark.parametrize("shortfall", [1, 2, 5, 10])
-def test_min_level_search_climbs_past_a_low_bound(monkeypatch, shortfall):
-    # were the bound too low, the search would solve at the cap and bisect
-    # upward; it still agrees with the ladder, and a cap at the low bound is
-    # exhausted
+def test_min_level_rejects_a_low_bound(monkeypatch, shortfall):
+    # were the bound too low, its jet matrix would have no kernel: that
+    # contradicts the proof and raises, nothing above the bound is solved,
+    # and a cap at the low bound is still an exhaustion
     surf, fp = _gear_case("QQ", 0)
     monkeypatch.setattr(fat_points, "_upper_level",
                         lambda p, m: max(0, comb(m + 1, 2) - shortfall))
     for m in (1, 2, 3, 4):
-        _assert_same_record(min_level(surf, m, fp),
-                            min_level_ladder(surf, m, fp))
+        with pytest.raises(VerificationError, match="proved bound"):
+            min_level(surf, m, fp)
         low = max(0, comb(m + 1, 2) - shortfall)
         rec = min_level(surf, m, fp, cap=low)
         assert rec.status == "exceeded-bound"
         assert rec.dims_by_level == (0,) * (low + 1)
 
 
-def test_min_level_solves_twice_at_the_bound(monkeypatch):
-    surf, fp = _gear_case("QQ", 0)
-    levels = []
-    original = fat_points.fat_system
+def test_min_level_solves_the_bound_and_the_answer(rational_curve):
+    # lambda = U over Q: one twisted h0, at U = 10, which the certificate
+    # reuses
+    surf = _fresh_rational(rational_curve)
+    rec = min_level(surf, 4, FatPoint(rational_curve.point(1, 1), -2, 1))
+    assert rec.value == 10 and list(surf._h0) == [(10, True)]
+    # lambda = 8 < U = 10 on a 2-torsion class: U for the jets, 8 for the
+    # certificate
+    E = WeierstrassCurve(QQ, 0, 0, 0, 0, 1)
+    surf = make_surface(E, E.point(0, 1))
+    rec = min_level(surf, 4, FatPoint(E.point(2, -3), -2, 1), certify=False)
+    assert rec.value == 8 and list(surf._h0) == [(10, True), (8, True)]
 
-    def counting(surface, level, points):
-        levels.append(level)
-        return original(surface, level, points)
 
-    monkeypatch.setattr(fat_points, "fat_system", counting)
-    rec = min_level(surf, 4, fp)
-    assert rec.value == 10 and levels == [10, 9]
+@pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F16", "F101"])
+def test_twisted_bases_nest(name):
+    # min_level rests on this: below the bound U, the basis at level l is
+    # the first l + 1 sections at U, padded, so the jet matrix at l is the
+    # first l + 1 columns of the one at U
+    surf, fp = _gear_case(name, 0)
+    fp = fp.with_multiplicity(4)
+    top = _upper_level(surf.field.characteristic, 4)
+    sections = surf.h0(top, twisted=True).sections
+    jets = jet_matrix(surf, top, [fp]).rows
+    for level in range(top):
+        assert ([s.padded_to(top).serialize()
+                 for s in surf.h0(level, twisted=True).sections]
+                == [s.serialize() for s in sections[:level + 1]])
+        assert (jet_matrix(surf, level, [fp]).rows
+                == [row[:level + 1] for row in jets])
+
+
+def test_solve_rejects_a_basis_that_does_not_nest(monkeypatch, rational_curve):
+    surf = _fresh_rational(rational_curve)
+    original = surface_module.canonical_basis
+    monkeypatch.setattr(surface_module, "canonical_basis",
+                        lambda *args: original(*args)[::-1])
+    with pytest.raises(VerificationError, match="twisted basis section"):
+        surf.h0(2, twisted=True)
 
 
 @pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F101-torsion"])
 def test_padding_keeps_fat_kernel_members(name):
-    # the search rests on this: a fat-kernel section at level l, padded to
-    # l + 1, is a member there, so dim is nondecreasing in the level
+    # a fat-kernel section at level l, padded to l + 1, is a member there,
+    # so dim is nondecreasing in the level
     surf, fp = _gear_case(name, 0)
     for m, level in ((1, 1), (2, 3), (2, 4), (3, 6)):
         fp_m = fp.with_multiplicity(m)
