@@ -157,12 +157,39 @@ class WeierstrassCurve:
         raise CertificationError("field too small: no admissible point found")
 
     def points(self) -> list:
-        """All rational points, infinity first (finite fields, q <= 10^6)."""
+        """All rational points, infinity first (finite fields, q <= 10^6).
+
+        For odd q the points over each x are read off one table of square
+        roots instead of a root solve per x: y = (s - b)/2 and (-s - b)/2
+        with s^2 = b^2 - 4c, listed in the order y_coordinates lists them.
+        """
         affine = self._affine_points()
-        if self.field.q > _ENUMERATION_CAP:
-            raise ValueError(f"field size {self.field.q} above enumeration cap "
+        f = self.field
+        if f.q > _ENUMERATION_CAP:
+            raise ValueError(f"field size {f.q} above enumeration cap "
                              f"{_ENUMERATION_CAP}")
-        return [self.infinity, *affine]
+        if f.p == 2:
+            return [self.infinity, *affine]
+        root = {}
+        for v in range(f.q):
+            r = f.from_packed(v)
+            root.setdefault(f.mul(r, r), r)
+        half, four = f.inv(f.from_int(2)), f.from_int(4)
+        a1, a2, a3, a4, a6 = (c.raw for c in
+                              (self.a1, self.a2, self.a3, self.a4, self.a6))
+        out = [self.infinity]
+        for v in range(f.q):
+            x = f.from_packed(v)
+            b = f.add(f.mul(a1, x), a3)
+            rhs = f.add(f.mul(f.add(f.mul(f.add(x, a2), x), a4), x), a6)
+            s = root.get(f.add(f.mul(b, b), f.mul(four, rhs)))
+            if s is None:
+                continue
+            ys = {f.mul(f.sub(s, b), half), f.mul(f.neg(f.add(s, b)), half)}
+            xe = FieldElem(f, x)
+            out += [CurvePoint(self, xe, FieldElem(f, y))
+                    for y in sorted(ys, key=f.to_packed)]
+        return out
 
     def group_structure_small(self) -> "GroupStructure":
         """Order, cyclicity and a maximal-order witness by full enumeration."""

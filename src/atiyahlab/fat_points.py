@@ -219,9 +219,11 @@ def h0_fat(surface: AtiyahSurface, level: int, points) -> int:
 
 
 def verify_jets(section: SectionVector, fp: FatPoint) -> None:
-    """Re-expand the section at the fat point from scratch (never from the
-    expansions jet_matrix caches) and check that all jets of total degree
-    < m vanish; raises VerificationError otherwise."""
+    """Re-expand the combined section at the fat point (never reading the
+    per-space expansions jet_matrix caches) and check that all jets of
+    total degree < m vanish; raises VerificationError otherwise.  Each
+    component goes through FuncElem.expand, one combination of the curve's
+    power table for its own denominator."""
     field = section.surface.field
     m = fp.multiplicity
     exps = [None if comp.is_zero() else comp.expand(fp.base, m + JET_PAD)
@@ -303,6 +305,10 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
     proves: zeros below the answer, then 1.  The certificate pair: the
     kernel section at the answer, validated and re-expanded by verify_jets,
     and the columns before it, their full rank recomputed by rank_naive.
+    The section combines the first answer + 1 sections at top and keeps its
+    first answer + 1 slots: by the nesting those sections are the answer's
+    own basis, padded, so it is the section that basis gives, and no level
+    but top is solved.
     """
     if m < 1:
         raise ValueError("multiplicity must be >= 1")
@@ -324,8 +330,10 @@ def min_level(surface: AtiyahSurface, m: int, sample, cap: int | None = None,
                             [0] * (cap + 1), None, None, None)
     vec = kernel[0]
     value = max(i for i, c in enumerate(vec) if not surface.field.is_zero(c))
-    certificate = _combine(surface.h0(value, twisted=True).sections,
+    top_section = _combine(surface.h0(top, twisted=True).sections[:value + 1],
                            vec[:value + 1])
+    certificate = SectionVector(surface, value, True,
+                                top_section.components[:value + 1])
     certificate.validate()
     verify_jets(certificate, fp)
     witness = None

@@ -16,10 +16,21 @@ coordinate as a series in t and solving for the other:
 * the point at infinity:                   t = x / y, t known, solve w = 1/y.
 
 Each chart writes the curve equation as a polynomial in its unknown with
-series coefficients and hands it to one Newton step, whose residual and
-derivative go through the Horner loop of ``series.eval_poly``.  Expansions
-are cached per (curve, point), the horizon at least doubling whenever it
-falls short.
+series coefficients and solves it by Newton's method at horizons 2, 4, ...
+up to the one asked for, the residual and derivative going through the
+Horner loop of ``series.eval_poly``; the root is simple, so each step
+doubles the known coefficients and the whole solve costs about two steps at
+the full horizon.  Expansions are cached per (curve, point), the horizon at
+least doubling whenever it falls short.
+
+A function (a + b y)/d is expanded at P from the table of P and d: the
+series x^i/d and x^i y/d, cached on the curve beside the point expansions
+and grown by the same doubling rule, each power one product with x(t) from
+the last and made only as far as some function asks.  The expansion is then
+the scalar combination sum a_i (x^i/d) + sum b_i (x^i y/d), with no series
+product or inverse per function.  Every twisted component of a surface's
+sections has the denominator of the one-pole function and every plain one
+has d = 1, so a surface builds a few tables per point and reuses them.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from . import poly
 from .curve import CurvePoint, WeierstrassCurve
 from .errors import SeriesPrecisionError
 from .fields import FieldElem
-from .series import LaurentSeries, eval_poly
+from .series import LaurentSeries, eval_poly, linear_combination
 
 VALUATION_PREC = 8      # coefficients valuation_at expands past the valuation
 
@@ -245,26 +256,22 @@ class FuncElem:
         """Laurent expansion at P in the canonical local parameter.
 
         Guarantees at least ``prec`` known coefficients past the valuation
-        (or, if the function is zero, an exact zero window).
+        (or, if the function is zero, an exact zero window).  The expansion
+        is the scalar combination sum a_i (x^i/d) + sum b_i (x^i y/d) of the
+        series in the table of P and d, with no series product or inverse of
+        its own; a result zero to precision or short of ``prec`` past its
+        valuation is recomputed at twice the horizon.
         """
         if self.is_zero():
             return LaurentSeries.zero(self.curve.field, prec + 4)
-        f = self.curve.field
         H = prec + poly.degree(self.d) * 2 + 8
         for _ in range(6):
-            xs, ys = point_expansion(self.curve, P, H)
-            num = eval_poly(f, self.a, xs)
-            if self.b:
-                num = num + eval_poly(f, self.b, xs) * ys
-            den = eval_poly(f, self.d, xs)
-            if den.is_zero_to_precision():
-                H *= 2
-                continue
-            res = num * den.inverse()
-            if res.is_zero_to_precision() or res.precision_past_valuation() < prec:
-                H *= 2
-                continue
-            return res
+            table = _power_table(self.curve, P, self.d, H)
+            res = table.combine(self.a, self.b, H)
+            if (not res.is_zero_to_precision()
+                    and res.precision_past_valuation() >= prec):
+                return res
+            H *= 2
         raise SeriesPrecisionError(
             f"expansion of {self!r} at {P} did not stabilize at precision {prec}"
         )
@@ -339,20 +346,80 @@ def point_expansion(curve: WeierstrassCurve, P: CurvePoint, prec: int):
             ys.truncate(prec) if ys.hi > prec else ys)
 
 
+class _PowerTable:
+    """The series x^i/d and x^i y/d at one point, from the expansions of x
+    and y to horizon H, each power made from the last by one product with
+    x(t) and only as far as some function has asked for it."""
+
+    __slots__ = ("H", "xs", "ys", "over_d", "y_over_d")
+
+    def __init__(self, xs, ys, inv_d, H):
+        self.H = H
+        self.xs, self.ys = xs, ys
+        self.over_d = [inv_d]
+        self.y_over_d = []
+
+    def combine(self, a, b, H):
+        """(a + b y)/d at P, known as far as a table at horizon H would know
+        it: every window of the table moves with its horizon."""
+        xs, xd, yd = self.xs, self.over_d, self.y_over_d
+        while len(xd) < len(a):
+            xd.append(xs * xd[-1])
+        while len(yd) < len(b):
+            yd.append(xs * yd[-1] if yd else self.ys * xd[0])
+        return linear_combination(xs.field, a + b, xd[:len(a)] + yd[:len(b)],
+                                  self.H - H)
+
+
+def _power_table(curve, P, d, H):
+    """The table of P and d to horizon >= H, cached on the curve beside the
+    point expansions and grown by the same rule.
+
+    d(t) has valuation at most 2 deg d in absolute value, so at the
+    horizons expand asks for, above 2 deg d, its inverse is defined.
+    """
+    key = (P, tuple(d))
+    cache = curve._expansion_cache
+    table = cache.get(key)
+    if table is None or table.H < H:
+        if table is not None:
+            H = max(H, 2 * table.H)
+        xs, ys = point_expansion(curve, P, H)
+        inv_d = eval_poly(curve.field, d, xs).inverse()
+        table = cache[key] = _PowerTable(xs, ys, inv_d, H)
+    return table
+
+
+def _cut(c, h):
+    return c.truncate(h) if isinstance(c, LaurentSeries) else c
+
+
 def _newton(field, coeffs, u, P):
-    """The root of sum c_i u^i near the start value u, to u's horizon.
+    """The root of sum c_i u^i whose constant term is u's, to u's horizon.
 
     Each c_i is a raw field value or a series, the leading one raw; the
     residual and the derivative sum i c_i u^(i-1) both go through Horner.
+    The root is simple, so a step taken at horizon 2h from a value right
+    below h is right below 2h: the steps run at horizons 2, 4, ... on the
+    coefficients cut there, the current value taken as exact, and the root
+    is returned once its residual vanishes at the full horizon.
     """
+    H = u.hi
     deriv = [c.scale(field.from_int(i)) if isinstance(c, LaurentSeries)
              else field.mul(field.from_int(i), c)
              for i, c in enumerate(coeffs[1:], 1)]
-    for _ in range(u.hi.bit_length() + 3):
-        r = eval_poly(field, coeffs, u)
+    h = 1
+    for _ in range(2 * H.bit_length() + 3):
+        h = min(2 * h, H)
+        uh = u.truncate(h) if u.hi >= h else LaurentSeries(
+            field, u.start, u.coeffs + [field.zero] * (h - u.hi), h)
+        r = eval_poly(field, [_cut(c, h) for c in coeffs], uh)
         if r.is_zero_to_precision():
-            return u
-        u = u - r * eval_poly(field, deriv, u).inverse()
+            if h == H:
+                return uh
+            continue
+        du = eval_poly(field, [_cut(c, h) for c in deriv], uh)
+        u = uh - r * du.inverse()
     raise SeriesPrecisionError(f"Newton failed to converge at {P}")
 
 

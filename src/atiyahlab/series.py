@@ -206,6 +206,26 @@ class LaurentSeries:
         return " + ".join(parts) + f" + O(t^{self.hi})"
 
 
+def linear_combination(field, coeffs, terms, drop: int) -> LaurentSeries:
+    """sum c_i s_i for raw field values c_i, by one scalar pass per term.
+
+    The sum is known below the least horizon of the terms with c_i != 0,
+    which is sound; ``drop`` lowers that horizon further for a caller that
+    reads fewer coefficients than the terms hold.
+    """
+    fz, fmul, fadd = field.is_zero, field.mul, field.add
+    used = [(c, s) for c, s in zip(coeffs, terms) if not fz(c)]
+    hi = min(s.hi for _, s in used) - drop
+    start = min(min(s.start for _, s in used), hi)
+    out = [field.zero] * (hi - start)
+    for c, s in used:
+        off = s.start - start
+        for k, a in enumerate(s.coeffs[:max(hi - s.start, 0)]):
+            if not fz(a):
+                out[off + k] = fadd(out[off + k], fmul(c, a))
+    return LaurentSeries(field, start, out, hi)
+
+
 def eval_poly(field, coeffs, s: LaurentSeries) -> LaurentSeries:
     """Evaluate sum c_i s^i by Horner; each c_i is a raw field value or a series.
 

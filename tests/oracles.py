@@ -3,8 +3,8 @@
 None of these is on a production path: each restates a fact the library
 computes another way (a matrix product, the chart-change matrix, the
 coboundary test, a class-preserving translation, span membership of
-sections, the level-by-level search for a minimal level), so that the
-tests can compare the two.
+sections, the level-by-level search for a minimal level, the expansion of
+a function by Horner's rule), so that the tests can compare the two.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from math import comb
 
 from atiyahlab import poly
 from atiyahlab.curve import certify_class_point
-from atiyahlab.errors import VerificationError
+from atiyahlab.errors import SeriesPrecisionError, VerificationError
 from atiyahlab.fat_points import (FatPoint, LambdaRecord, _check_admissible,
                                   _lambda_bounds, fat_system, verify_jets)
 from atiyahlab.fields import FieldElem
-from atiyahlab.funcfield import FuncElem
+from atiyahlab.funcfield import FuncElem, point_expansion
 from atiyahlab.linalg import Matrix, rank, rank_naive
+from atiyahlab.series import LaurentSeries, eval_poly
 from atiyahlab.surface import AtiyahSurface, _coboundary_jets, _jet_vector
 
 
@@ -67,6 +68,33 @@ def sym_transition(cocycle, level: int):
                 row.append(g_powers[a - j] * FieldElem(field, c))
         rows.append(row)
     return rows
+
+
+def expand_horner(fn: FuncElem, P, prec: int) -> LaurentSeries:
+    """FuncElem.expand without the power tables: a(x(t)), b(x(t)) and
+    d(x(t)) by Horner's rule on the point expansions, then
+    (a + b y(t)) / d(t) by one series inverse and two products, the horizon
+    doubled until ``prec`` coefficients past the valuation are known."""
+    if fn.is_zero():
+        return LaurentSeries.zero(fn.curve.field, prec + 4)
+    f = fn.curve.field
+    H = prec + poly.degree(fn.d) * 2 + 8
+    for _ in range(6):
+        xs, ys = point_expansion(fn.curve, P, H)
+        num = eval_poly(f, fn.a, xs)
+        if fn.b:
+            num = num + eval_poly(f, fn.b, xs) * ys
+        den = eval_poly(f, fn.d, xs)
+        if den.is_zero_to_precision():
+            H *= 2
+            continue
+        res = num * den.inverse()
+        if res.is_zero_to_precision() or res.precision_past_valuation() < prec:
+            H *= 2
+            continue
+        return res
+    raise SeriesPrecisionError(
+        f"expansion of {fn!r} at {P} did not stabilize at precision {prec}")
 
 
 def is_coboundary_jet(cocycle, fn) -> bool:

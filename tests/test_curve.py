@@ -12,7 +12,7 @@ from atiyahlab.curve import (
     reduce_point_mod_p,
 )
 from atiyahlab.errors import CertificationError
-from atiyahlab.fields import QQ, make_extension_field
+from atiyahlab.fields import QQ, FieldElem, make_extension_field
 
 
 def rational_model():
@@ -113,6 +113,28 @@ def test_point_counts_other_fields():
         n = len(E.points())
         q = E.field.q
         assert abs(n - (q + 1)) <= 2 * int(q ** 0.5) + 1
+
+
+@pytest.mark.parametrize("field_args,coeffs", [
+    ((101,), (0, 0, 0, -1, 1)),
+    ((3, 2), (0, 0, 0, -1, 1)),
+    ((5, 3), (0, 0, 0, -1, 1)),
+    ((5, 2), (1, 2, 3, 4, 1)),          # long forms, with ramified points
+    ((3, 2), (1, 1, 1, 1, 1)),
+    ((101,), (1, -1, 1, -2, 0)),
+    ((2, 4), ("1", "2", "1", "3", "1")),
+], ids=["F101", "F9", "F125", "F25-long", "F9-long", "F101-long", "F16-long"])
+def test_points_match_the_per_x_root_solves(field_args, coeffs):
+    # points() reads the y over each x off one table of square roots (odd
+    # q); the list must be the per-x y_coordinates enumeration, in its order
+    E = WeierstrassCurve(make_extension_field(*field_args), *coeffs)
+    f = E.field
+    want = [(None, None)] + [
+        (x, y.raw) for x in (f.from_packed(v) for v in range(f.q))
+        for y in E.y_coordinates(FieldElem(f, x))]
+    got = [(None, None) if P.is_infinity else (P.x.raw, P.y.raw)
+           for P in E.points()]
+    assert got == want
 
 
 def test_first_point_oracle():

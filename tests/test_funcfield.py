@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from fractions import Fraction
@@ -16,7 +17,9 @@ from atiyahlab.funcfield import (
     pair_function,
     point_expansion,
 )
+from atiyahlab.series import LaurentSeries
 from atiyahlab.surface import make_surface
+from oracles import expand_horner
 
 
 def rational_model():
@@ -66,69 +69,62 @@ def test_evaluate_at_affine_points():
 
 
 def series_const(curve, c, xs, ys):
-    from atiyahlab.series import LaurentSeries
     return LaurentSeries.constant(curve.field, c, min(xs.hi, ys.hi))
 
 
-def test_point_expansion_satisfies_curve_equation():
-    # The local expansions (x(t), y(t)) must satisfy the Weierstrass relation
-    # through their full shared precision window, at every point type.
-    E = rational_model()
-    cases = [E.point(0, 1),                # ordinary
-             E.point(1, -1),
-             E.infinity]                   # the base point
-    E9 = WeierstrassCurve(make_extension_field(3, 2), 0, 0, 0, -1, 1)
-    cases9 = E9.points()[1:4] + [E9.infinity]
-    for curve, pts in ((E, cases), (E9, cases9)):
-        for P in pts:
-            xs, ys = point_expansion(curve, P, 10)
-            diff = (ys * ys) - (xs * xs * xs + xs.scale(curve.a4.raw)
-                                + series_const(curve, curve.a6.raw, xs, ys))
-            assert diff.is_zero_to_precision()
-
-
-def test_point_expansion_char2_full_model():
-    F4 = make_extension_field(2, 2)
-    E = WeierstrassCurve(F4, 1, 0, 0, 0, 1)     # y^2 + xy = x^3 + 1
-    for P in [E.point(0, 1), E.infinity]:
-        xs, ys = point_expansion(E, P, 8)
-        diff = ys * ys + xs * ys - (xs * xs * xs + series_const(E, E.a6.raw, xs, ys))
-        assert diff.is_zero_to_precision()
-
-
-# long-form models with a1, a2 and a3 all nonzero; over F_16 the text "2"
-# and "3" name the packed elements z and z + 1
-_LONG_FORM_MODELS = {
-    "QQ": (QQ, (1, -1, 1, -2, 0)),          # y^2 + xy + y = x^3 - x^2 - 2x
-    "F25": (make_extension_field(5, 2), (1, 2, 3, 4, 1)),
-    "F9": (make_extension_field(3, 2), (1, 1, 1, 1, 1)),
-    "F16": (make_extension_field(2, 4), ("1", "2", "1", "3", "1")),
+# y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with, over Q, the affine
+# points to expand at (over a finite field every point is taken) and whether
+# a ramified point is among them.  The long forms have a1, a2 and a3 all
+# nonzero; over F_16 the text "2" and "3" name the packed elements z and
+# z + 1.
+_EXPANSION_MODELS = {
+    "QQ": (QQ, (1, -1, 1, -2, 0),           # y^2 + xy + y = x^3 - x^2 - 2x
+           [(-1, 0), (0, -1), (2, -3), (3, 2)], True),
+    "F25": (make_extension_field(5, 2), (1, 2, 3, 4, 1), None, True),
+    "F9": (make_extension_field(3, 2), (1, 1, 1, 1, 1), None, True),
+    "F16": (make_extension_field(2, 4), ("1", "2", "1", "3", "1"), None, True),
+    "QQ-short": (QQ, (0, 0, 0, -1, 1), [(0, 1), (1, -1)], False),
+    "F9-short": (make_extension_field(3, 2), (0, 0, 0, -1, 1), None, False),
+    "F4-char2": (make_extension_field(2, 2), (1, 0, 0, 0, 1), None, True),
 }
 
 
-@pytest.mark.parametrize("name", list(_LONG_FORM_MODELS))
+@pytest.mark.parametrize("name", list(_EXPANSION_MODELS))
 def test_point_expansion_satisfies_long_form_equation(name):
-    # y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 through the shared
-    # window, at every affine point (ramified ones included) and at infinity
-    field, a = _LONG_FORM_MODELS[name]
+    # the curve equation through the shared window, at every affine point
+    # (ramified ones included) and at infinity, with the chart's known
+    # coordinate exact and the solved one's constant term right: by Hensel
+    # that pins the Newton root, which the doubling horizons 2, 4, ... must
+    # reach at a horizon that is no power of two as well
+    field, a, qq_points, has_ramified = _EXPANSION_MODELS[name]
     E = WeierstrassCurve(field, *a)
-    if field is QQ:
-        pts = [E.point(-1, 0), E.point(0, -1), E.point(2, -3), E.point(3, 2),
-               E.infinity]
-    else:
+    if qq_points is None:
         pts = E.points()
+    else:
+        pts = [E.point(*xy) for xy in qq_points] + [E.infinity]
     a1, a2, a3, a4, a6 = (c.raw for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
     ramified = 0
     for P in pts:
-        if not P.is_infinity and not (2 * P.y + E.a1 * P.x + E.a3):
-            ramified += 1
-        xs, ys = point_expansion(E, P, 10)
-        one = series_const(E, field.one, xs, ys)
-        lhs = ys * ys + (xs * ys).scale(a1) + ys.scale(a3)
-        rhs = xs * xs * xs + (xs * xs).scale(a2) + xs.scale(a4) + one.scale(a6)
-        assert (lhs - rhs).is_zero_to_precision(), P
-        assert min(xs.hi, ys.hi) >= 10
-    assert ramified >= 1
+        for prec in (10, 37):
+            xs, ys = point_expansion(E, P, prec)
+            one = series_const(E, field.one, xs, ys)
+            lhs = ys * ys + (xs * ys).scale(a1) + ys.scale(a3)
+            rhs = xs * xs * xs + (xs * xs).scale(a2) + xs.scale(a4) + one.scale(a6)
+            assert (lhs - rhs).is_zero_to_precision(), P
+            assert xs.hi == ys.hi == prec
+            t = LaurentSeries.t_power(field, 1, prec + 4)
+            if P.is_infinity:           # t = x/y: x = t^-2 + ..., y = t^-3 + ...
+                assert (xs.valuation(), ys.valuation()) == (-2, -3)
+                assert xs.coefficient(-2) == ys.coefficient(-3) == field.one
+                assert xs == (t * ys).truncate(prec)
+            elif 2 * P.y + E.a1 * P.x + E.a3:   # t = x - x_P
+                assert xs == (t + series_const(E, P.x.raw, xs, ys)).truncate(prec)
+                assert ys.coefficient(0) == P.y.raw
+            else:                       # ramified, t = y - y_P
+                ramified += prec == 10
+                assert ys == (t + series_const(E, P.y.raw, xs, ys)).truncate(prec)
+                assert xs.coefficient(0) == P.x.raw
+    assert (ramified >= 1) == has_ramified
 
 
 def test_expansion_cache_grows_geometrically(monkeypatch):
@@ -382,3 +378,85 @@ def test_combination_zero_cases(name):
     for fn in pool:
         assert combination(E, [one, field.neg(one)], [fn, fn]) == zero
         assert combination(E, [one], [fn]) == fn
+
+
+# -- expansion against the Horner oracle -----------------------------------------
+
+_ORACLE_CURVES = {
+    "QQ": lambda: WeierstrassCurve(QQ, 0, 0, 0, 0, 1),      # (-1, 0) ramified
+    "F9": lambda: WeierstrassCurve(make_extension_field(3, 2), 0, 0, 0, -1, 0),
+    "F101": lambda: WeierstrassCurve(make_extension_field(101), 0, 0, 0, -1, 0),
+    "F16": lambda: WeierstrassCurve(make_extension_field(2, 4), 1, 0, 0, 0, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_pool(name):
+    """The curve, the points to expand at (infinity, the marked fiber point
+    q, where twisted components have a simple pole, an unramified and a
+    ramified affine point) and the functions: h0 section components, pair
+    functions, and powers that cancel to a high valuation at each point."""
+    E = _ORACLE_CURVES[name]()
+    affine = ([E.point(*xy) for xy in ((0, 1), (2, 3), (-1, 0))]
+              if E.field is QQ else E.points()[1:])
+    unramified = [P for P in affine if 2 * P.y + E.a1 * P.x + E.a3]
+    ramified = [P for P in affine if not 2 * P.y + E.a1 * P.x + E.a3]
+    q = unramified[0]
+    surf = make_surface(E, q)
+    other = next(P for P in unramified if P not in (q, -q, surf.T))
+    pts = [E.infinity, q, other, ramified[0]]
+    funcs = [c for level in (1, 2, 3) for twisted in (False, True)
+             for sec in surf.h0(level, twisted=twisted).sections
+             for c in sec.components if c]
+    funcs += [pair_function(P, Q) for P in pts[1:] for Q in pts[1:]]
+    x = FuncElem.x_function(E)
+    for P in pts[1:]:
+        funcs += [pair_function(P, P) ** 3, (x - FuncElem.constant(E, P.x)) ** 5]
+    return E, pts, funcs
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CURVES))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(i=st.integers(0, 10 ** 6), j=st.integers(0, 3), prec=st.integers(1, 24))
+def test_expand_matches_the_horner_oracle(name, i, j, prec):
+    # the table's scalar combination gives the Horner coefficients on the
+    # common window, with prec of them past the valuation
+    E, pts, funcs = _oracle_pool(name)
+    fn, P = funcs[i % len(funcs)], pts[j]
+    got, want = fn.expand(P, prec), expand_horner(fn, P, prec)
+    assert got.precision_past_valuation() >= prec
+    assert got.valuation() == want.valuation()
+    lo, hi = min(got.start, want.start), min(got.hi, want.hi)
+    assert ([got.coefficient(e) for e in range(lo, hi)]
+            == [want.coefficient(e) for e in range(lo, hi)])
+
+
+def test_twisted_ladder_builds_one_table_per_point_and_denominator(monkeypatch):
+    # every twisted component has the denominator d_h of the one-pole
+    # function (or 1); a ladder keeps one table per (point, d) and rebuilds
+    # it only when a request outgrows it, at least twice as far each time
+    tables, horizons = [], collections.defaultdict(list)
+    uses = collections.Counter()
+    build = funcfield._power_table
+
+    def recording(curve, P, d, H):
+        table = build(curve, P, d, H)
+        uses[P, tuple(d)] += 1
+        if not any(t is table for t in tables):
+            tables.append(table)
+            horizons[P, tuple(d)].append(table.H)
+        return table
+
+    monkeypatch.setattr(funcfield, "_power_table", recording)
+    E = rational_model()
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    for level in range(1, 9):
+        surf.h0(level, twisted=True)
+    d_h = tuple(surf.one_pole_function.d)
+    ladder = {key for key in uses if key[1] == d_h}
+    assert ladder == {(surf.q, d_h), (E.infinity, d_h)}
+    assert set(E._expansion_cache) >= ladder
+    for key in ladder:
+        hs = horizons[key]
+        assert all(b >= 2 * a for a, b in zip(hs, hs[1:])), hs
+        assert uses[key] >= 10 * len(hs), (uses[key], hs)
