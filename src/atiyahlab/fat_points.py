@@ -18,6 +18,9 @@ field plus the certificates that make the computed numbers auditable:
   it off one jet matrix at the proved bound as its first dependent column,
   with a kernel section independently re-expanded at the fat point and a
   full-rank witness at level - 1 recomputed by a separate elimination;
+* max_multiplicity (the largest multiplicity at a level) reads it off the
+  row prefixes of one jet matrix: its rows are grouped by total degree, so
+  the conditions for m are the first C(m+1, 2) rows for any higher m;
 * char_p_witness builds the positive-characteristic divisor as an explicit
   product of low-level sections and re-verifies its jets from scratch.
 """
@@ -30,7 +33,7 @@ from .curve import CurvePoint, certify_class_point, certify_not_p_torsion
 from .errors import CertificationError, VerificationError
 from .fields import FieldElem
 from .funcfield import combination
-from .linalg import Matrix, rank_and_kernel, rank_naive
+from .linalg import Matrix, rank, rank_and_kernel, rank_naive
 from .surface import AtiyahSurface, SectionVector
 
 JET_PAD = 3     # coefficients verify_jets expands past the jets it reads
@@ -91,49 +94,29 @@ def _check_admissible(surface: AtiyahSurface, fp: FatPoint) -> None:
         raise ValueError("fat-point base on the marked fiber is not supported")
 
 
-def _expansions(space, P, prec):
-    """Per section of the space, its component expansions at P (None for a
-    zero component), each cut to the coefficients of t^0 .. t^(prec-1).
-
-    Cached on the space; an entry too short for prec is replaced by one of at
-    least twice its precision, so a rising run of multiplicities costs a
-    logarithmic number of expansions.
-    """
-    entry = space.expansions.get(P)
-    if entry is None or entry[0] < prec:
-        if entry is not None:
-            prec = max(prec, 2 * entry[0])
-        entry = space.expansions[P] = (prec, [
-            [None if comp.is_zero() else comp.expand(P, prec).truncate(prec)
-             for comp in sec.components]
-            for sec in space.sections])
-    return entry[1]
-
-
 def _point_jet_rows(surface, space, fp):
-    """Rows (alpha, beta) with alpha + beta < m for one fat point."""
+    """Rows t^alpha u^beta with alpha + beta < m for one fat point, grouped
+    by total degree alpha + beta (beta rising within it), so the rows for a
+    lower multiplicity m' are the first C(m'+1, 2)."""
     field = surface.field
     m = fp.multiplicity
-    level = space.level
     w0pows = [field.one]
-    for _ in range(level):
+    for _ in range(space.level):
         w0pows.append(field.mul(w0pows[-1], fp.w0.raw))
-    per_section = _expansions(space, fp.base, m)
+    binoms = [[(j, field.mul(field.from_int(comb(j, beta)), w0pows[j - beta]))
+               for j in range(beta, space.level + 1)] for beta in range(m)]
+    per_section = [[None if comp.is_zero() else comp.expand(fp.base, m)
+                    for comp in sec.components] for sec in space.sections]
     rows = []
-    for beta in range(m):
-        binoms = {}
-        for j in range(beta, level + 1):
-            c = field.from_int(comb(j, beta))
-            if not field.is_zero(c):
-                binoms[j] = field.mul(c, w0pows[j - beta])
-        for alpha in range(m - beta):
+    for n in range(m):
+        for beta in range(n + 1):
             row = []
             for exps in per_section:
                 acc = field.zero
-                for j, cw in binoms.items():
-                    s = exps[j]
-                    if s is not None:
-                        acc = field.add(acc, field.mul(cw, s.coefficient(alpha)))
+                for j, cw in binoms[beta]:
+                    if exps[j] is not None and not field.is_zero(cw):
+                        acc = field.add(
+                            acc, field.mul(cw, exps[j].coefficient(n - beta)))
                 row.append(acc)
             rows.append(row)
     return rows
@@ -142,7 +125,8 @@ def _point_jet_rows(surface, space, fp):
 def jet_matrix(surface: AtiyahSurface, level: int, points) -> Matrix:
     """Condition matrix of the fat points against the twisted basis at level:
     one row per monomial t^alpha u^beta (alpha + beta < m, per point, points
-    in order), one column per basis section."""
+    in order; within a point by total degree alpha + beta), one column per
+    basis section."""
     points = list(points)
     bases = set()
     for fp in points:
@@ -220,10 +204,10 @@ def h0_fat(surface: AtiyahSurface, level: int, points) -> int:
 
 def verify_jets(section: SectionVector, fp: FatPoint) -> None:
     """Re-expand the combined section at the fat point (never reading the
-    per-space expansions jet_matrix caches) and check that all jets of
-    total degree < m vanish; raises VerificationError otherwise.  Each
-    component goes through FuncElem.expand, one combination of the curve's
-    power table for its own denominator."""
+    rows jet_matrix builds) and check that all jets of total degree < m
+    vanish; raises VerificationError otherwise.  Each component goes
+    through FuncElem.expand, one combination of the curve's power table for
+    its own denominator."""
     field = section.surface.field
     m = fp.multiplicity
     exps = [None if comp.is_zero() else comp.expand(fp.base, m + JET_PAD)
@@ -420,15 +404,30 @@ class MuRecord:
 
 def max_multiplicity(surface: AtiyahSurface, level: int, sample) -> MuRecord:
     """Largest m with a member of the level system of multiplicity >= m at
-    the sampled point, found by incrementing m from 1."""
+    the sampled point, found by incrementing m from 1.
+
+    The jet rows come grouped by total degree, so the matrix for m is the
+    first C(m+1, 2) rows of the one for any higher multiplicity, and the
+    dimension for m is level + 1 minus the rank of that row prefix.  One jet
+    matrix is built at the first m whose C(m+1, 2) conditions reach the
+    level + 1 columns, and rebuilt at twice its multiplicity (at most
+    hard_cap) only when the search runs past the rows it holds, which
+    happens in characteristic p, where mu can exceed the count.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
-    _check_admissible(surface, sample.with_multiplicity(1))
     hard_cap = 4 * level + 16
+    count = next(k for k in range(1, level + 2) if comb(k + 1, 2) > level)
+    held, rows = 0, []
     dims = []
     value = 0
     for m in range(1, hard_cap + 1):
-        d = h0_fat(surface, level, [sample.with_multiplicity(m)])
+        if m > held:
+            held = min(max(2 * held, count), hard_cap)
+            rows = jet_matrix(surface, level,
+                              [sample.with_multiplicity(held)]).rows
+        prefix = Matrix(surface.field, rows[:comb(m + 1, 2)], level + 1)
+        d = level + 1 - rank(prefix)
         dims.append(d)
         if d == 0:
             return MuRecord(level, sample, value, dims, hard_cap)
@@ -530,14 +529,13 @@ def char_p_witness(surface: AtiyahSurface, level: int, multiplicities,
     through = []
     field = surface.field
     for fp in fps:
-        row = [sec.value_at(fp.base, fp.w0.raw).raw for sec in plain.sections]
-        _, kernel = rank_and_kernel(Matrix(field, [row], 2))
+        point = fp.with_multiplicity(1)     # the (0, 0) jet is the value
+        rows = _point_jet_rows(surface, plain, point)
+        _, kernel = rank_and_kernel(Matrix(field, rows, 2))
         if not kernel:
             raise VerificationError("no level-p member through the point")
         sec = _combine(plain.sections, kernel[0])
-        val = sec.value_at(fp.base, fp.w0.raw)
-        if not field.is_zero(val.raw):
-            raise VerificationError("level-p member misses the point")
+        verify_jets(sec, point)
         through.append((sec, fp.multiplicity - p))
 
     leftover = level - base_level - sum(p * (m - p) for m in mults)

@@ -285,17 +285,6 @@ class SectionVector:
                     f"transformed component {j} has a pole of order {-v} at infinity"
                 )
 
-    def value_at(self, P: CurvePoint, w_raw) -> FieldElem:
-        """Value of sum s_a w^a at an affine point off the poles."""
-        field = self.surface.field
-        acc = field.zero
-        wp = field.one
-        for s in self.components:
-            if not s.is_zero():
-                acc = field.add(acc, field.mul(s.evaluate(P).raw, wp))
-            wp = field.mul(wp, w_raw)
-        return FieldElem(field, acc)
-
     def __mul__(self, other: "SectionVector"):
         """Product section (polynomial multiplication in the fiber coordinate)."""
         if self.surface is not other.surface:
@@ -335,14 +324,14 @@ class SectionVector:
 
 
 class SectionSpace:
-    """Basis + diagnostics for one h^0 computation."""
+    """Basis + diagnostics for one h^0 computation: a plain value that holds
+    no cache (jet_matrix expands the sections afresh on every call)."""
 
     def __init__(self, level, twisted, sections, diagnostics):
         self.level = level
         self.twisted = twisted
         self.sections = tuple(sections)
         self.diagnostics = diagnostics
-        self.expansions = {}     # point -> (precision, per-section expansions)
 
     @property
     def dim(self) -> int:

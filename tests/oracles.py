@@ -3,8 +3,10 @@
 None of these is on a production path: each restates a fact the library
 computes another way (a matrix product, the chart-change matrix, the
 coboundary test, a class-preserving translation, span membership of
-sections, the level-by-level search for a minimal level, the expansion of
-a function by Horner's rule), so that the tests can compare the two.
+sections, the level-by-level search for a minimal level, the
+multiplicity-by-multiplicity search for a maximal multiplicity, the
+expansion of a function by Horner's rule), so that the tests can compare
+the two.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from math import comb
 from atiyahlab import poly
 from atiyahlab.curve import certify_class_point
 from atiyahlab.errors import SeriesPrecisionError, VerificationError
-from atiyahlab.fat_points import (FatPoint, LambdaRecord, _check_admissible,
-                                  _lambda_bounds, fat_system, verify_jets)
+from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
+                                  _check_admissible, _lambda_bounds,
+                                  fat_system, h0_fat, verify_jets)
 from atiyahlab.fields import FieldElem
 from atiyahlab.funcfield import FuncElem, point_expansion
 from atiyahlab.linalg import Matrix, rank, rank_naive
@@ -191,3 +194,24 @@ def min_level_ladder(surface: AtiyahSurface, m: int, sample, cap=None,
                             certificate, witness, bounds)
     return LambdaRecord(m, fp, cls, "exceeded-bound", None, cap, dims,
                         None, None, None)
+
+
+def max_multiplicity_ladder(surface: AtiyahSurface, level: int,
+                            sample) -> MuRecord:
+    """max_multiplicity by solving one fat system per multiplicity, m = 1,
+    2, ..., each from its own jet matrix and kernel, rather than reading
+    ranks off the row prefixes of one matrix."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    _check_admissible(surface, sample.with_multiplicity(1))
+    hard_cap = 4 * level + 16
+    dims = []
+    value = 0
+    for m in range(1, hard_cap + 1):
+        d = h0_fat(surface, level, [sample.with_multiplicity(m)])
+        dims.append(d)
+        if d == 0:
+            return MuRecord(level, sample, value, dims, hard_cap)
+        value = m
+    raise VerificationError(
+        f"multiplicity search still positive at the hard cap {hard_cap}")

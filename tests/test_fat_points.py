@@ -29,9 +29,9 @@ from atiyahlab.fat_points import (
 )
 from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.linalg import rank
-from atiyahlab.series import LaurentSeries
 from atiyahlab.surface import make_surface
-from oracles import in_span, min_level_ladder, translate_marked_fiber
+from oracles import (in_span, max_multiplicity_ladder, min_level_ladder,
+                     translate_marked_fiber)
 
 
 def test_expected_dimension_oracle():
@@ -471,6 +471,20 @@ def test_solve_rejects_a_basis_that_does_not_nest(monkeypatch, rational_curve):
         surf.h0(2, twisted=True)
 
 
+@pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F16", "F101",
+                                  "F101-torsion"])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_max_multiplicity_matches_ladder(name, seed):
+    # the row prefixes of one jet matrix give the record of one fat system
+    # per multiplicity, on torsion classes and past the dimension count in
+    # characteristic p (F16 from level 5 on rebuilds the matrix)
+    surf, fp = _gear_case(name, seed)
+    for level in range(1, 13):
+        assert (max_multiplicity(surf, level, fp).serialize()
+                == max_multiplicity_ladder(surf, level, fp).serialize())
+
+
 @pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F101-torsion"])
 def test_padding_keeps_fat_kernel_members(name):
     # a fat-kernel section at level l, padded to l + 1, is a member there,
@@ -502,21 +516,22 @@ def _fresh_rational(rational_curve):
     return make_surface(E, E.point(0, 1), T=E.point(-1, 1))
 
 
-def test_jet_matrix_reuses_longer_expansions(rational_curve):
+def test_jet_rows_nest_by_total_degree(rational_curve):
+    # the rows for m are the first C(m+1, 2) rows for any m' > m, and they
+    # are the rows a cold surface gives
     warm, cold = _fresh_rational(rational_curve), _fresh_rational(rational_curve)
     fp = FatPoint(rational_curve.point(1, 1), 2, 1)
     level = 6
-    jet_matrix(warm, level, [fp.with_multiplicity(4)])
-    cache = warm.h0(level, twisted=True).expansions
-    assert cache[fp.base][0] == 4
-    got = jet_matrix(warm, level, [fp.with_multiplicity(2)])
-    assert cache[fp.base][0] == 4          # read, not re-expanded
-    assert got.rows == jet_matrix(cold, level, [fp.with_multiplicity(2)]).rows
-    jet_matrix(warm, level, [fp.with_multiplicity(5)])
-    assert cache[fp.base][0] == 8          # a short entry at least doubles
+    rows = {m: jet_matrix(warm, level, [fp.with_multiplicity(m)]).rows
+            for m in range(1, 7)}
+    for m in range(1, 6):
+        assert len(rows[m]) == comb(m + 1, 2)
+        assert rows[m] == jet_matrix(cold, level, [fp.with_multiplicity(m)]).rows
+        for higher in range(m + 1, 7):
+            assert rows[higher][:comb(m + 1, 2)] == rows[m]
 
 
-def test_verify_jets_ignores_the_jet_cache(rational_curve):
+def test_verify_jets_ignores_the_jet_rows(monkeypatch, rational_curve):
     surf = _fresh_rational(rational_curve)
     fp = FatPoint(rational_curve.point(1, 1), 2, 2)
     space = surf.h0(3, twisted=True)
@@ -535,10 +550,12 @@ def test_verify_jets_ignores_the_jet_cache(rational_curve):
 
     before = verdicts()
     assert before[0] and not all(before)
-    # zero out the cached expansions: jet_matrix reads them, verify_jets not
-    zero = LaurentSeries.zero(surf.field, 64)
-    space.expansions[fp.base] = (64, [[zero] * (space.level + 1)
-                                      for _ in space.sections])
+    # zero out the jet rows: jet_matrix reads them, verify_jets not
+    zero = surf.field.zero
+    monkeypatch.setattr(
+        fat_points, "_point_jet_rows",
+        lambda surface, space, fp: [[zero] * space.dim
+                                    for _ in range(comb(fp.multiplicity + 1, 2))])
     assert all(surf.field.is_zero(c)
                for row in jet_matrix(surf, 3, [fp]).rows for c in row)
     assert verdicts() == before

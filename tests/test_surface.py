@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from atiyahlab import surface
 from atiyahlab.curve import WeierstrassCurve
 from atiyahlab.errors import CutoffInstabilityError, VerificationError
-from atiyahlab.fat_points import _combine
+from atiyahlab.fat_points import FatPoint, _combine, _point_jet_rows
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import FuncElem
 from atiyahlab.linalg import Matrix, canonical_basis, rank_and_kernel
-from atiyahlab.surface import SectionVector, build_cocycle, make_surface
+from atiyahlab.surface import (SectionSpace, SectionVector, build_cocycle,
+                               make_surface)
 from oracles import is_coboundary_jet, sym_transition
 
 
@@ -342,15 +343,18 @@ def test_section_products_and_padding(rational_surface):
 
 
 def test_section_value_and_scale(rational_surface):
-    # value_at is linear: a combination of sections takes the same
-    # combination of their values
+    # the jets are linear: a combination of sections takes the same
+    # combination of their jet rows, the value (the (0, 0) jet) first
     surf = rational_surface
-    sections = surf.h0(2, twisted=True).sections
+    space = surf.h0(2, twisted=True)
+    sections = space.sections
     vec = [Fraction(3), Fraction(-2, 5)] + [0] * (len(sections) - 3) + [7]
-    P = surf.curve.point(3, 5)
-    w = Fraction(2)
-    want = sum(c * s.value_at(P, w).raw for c, s in zip(vec, sections))
-    assert _combine(sections, vec).value_at(P, w).raw == want
+    fp = FatPoint(surf.curve.point(3, 5), Fraction(2), 3)
+    combined = SectionSpace(2, True, [_combine(sections, vec)], {})
+    want = [[sum(c * r for c, r in zip(vec, row))]
+            for row in _point_jet_rows(surf, space, fp)]
+    assert _point_jet_rows(surf, combined, fp) == want
+    assert any(row != [0] for row in want)
 
 
 def test_space_serialization(rational_surface):
