@@ -206,8 +206,8 @@ def verify_jets(section: SectionVector, fp: FatPoint) -> None:
     """Re-expand the combined section at the fat point (never reading the
     rows jet_matrix builds) and check that all jets of total degree < m
     vanish; raises VerificationError otherwise.  Each component goes
-    through FuncElem.expand, one combination of the curve's power table for
-    its own denominator."""
+    through FuncElem.expand, one combination of the lists of its own
+    denominator in the chart of the base point."""
     field = section.surface.field
     m = fp.multiplicity
     exps = [None if comp.is_zero() else comp.expand(fp.base, m + JET_PAD)

@@ -20,17 +20,20 @@ series coefficients and solves it by Newton's method at horizons 2, 4, ...
 up to the one asked for, the residual and derivative going through the
 Horner loop of ``series.eval_poly``; the root is simple, so each step
 doubles the known coefficients and the whole solve costs about two steps at
-the full horizon.  Expansions are cached per (curve, point), the horizon at
-least doubling whenever it falls short.
+the full horizon.
 
-A function (a + b y)/d is expanded at P from the table of P and d: the
-series x^i/d and x^i y/d, cached on the curve beside the point expansions
-and grown by the same doubling rule, each power one product with x(t) from
-the last and made only as far as some function asks.  The expansion is then
-the scalar combination sum a_i (x^i/d) + sum b_i (x^i y/d), with no series
-product or inverse per function.  Every twisted component of a surface's
-sections has the denominator of the one-pole function and every plain one
-has d = 1, so a surface builds a few tables per point and reuses them.
+What is known at P lives in one :class:`_Chart`, cached on the curve under
+P: x(t) and y(t) to a horizon H and, per denominator d, the series x^i/d and
+x^i y/d, each power one product with x(t) from the last and made only as
+far as some function asks.  A chart too short for a request is replaced by
+one at max(request, 8, 2 H) with empty lists, the one growth rule, so a
+rising run of requests costs a logarithmic number of Newton solves.  A
+function (a + b y)/d is expanded at P as the scalar combination
+sum a_i (x^i/d) + sum b_i (x^i y/d), with no series product or inverse of
+its own, and cut to exactly prec coefficients past its valuation, so the
+result does not depend on what the chart held before.  Every twisted
+component of a surface's sections has the denominator of the one-pole
+function and every plain one has d = 1, so a chart holds a few lists.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from .curve import CurvePoint, WeierstrassCurve
 from .errors import SeriesPrecisionError
 from .fields import FieldElem
 from .series import LaurentSeries, eval_poly, linear_combination
-
-VALUATION_PREC = 8      # coefficients valuation_at expands past the valuation
 
 
 def _curve_st(curve):
@@ -246,38 +247,38 @@ class FuncElem:
             bv = poly.evaluate(f, self.b, P.x.raw)
             val = f.div(f.add(av, f.mul(bv, P.y.raw)), dv)
             return FieldElem(f, val)
-        s = self.expand(P, 2)
-        v = s.valuation()
-        if v is not None and v < 0:
+        v = self.valuation_at(P)
+        if v < 0:
             raise ZeroDivisionError(f"pole of order {-v} at {P}")
-        return FieldElem(f, s.coefficient(0))
+        return FieldElem(f, self.expand(P, 1).coefficient(0))
 
     def expand(self, P: CurvePoint, prec: int) -> LaurentSeries:
-        """Laurent expansion at P in the canonical local parameter.
+        """Laurent expansion at P in the canonical local parameter, known on
+        exactly [start, v + prec) for v its valuation (the zero function
+        gives the empty window at prec + 4).
 
-        Guarantees at least ``prec`` known coefficients past the valuation
-        (or, if the function is zero, an exact zero window).  The expansion
-        is the scalar combination sum a_i (x^i/d) + sum b_i (x^i y/d) of the
-        series in the table of P and d, with no series product or inverse of
-        its own; a result zero to precision or short of ``prec`` past its
-        valuation is recomputed at twice the horizon.
+        The chart of P is asked for prec + 2 deg d + 8 coefficients; should
+        cancellation leave fewer than prec past the valuation, the
+        combination is retried over the chart's whole window and then on a
+        grown chart.
         """
         if self.is_zero():
             return LaurentSeries.zero(self.curve.field, prec + 4)
         H = prec + poly.degree(self.d) * 2 + 8
-        for _ in range(6):
-            table = _power_table(self.curve, P, self.d, H)
-            res = table.combine(self.a, self.b, H)
-            if (not res.is_zero_to_precision()
-                    and res.precision_past_valuation() >= prec):
-                return res
-            H *= 2
+        for _ in range(8):
+            chart = _chart(self.curve, P, H)
+            res = chart.combine(self.a, self.b, self.d, H)
+            v = res.valuation()
+            if v is not None and res.hi >= v + prec:
+                return res.truncate(v + prec)
+            H = chart.H + 1 if H == chart.H else chart.H
         raise SeriesPrecisionError(
             f"expansion of {self!r} at {P} did not stabilize at precision {prec}"
         )
 
-    def valuation_at(self, P: CurvePoint) -> int:
-        return self.expand(P, VALUATION_PREC).valuation()
+    def valuation_at(self, P: CurvePoint):
+        """Order of vanishing at P (negative at a pole), None for zero."""
+        return self.expand(P, 1).valuation()
 
 
 def combination(curve, coeffs, funcs) -> FuncElem:
@@ -330,64 +331,53 @@ def linearly_independent(funcs) -> bool:
 
 
 def point_expansion(curve: WeierstrassCurve, P: CurvePoint, prec: int):
-    """Series (x(t), y(t)) at P to horizon >= prec in the canonical parameter.
-
-    A cached expansion too short for prec is replaced by one of at least
-    twice its horizon, so a rising run of requests costs a logarithmic
-    number of Newton solves.
-    """
-    cache = curve._expansion_cache
-    entry = cache.get(P)
-    if entry is None or entry[0] < prec:
-        H = max(prec, 8, 2 * entry[0] if entry else 0)
-        entry = cache[P] = (H, *_expand_uncached(curve, P, H))
-    _, xs, ys = entry
-    return (xs.truncate(prec) if xs.hi > prec else xs,
-            ys.truncate(prec) if ys.hi > prec else ys)
+    """Series (x(t), y(t)) at P to horizon prec in the canonical parameter,
+    cut from the chart of P."""
+    chart = _chart(curve, P, prec)
+    return chart.xs.truncate(prec), chart.ys.truncate(prec)
 
 
-class _PowerTable:
-    """The series x^i/d and x^i y/d at one point, from the expansions of x
-    and y to horizon H, each power made from the last by one product with
-    x(t) and only as far as some function has asked for it."""
+class _Chart:
+    """What is known at one point: x(t) and y(t) to horizon H, and per
+    denominator d the lists x^i/d and x^i y/d, grown as functions ask."""
 
-    __slots__ = ("H", "xs", "ys", "over_d", "y_over_d")
+    __slots__ = ("H", "xs", "ys", "over_d")
 
-    def __init__(self, xs, ys, inv_d, H):
+    def __init__(self, curve, P, H):
         self.H = H
-        self.xs, self.ys = xs, ys
-        self.over_d = [inv_d]
-        self.y_over_d = []
+        self.xs, self.ys = _expand_uncached(curve, P, H)
+        self.over_d = {}
 
-    def combine(self, a, b, H):
-        """(a + b y)/d at P, known as far as a table at horizon H would know
-        it: every window of the table moves with its horizon."""
-        xs, xd, yd = self.xs, self.over_d, self.y_over_d
+    def combine(self, a, b, d, cap):
+        """(a + b y)/d at the point, known below the horizon of its terms
+        and below ``cap``.
+
+        d(t) has valuation at most 2 deg d in absolute value, so at the
+        horizons expand asks for, above 2 deg d, its inverse is defined.
+        """
+        xs = self.xs
+        lists = self.over_d.get(tuple(d))
+        if lists is None:
+            lists = self.over_d[tuple(d)] = (
+                [eval_poly(xs.field, d, xs).inverse()], [])
+        xd, yd = lists
         while len(xd) < len(a):
             xd.append(xs * xd[-1])
         while len(yd) < len(b):
             yd.append(xs * yd[-1] if yd else self.ys * xd[0])
         return linear_combination(xs.field, a + b, xd[:len(a)] + yd[:len(b)],
-                                  self.H - H)
+                                  cap)
 
 
-def _power_table(curve, P, d, H):
-    """The table of P and d to horizon >= H, cached on the curve beside the
-    point expansions and grown by the same rule.
-
-    d(t) has valuation at most 2 deg d in absolute value, so at the
-    horizons expand asks for, above 2 deg d, its inverse is defined.
-    """
-    key = (P, tuple(d))
+def _chart(curve, P, H):
+    """The chart of P to horizon >= H; one too short is replaced by one at
+    max(H, 8, twice its horizon)."""
     cache = curve._expansion_cache
-    table = cache.get(key)
-    if table is None or table.H < H:
-        if table is not None:
-            H = max(H, 2 * table.H)
-        xs, ys = point_expansion(curve, P, H)
-        inv_d = eval_poly(curve.field, d, xs).inverse()
-        table = cache[key] = _PowerTable(xs, ys, inv_d, H)
-    return table
+    chart = cache.get(P)
+    if chart is None or chart.H < H:
+        H = max(H, 8, 2 * chart.H if chart else 0)
+        chart = cache[P] = _Chart(curve, P, H)
+    return chart
 
 
 def _cut(c, h):

@@ -21,8 +21,6 @@ from .fields import QQ
 from .funcfield import FuncElem, combination, linearly_independent, pair_function
 from .linalg import Matrix, rank_and_kernel
 
-PREC_PAD = 4    # coefficients expanded past the valuation verify reads
-
 
 def point_sort_key(P: CurvePoint):
     """Deterministic ordering key for points (infinity last)."""
@@ -95,10 +93,7 @@ class RRSpace:
         for f in self.basis:
             for P in D.support():
                 need = -D.multiplicity(P)
-                s = f.expand(P, max(1, -need) + PREC_PAD)
-                v = s.valuation()
-                if v is None:
-                    v = s.hi
+                v = f.valuation_at(P)
                 if v < need:
                     raise VerificationError(
                         f"basis element {f!r} has valuation {v} < {need} at {P}"

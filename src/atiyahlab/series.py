@@ -206,16 +206,16 @@ class LaurentSeries:
         return " + ".join(parts) + f" + O(t^{self.hi})"
 
 
-def linear_combination(field, coeffs, terms, drop: int) -> LaurentSeries:
+def linear_combination(field, coeffs, terms, cap: int) -> LaurentSeries:
     """sum c_i s_i for raw field values c_i, by one scalar pass per term.
 
     The sum is known below the least horizon of the terms with c_i != 0,
-    which is sound; ``drop`` lowers that horizon further for a caller that
-    reads fewer coefficients than the terms hold.
+    which is sound, and is cut at the horizon ``cap``, so a caller that
+    reads fewer coefficients than the terms hold pays only for those.
     """
     fz, fmul, fadd = field.is_zero, field.mul, field.add
     used = [(c, s) for c, s in zip(coeffs, terms) if not fz(c)]
-    hi = min(s.hi for _, s in used) - drop
+    hi = min(min(s.hi for _, s in used), cap)
     start = min(min(s.start for _, s in used), hi)
     out = [field.zero] * (hi - start)
     for c, s in used:

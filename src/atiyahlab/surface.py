@@ -61,7 +61,6 @@ from .linalg import (Matrix, back_substitute, canonical_basis, dot,
 from .riemann_roch import monomial_basis, rr_basis
 
 DEFAULT_MARGIN = 4
-PREC_PAD = 4            # coefficients expanded past those a check reads
 
 
 class CechCocycle:
@@ -82,7 +81,10 @@ class CechCocycle:
 
 
 def _jet_vector(fn, infinity, lo, hi):
-    s = fn.expand(infinity, (hi - lo) + PREC_PAD)
+    """Coefficients t^lo .. t^(hi - 1) of the nonzero fn at inf."""
+    s = fn.expand(infinity, hi - lo)
+    if s.hi < hi:       # a pole of order above -lo
+        s = fn.expand(infinity, hi - fn.valuation_at(infinity))
     return [s.coefficient(e) for e in range(lo, hi)]
 
 
@@ -134,11 +136,10 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
         if k == 1 and rank(Matrix(field, image_rows + [_jet_vector(g, inf, -1, 2)],
                                   3)) == base_rank:
             raise VerificationError("gluing candidate is a coboundary")
-    gs = g.expand(inf, 6)
-    lead = gs.coefficient(gs.valuation())
+    pole_inf = -g.valuation_at(inf)
+    lead = g.expand(inf, 1).coefficient(-pole_inf)
     g = g * FieldElem(field, field.inv(lead))
-    pole_inf = -g.expand(inf, 4).valuation()
-    pole_T = -g.expand(T, 4).valuation()
+    pole_T = -g.valuation_at(T)
     if pole_inf < 1 or pole_T < 1:
         raise VerificationError("gluing candidate lacks a pole at a chart point")
     cert = {"order": 1, "cokernel_dims": dims, "pole_inf": pole_inf, "pole_T": pole_T}
@@ -250,23 +251,20 @@ class SectionVector:
                     raise VerificationError(
                         f"component {a} has a pole at the negative of the "
                         f"marked fiber point")
-            vq = s.expand(surf.q, PREC_PAD + 2).valuation()
-            if vq is not None and vq < allowed:
+            vq = s.valuation_at(surf.q)
+            if vq < allowed:
                 raise VerificationError(
                     f"component {a} has a pole of order {-vq} at the marked "
                     f"fiber point (allowed {-allowed})"
                 )
-            head = s.expand(inf, 1)
-            v = head.valuation()
-            if head.hi < a * kinf:
-                head = s.expand(inf, a * kinf - v)
-            series[a] = head.truncate(a * kinf)
+            v = s.valuation_at(inf)
+            series[a] = s.expand(inf, max(a * kinf - v, 1)).truncate(a * kinf)
             reach = max(reach, -v)
         if not series:
             return
         top = max(series)
         hi_g = reach + top * kinf
-        G = surf.cocycle.g.expand(inf, hi_g + kinf).truncate(hi_g)
+        G = surf.cocycle.g.expand(inf, hi_g + kinf)
         coeffs = [series[top]]          # coefficients of w^0, w^1, ...
         for a in range(top - 1, -1, -1):
             coeffs = ([coeffs[0] * G]

@@ -74,7 +74,7 @@ def sym_transition(cocycle, level: int):
 
 
 def expand_horner(fn: FuncElem, P, prec: int) -> LaurentSeries:
-    """FuncElem.expand without the power tables: a(x(t)), b(x(t)) and
+    """FuncElem.expand without the chart's lists: a(x(t)), b(x(t)) and
     d(x(t)) by Horner's rule on the point expansions, then
     (a + b y(t)) / d(t) by one series inverse and two products, the horizon
     doubled until ``prec`` coefficients past the valuation are known."""

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atiyahlab import funcfield, poly
-from atiyahlab.curve import WeierstrassCurve
+from atiyahlab.curve import CurvePoint, WeierstrassCurve
+from atiyahlab.fat_points import FatPoint, max_multiplicity, min_level
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import (
     FuncElem,
@@ -146,6 +147,35 @@ def test_expansion_cache_grows_geometrically(monkeypatch):
             fresh = [s.truncate(prec) for s in expand(E, P, prec)]
             assert (xs, ys) == tuple(fresh) and xs.hi == ys.hi == prec
         assert solves == [15, 30, 60]
+
+
+def test_newton_solves_of_the_fat_point_and_ladder_sequences(monkeypatch):
+    # one doubling rule per point: the fat-point searches of the fat-qq
+    # benchmark solve at their base only at 9 and 18, and a fresh surface
+    # with the rational h0 ladder 4..16 solves at infinity at 11, 22, 44
+    solves = collections.defaultdict(list)
+    expand = funcfield._expand_uncached
+
+    def counting(curve, P, H):
+        solves[P].append(H)
+        return expand(curve, P, H)
+
+    monkeypatch.setattr(funcfield, "_expand_uncached", counting)
+    E = rational_model()
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    fp = FatPoint(E.point(1, 1), Fraction(2), 1)
+    for m in range(1, 5):
+        min_level(surf, m, fp)
+    for level in (3, 6, 10):
+        max_multiplicity(surf, level, fp)
+    assert solves[fp.base] == [9, 18]
+    solves.clear()
+    E = rational_model()
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    for level in (4, 8, 12, 16):
+        for twisted in (True, False):
+            surf.h0(level, twisted=twisted)
+    assert solves[E.infinity] == [11, 22, 44]
 
 
 def test_expansion_valuations_at_infinity():
@@ -431,32 +461,59 @@ def test_expand_matches_the_horner_oracle(name, i, j, prec):
             == [want.coefficient(e) for e in range(lo, hi)])
 
 
-def test_twisted_ladder_builds_one_table_per_point_and_denominator(monkeypatch):
+@pytest.mark.parametrize("name", list(_ORACLE_CURVES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(requests=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                                   st.integers(1, 24)), min_size=1, max_size=8))
+def test_expand_on_a_warm_curve_matches_a_cold_one(name, requests):
+    # expand is a function of (f, P, prec) alone: on the pool's curve, warm
+    # from its h0 solves and every request before, each answer has the
+    # window [start, v + prec) and the coefficients of the same request on
+    # a copy of the curve with no charts
+    E, pts, funcs = _oracle_pool(name)
+    for i, j, prec in requests:
+        fn, P = funcs[i % len(funcs)], pts[j]
+        got = fn.expand(P, prec)
+        cold = _ORACLE_CURVES[name]()
+        fresh = FuncElem(cold, fn.a, fn.b, fn.d, reduce=False)
+        want = fresh.expand(cold.infinity if P.is_infinity
+                            else cold.point(P.x, P.y), prec)
+        assert ((got.start, got.hi, got.coeffs)
+                == (want.start, want.hi, want.coeffs))
+        assert got.hi == got.valuation() + prec
+
+
+def test_twisted_ladder_keeps_one_chart_per_point(monkeypatch):
     # every twisted component has the denominator d_h of the one-pole
-    # function (or 1); a ladder keeps one table per (point, d) and rebuilds
-    # it only when a request outgrows it, at least twice as far each time
-    tables, horizons = [], collections.defaultdict(list)
-    uses = collections.Counter()
-    build = funcfield._power_table
+    # function (or 1); a ladder keeps one chart per point, replaced only
+    # when a request outgrows it, at least twice as far each time, and the
+    # d_h list of a chart serves many expansions
+    charts = collections.defaultdict(list)      # point -> charts built there
+    uses = collections.Counter()                # (chart, d) -> combinations
+    init, combine = funcfield._Chart.__init__, funcfield._Chart.combine
 
-    def recording(curve, P, d, H):
-        table = build(curve, P, d, H)
-        uses[P, tuple(d)] += 1
-        if not any(t is table for t in tables):
-            tables.append(table)
-            horizons[P, tuple(d)].append(table.H)
-        return table
+    def building(chart, curve, P, H):
+        init(chart, curve, P, H)
+        charts[P].append(chart)
 
-    monkeypatch.setattr(funcfield, "_power_table", recording)
+    def combining(chart, a, b, d, cap):
+        uses[id(chart), tuple(d)] += 1
+        return combine(chart, a, b, d, cap)
+
+    monkeypatch.setattr(funcfield._Chart, "__init__", building)
+    monkeypatch.setattr(funcfield._Chart, "combine", combining)
     E = rational_model()
     surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
     for level in range(1, 9):
         surf.h0(level, twisted=True)
-    d_h = tuple(surf.one_pole_function.d)
-    ladder = {key for key in uses if key[1] == d_h}
-    assert ladder == {(surf.q, d_h), (E.infinity, d_h)}
-    assert set(E._expansion_cache) >= ladder
-    for key in ladder:
-        hs = horizons[key]
+    assert set(E._expansion_cache) == set(charts)
+    assert all(isinstance(P, CurvePoint) and E._expansion_cache[P] is built[-1]
+               for P, built in charts.items())
+    for built in charts.values():
+        hs = [chart.H for chart in built]
         assert all(b >= 2 * a for a, b in zip(hs, hs[1:])), hs
-        assert uses[key] >= 10 * len(hs), (uses[key], hs)
+    d_h = tuple(surf.one_pole_function.d)
+    for P in (surf.q, E.infinity):
+        counts = [uses[id(chart), d_h] for chart in charts[P]
+                  if uses[id(chart), d_h]]
+        assert counts and sum(counts) >= 10 * len(counts), counts
