@@ -36,8 +36,6 @@ from .funcfield import combination
 from .linalg import Matrix, rank, rank_and_kernel, rank_naive
 from .surface import AtiyahSurface, SectionVector
 
-JET_PAD = 3     # coefficients verify_jets expands past the jets it reads
-
 
 class FatPoint:
     """Multiplicity-m condition at the chart-0 point (base, w0)."""
@@ -207,13 +205,20 @@ def verify_jets(section: SectionVector, fp: FatPoint) -> None:
     rows jet_matrix builds) and check that all jets of total degree < m
     vanish; raises VerificationError otherwise.  Each component goes
     through FuncElem.expand, one combination of the lists of its own
-    denominator in the chart of the base point."""
+    denominator in the chart of the base point, to exactly m coefficients
+    past its valuation there.  A component with a pole at the base raises:
+    the jets t^0..t^(m-1) alone would not see it.  A regular one has
+    valuation >= 0, so its window holds every jet t^0..t^(m-1)."""
     field = section.surface.field
     m = fp.multiplicity
-    exps = [None if comp.is_zero() else comp.expand(fp.base, m + JET_PAD)
+    exps = [None if comp.is_zero() else comp.expand(fp.base, m)
             for comp in section.components]
     if all(e is None for e in exps):
         raise VerificationError("certificate section is zero")
+    for j, e in enumerate(exps):
+        if e is not None and e.valuation() < 0:
+            raise VerificationError(
+                f"component {j} of the certificate has a pole at the fat point")
     w0pows = [field.one]
     for _ in range(section.level):
         w0pows.append(field.mul(w0pows[-1], fp.w0.raw))

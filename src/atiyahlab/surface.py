@@ -4,9 +4,10 @@ Model: two charts over E, U0 = E - {inf} and U1 = E - {T}, glued along the
 overlap by the fiber-coordinate shift w0 = w1 + g, where the gluing function g
 is regular on the overlap, has poles only in {inf, T}, and is *not* a
 difference f0 - f1 of functions regular on U0 resp. U1 (that nontriviality is
-exactly what makes the extension nonsplit, and is certified at construction
-time by a cokernel computation).  The section "at infinity" of the ruling is
-the locus w = infinity in every fiber.
+exactly what makes the extension nonsplit; it is certified at construction
+time by checking that g has a simple pole at T, which no such difference can
+have, as L(T) holds only the constants).  The section "at infinity" of the
+ruling is the locus w = infinity in every fiber.
 
 A global section of O(F_q + level * E_inf) is a tuple (s_0, ..., s_level) of
 functions on E, polynomial in w0 on the first chart as sum s_a w0^a, with
@@ -58,46 +59,25 @@ from .fields import FieldElem
 from .funcfield import FuncElem, combination, mul_numerators
 from .linalg import (Matrix, back_substitute, canonical_basis, dot,
                      rank_and_kernel, rank)
-from .riemann_roch import monomial_basis, rr_basis
+from .riemann_roch import rr_basis
 
 DEFAULT_MARGIN = 4
 
 
 class CechCocycle:
     """The gluing function g of the charts U0 = E - {inf} and U1 = E - {T},
-    together with its nontriviality certificate."""
+    together with the record of the checks that certify it nontrivial."""
 
-    def __init__(self, curve, T, g, order, pole_inf, pole_T, certificate):
+    def __init__(self, curve, T, g, pole_inf, pole_T, certificate):
         self.curve = curve
         self.T = T
         self.g = g
-        self.order = order
         self.pole_inf = pole_inf
         self.pole_T = pole_T
         self.certificate = certificate
 
     def __repr__(self):
-        return f"CechCocycle(order={self.order}, g={self.g.to_text()})"
-
-
-def _jet_vector(fn, infinity, lo, hi):
-    """Coefficients t^lo .. t^(hi - 1) of the nonzero fn at inf."""
-    s = fn.expand(infinity, hi - lo)
-    if s.hi < hi:       # a pole of order above -lo
-        s = fn.expand(infinity, hi - fn.valuation_at(infinity))
-    return [s.coefficient(e) for e in range(lo, hi)]
-
-
-def _coboundary_jets(curve, T, k):
-    """Jets at inf (exponents -k..k) of the basis of L(k inf) + L(k T), and
-    their rank: the image that a gluing function must leave to be nontrivial."""
-    inf = curve.infinity
-    rows = [_jet_vector(f, inf, -k, k + 1) for f in monomial_basis(curve, k)]
-    rows += [
-        _jet_vector(f, inf, -k, k + 1)
-        for f in rr_basis(curve, Divisor(curve, {T: k})).basis
-    ]
-    return rows, rank(Matrix(curve.field, rows, 2 * k + 1))
+        return f"CechCocycle(g={self.g.to_text()})"
 
 
 def _one_pole_function(curve: WeierstrassCurve, P: CurvePoint) -> FuncElem:
@@ -114,38 +94,62 @@ def _one_pole_function(curve: WeierstrassCurve, P: CurvePoint) -> FuncElem:
     raise VerificationError("no degree-(1,1) function in L(inf + P)")
 
 
+def _affine_pole(fn: FuncElem, P: CurvePoint | None):
+    """Where the reduced fn = (a + b y)/d has a pole on E - {inf, P} (on
+    E - {inf} when P is None), as text, or None when it has none there.
+
+    As k(E) = k(x) + k(x) y with gcd(a, b, d) = 1, fn is regular on
+    E - {inf} exactly when d = 1.  A function with at most a simple pole at
+    P and no other affine pole has d = 1 or d = x - x_P, and then, when
+    -P != P, needs a + b y to vanish at -P; the pole order at P itself is
+    left to the caller.
+    """
+    field = fn.curve.field
+    if fn.d == [field.one]:
+        return None
+    if P is None or fn.d != [field.neg(P.x.raw), field.one]:
+        return f"a pole where {poly.to_text(field, fn.d)} vanishes"
+    minus = -P
+    if minus != P and not field.is_zero(field.add(
+            poly.evaluate(field, fn.a, minus.x.raw),
+            field.mul(poly.evaluate(field, fn.b, minus.x.raw), minus.y.raw))):
+        return f"a pole at {minus}"
+    return None
+
+
 def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
     """Gluing function of the nonsplit extension, with certificate.
 
     g is the one-pole function of L(inf + T), normalized to leading
-    coefficient 1 at inf: dim L(inf + T) = 2 while L(inf) + L(T) holds only
-    the constants, so g lies outside the coboundaries at order k = 1.  The
-    certificate records the cokernel dimension at k = 1, 2, 3 (a genuinely
-    split gluing would give cokernel 0 at every k, so a positive stable
-    cokernel pins nontriviality).
+    coefficient 1 at inf.  It is checked to be regular on the overlap
+    E - {inf, T} (reduced denominator 1 or x - x_T, and regular at -T when
+    -T != T) and to have a simple pole at T and at inf; VerificationError
+    otherwise.  That is all nontriviality needs.  Suppose g = f0 - f1 with
+    f0 regular on U0 and f1 regular on U1.  Then f1 = f0 - g is regular
+    off T, and at T, where f0 is regular, it has the simple pole of g: f1
+    lies in L(T) with a single simple pole.  But L(T) holds only the
+    constants on a genus-1 curve (the gap at T), so no such f1 exists and g
+    is not a coboundary.  The certificate records the checks.
     """
     if T.is_infinity:
         raise ValueError("the second chart point T must be affine")
     inf = curve.infinity
     field = curve.field
     g = _one_pole_function(curve, T)
-    dims = {}
-    for k in (1, 2, 3):
-        image_rows, base_rank = _coboundary_jets(curve, T, k)
-        dims[k] = rr_basis(curve, Divisor(curve, {inf: k, T: k})).dim - base_rank
-        if k == 1 and rank(Matrix(field, image_rows + [_jet_vector(g, inf, -1, 2)],
-                                  3)) == base_rank:
-            raise VerificationError("gluing candidate is a coboundary")
-    pole_inf = -g.valuation_at(inf)
-    lead = g.expand(inf, 1).coefficient(-pole_inf)
+    off = _affine_pole(g, T)
+    if off is not None:
+        raise VerificationError(f"gluing candidate has {off}")
+    pole_inf, pole_T = -g.valuation_at(inf), -g.valuation_at(T)
+    if pole_inf != 1 or pole_T != 1:
+        raise VerificationError(
+            f"gluing candidate has pole orders {pole_inf} at inf and "
+            f"{pole_T} at T, not 1 and 1")
+    lead = g.expand(inf, 1).coefficient(-1)
     g = g * FieldElem(field, field.inv(lead))
-    pole_T = -g.valuation_at(T)
-    if pole_inf < 1 or pole_T < 1:
-        raise VerificationError("gluing candidate lacks a pole at a chart point")
-    cert = {"order": 1, "cokernel_dims": dims, "pole_inf": pole_inf, "pole_T": pole_T}
-    if any(c < 1 for c in dims.values()):
-        raise VerificationError(f"cokernel not stable: {cert}")
-    return CechCocycle(curve, T, g, 1, pole_inf, pole_T, cert)
+    cert = {"denominator": poly.to_text(field, g.d),
+            "minus_T": "regular" if -T != T else "is T",
+            "pole_inf": 1, "pole_T": 1}
+    return CechCocycle(curve, T, g, pole_inf, pole_T, cert)
 
 
 def _leading_term_kernel(field, rows, ncols, steps, obstruction):
@@ -212,11 +216,9 @@ class SectionVector:
         Raises VerificationError if any chart-0 component has a forbidden
         affine pole or any chart-1 component t_j has a pole at infinity.
 
-        The affine half reads each s_a = (a + b y)/d in its canonical form.
-        As k(E) = k(x) + k(x) y with gcd(a, b, d) = 1, s_a is regular on
-        E - {inf} exactly when d = 1; a twisted s_a may also have d = x - x_q,
-        and then, when -q != q, needs a + b y to vanish at -q.  The pole at q
-        itself is bounded by a Laurent expansion there.
+        The affine half reads each s_a = (a + b y)/d in its canonical form
+        (_affine_pole): s_a may have no affine pole, or, when twisted, none
+        but one at q, whose order is bounded by a Laurent expansion there.
 
         The infinity half works on Laurent series in t = x/y.  Each nonzero
         s_a is expanded to the absolute horizon a * k_inf and g, of valuation
@@ -232,25 +234,13 @@ class SectionVector:
         inf = surf.curve.infinity
         kinf = surf.cocycle.pole_inf
         allowed = -1 if self.twisted else 0
-        field = surf.field
-        one, x_minus_xq = [field.one], [field.neg(surf.q.x.raw), field.one]
-        minus_q = -surf.q
         series, reach = {}, 0
         for a, s in enumerate(self.components):
             if s.is_zero():
                 continue
-            if s.d != one and not (self.twisted and s.d == x_minus_xq):
-                raise VerificationError(
-                    f"component {a} has a pole where {poly.to_text(field, s.d)} "
-                    f"vanishes")
-            if s.d != one and minus_q != surf.q:
-                x, y = minus_q.x.raw, minus_q.y.raw
-                num = field.add(poly.evaluate(field, s.a, x),
-                                field.mul(poly.evaluate(field, s.b, x), y))
-                if not field.is_zero(num):
-                    raise VerificationError(
-                        f"component {a} has a pole at the negative of the "
-                        f"marked fiber point")
+            off = _affine_pole(s, surf.q if self.twisted else None)
+            if off is not None:
+                raise VerificationError(f"component {a} has {off}")
             vq = s.valuation_at(surf.q)
             if vq < allowed:
                 raise VerificationError(

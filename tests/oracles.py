@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from atiyahlab import poly
-from atiyahlab.curve import certify_class_point
+from atiyahlab.curve import Divisor, certify_class_point
 from atiyahlab.errors import SeriesPrecisionError, VerificationError
 from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
                                   _check_admissible, _lambda_bounds,
@@ -23,7 +23,8 @@ from atiyahlab.fields import FieldElem
 from atiyahlab.funcfield import FuncElem, point_expansion
 from atiyahlab.linalg import Matrix, rank, rank_naive
 from atiyahlab.series import LaurentSeries, eval_poly
-from atiyahlab.surface import AtiyahSurface, _coboundary_jets, _jet_vector
+from atiyahlab.riemann_roch import monomial_basis, rr_basis
+from atiyahlab.surface import AtiyahSurface
 
 
 def from_elems(field, rows) -> Matrix:
@@ -100,16 +101,56 @@ def expand_horner(fn: FuncElem, P, prec: int) -> LaurentSeries:
         f"expansion of {fn!r} at {P} did not stabilize at precision {prec}")
 
 
-def is_coboundary_jet(cocycle, fn) -> bool:
-    """True iff fn (poles only in {inf, T}, order <= cocycle.order) splits as
-    f0 - f1 with f0 in L(k inf), f1 in L(k T).  The zero function trivially
-    does (f0 = f1 = 0)."""
-    curve, T, k = cocycle.curve, cocycle.T, cocycle.order
+def _jets_at_infinity(fn: FuncElem, k: int):
+    """Coefficients t^-k .. t^k at inf of the nonzero fn, whose pole order
+    there is at most k."""
+    s = fn.expand(fn.curve.infinity, k + 1 - fn.valuation_at(fn.curve.infinity))
+    return [s.coefficient(e) for e in range(-k, k + 1)]
+
+
+def _coboundary_jets(curve, T, k: int):
+    """The jets t^-k .. t^k at inf of the bases of L(k inf) and L(k T)."""
+    basis = monomial_basis(curve, k) + list(
+        rr_basis(curve, Divisor(curve, {T: k})).basis)
+    return [_jets_at_infinity(f, k) for f in basis]
+
+
+def is_coboundary_jet(cocycle, fn, k: int | None = None) -> bool:
+    """True iff fn (poles only in {inf, T}) splits as f0 - f1 with f0
+    regular off inf and f1 regular off T.
+
+    Such f0, f1 lie in L(k inf) and L(k T) for k the larger of fn's pole
+    orders at inf and T: f0 = fn + f1 has at inf the pole of fn, f1 =
+    f0 - fn at T the pole of fn.  That k (at least 1) is the default; a
+    given k must be at least as large.  All of these functions lie in
+    L(k inf + k T), on which the jet t^-k .. t^k at inf is injective (a
+    function there vanishing to order k + 1 at inf would have more zeros
+    than poles), so fn splits iff its jet lies in the span of the jets of
+    the bases of L(k inf) and L(k T).  The zero function trivially does
+    (f0 = f1 = 0).
+    """
+    curve, T = cocycle.curve, cocycle.T
     if fn.is_zero():
         return True
-    rows, base = _coboundary_jets(curve, T, k)
-    v = _jet_vector(fn, curve.infinity, -k, k + 1)
-    return rank(Matrix(curve.field, rows + [v], 2 * k + 1)) == base
+    need = max(1, -fn.valuation_at(curve.infinity), -fn.valuation_at(T))
+    if k is None:
+        k = need
+    elif k < need:
+        raise ValueError(f"k = {k} is below the pole order {need} of fn")
+    rows = _coboundary_jets(curve, T, k)
+    return (rank(Matrix(curve.field, rows, 2 * k + 1))
+            == rank(Matrix(curve.field, rows + [_jets_at_infinity(fn, k)],
+                           2 * k + 1)))
+
+
+def coboundary_cokernel_dim(cocycle, k: int) -> int:
+    """dim L(k inf + k T) minus the dimension of L(k inf) + L(k T), read off
+    their jets at inf: the room a gluing function of pole order at most k
+    has outside the coboundaries (1 for every k)."""
+    curve, T = cocycle.curve, cocycle.T
+    space = rr_basis(curve, Divisor(curve, {curve.infinity: k, T: k}))
+    return space.dim - rank(Matrix(curve.field, _coboundary_jets(curve, T, k),
+                                   2 * k + 1))
 
 
 def in_span(sections, section) -> bool:

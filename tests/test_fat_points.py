@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -28,8 +29,9 @@ from atiyahlab.fat_points import (
     verify_jets,
 )
 from atiyahlab.fields import QQ, make_extension_field
+from atiyahlab.funcfield import FuncElem
 from atiyahlab.linalg import rank
-from atiyahlab.surface import make_surface
+from atiyahlab.surface import SectionVector, make_surface
 from oracles import (in_span, max_multiplicity_ladder, min_level_ladder,
                      translate_marked_fiber)
 
@@ -125,6 +127,30 @@ def test_verify_jets_rejects_wrong_multiplicity(rational_surface):
     verify_jets(sec, fp.with_multiplicity(1))
     with pytest.raises(VerificationError):
         verify_jets(sec, fp)
+
+
+def test_verify_jets_rejects_a_pole_or_the_last_jet(rational_surface):
+    # the local parameter at the base (1, 1) is t = x - 1, so s_0 = 1/t has
+    # every jet t^0..t^(m-1) zero and only its pole gives it away; t^(m-1)
+    # in s_0 is wrong only in the last pure jet, and t^(m-2) u in the
+    # recentered fiber coordinate u = w - 2 only in the last mixed one
+    surf = rational_surface
+    t = FuncElem.x_function(surf.curve) - 1
+    fp = FatPoint(surf.curve.point(1, 1), 2, 1)
+    for m in (1, 2, 3):
+        with pytest.raises(VerificationError, match="pole at the fat point"):
+            verify_jets(SectionVector(surf, 0, False, [t.inverse()]),
+                        fp.with_multiplicity(m))
+        wrong = {(m - 1, 0): SectionVector(surf, 0, False, [t ** (m - 1)])}
+        if m > 1:
+            s_1 = t ** (m - 2)
+            wrong[m - 2, 1] = SectionVector(surf, 1, False, [s_1 * (-2), s_1])
+        for (alpha, beta), sec in wrong.items():
+            if m > 1:
+                verify_jets(sec, fp.with_multiplicity(m - 1))
+            with pytest.raises(VerificationError,
+                               match=re.escape(f"jet t^{alpha} u^{beta} ")):
+                verify_jets(sec, fp.with_multiplicity(m))
 
 
 def test_min_level_table_char0(rational_surface):

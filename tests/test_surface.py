@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atiyahlab import surface
-from atiyahlab.curve import WeierstrassCurve
+from atiyahlab.curve import Divisor, WeierstrassCurve
 from atiyahlab.errors import CutoffInstabilityError, VerificationError
 from atiyahlab.fat_points import FatPoint, _combine, _point_jet_rows
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
@@ -18,18 +18,19 @@ from atiyahlab.funcfield import FuncElem
 from atiyahlab.linalg import Matrix, canonical_basis, rank_and_kernel
 from atiyahlab.surface import (SectionSpace, SectionVector, build_cocycle,
                                make_surface)
-from oracles import is_coboundary_jet, sym_transition
+from atiyahlab.riemann_roch import rr_basis
+from oracles import coboundary_cokernel_dim, is_coboundary_jet, sym_transition
 
 
 def test_cocycle_order_and_poles(rational_surface):
     c = rational_surface.cocycle
-    assert c.order == 1
     assert c.pole_inf == 1 and c.pole_T == 1
-    cert = c.certificate
-    assert cert["order"] == 1
-    # the defect of the chart-splitting map stays one-dimensional as the
-    # allowed pole order grows — that is what makes the gluing nontrivial
-    assert cert["cokernel_dims"] == {1: 1, 2: 1, 3: 1}
+    assert c.certificate == {"denominator": "1 + 1*x", "minus_T": "regular",
+                             "pole_inf": 1, "pole_T": 1}
+    # the room outside the coboundaries stays one-dimensional as the allowed
+    # pole order grows, and g fills it at every order
+    assert {k: coboundary_cokernel_dim(c, k) for k in (1, 2, 3)} == {1: 1, 2: 1, 3: 1}
+    assert not any(is_coboundary_jet(c, c.g, k) for k in (1, 2, 3))
 
 
 def test_cocycle_closed_form_rational(rational_curve):
@@ -47,12 +48,90 @@ def test_cocycle_closed_form_rational(rational_curve):
 
 def test_cocycle_is_not_a_coboundary(rational_surface):
     c = rational_surface.cocycle
+    E, T = c.curve, c.T
     assert not is_coboundary_jet(c, c.g)
-    # elements of L(k inf) and L(k T) individually are coboundaries
-    E = rational_surface.curve
-    assert is_coboundary_jet(c, FuncElem.x_function(E))
+    # elements of L(k inf) and L(k T) individually are coboundaries, each
+    # tested at k its own pole order: x at k = 2, which k = 1 cannot hold
+    x = FuncElem.x_function(E)
+    assert is_coboundary_jet(c, x)
+    with pytest.raises(ValueError):
+        is_coboundary_jet(c, x, 1)
     assert is_coboundary_jet(c, FuncElem.zero(E))
     assert is_coboundary_jet(c, FuncElem.constant(E, Fraction(5)))
+    L2T = rr_basis(E, Divisor(E, {T: 2})).basis
+    L3T = rr_basis(E, Divisor(E, {T: 3})).basis
+    assert all(f.valuation_at(T) < -1 for f in L2T + L3T)
+    for f in L2T + L3T:
+        assert is_coboundary_jet(c, f)
+        assert is_coboundary_jet(c, f + x)
+    # a coboundary added to g leaves it outside the coboundaries
+    assert not is_coboundary_jet(c, c.g + L2T[0])
+    assert not is_coboundary_jet(c, c.g + L3T[1] - x)
+
+
+def test_build_cocycle_builds_one_space_and_no_rank(monkeypatch):
+    E = WeierstrassCurve(QQ, 0, 0, 0, -1, 1)
+    T = E.point(-1, 1)
+    built = []
+    real_rr_basis = surface.rr_basis
+
+    def counting(curve, D):
+        built.append(D)
+        return real_rr_basis(curve, D)
+
+    def no_rank(mat):
+        raise AssertionError("build_cocycle computed a rank")
+
+    monkeypatch.setattr(surface, "rr_basis", counting)
+    monkeypatch.setattr(surface, "rank", no_rank)
+    c = build_cocycle(E, T)
+    assert built == [Divisor(E, {E.infinity: 1, T: 1})]
+    assert c.pole_inf == c.pole_T == 1
+
+
+def test_build_cocycle_rejects_bad_candidates(monkeypatch, rational_curve):
+    # each candidate breaks one condition of the pole argument; the check
+    # runs on g itself, so the candidate stands in for the one-pole function
+    E = rational_curve
+    T = E.point(-1, 1)
+    x = FuncElem.x_function(E)
+    g = surface._one_pole_function(E, T)
+    double_T = rr_basis(E, Divisor(E, {T: 2})).basis[0]
+    candidates = [
+        # no pole at T
+        (x, "pole orders 2 at inf and 0 at T"),
+        # a double pole at T, from L(2 T)
+        (double_T, r"pole where 1 \+ 2\*x \+ 1\*x\^2 vanishes"),
+        # a pole at the other affine point (1, 1)
+        (g + (x - 1).inverse(), r"pole where -1 \+ 1\*x\^2 vanishes"),
+        # the denominator x - x_T, but a pole at -T as well as at T
+        (g + (x + 1).inverse(), r"pole at \(-1, -1\)"),
+        # a double pole at inf
+        (g + x, "pole orders 2 at inf and 1 at T"),
+    ]
+    for cand, message in candidates:
+        monkeypatch.setattr(surface, "_one_pole_function",
+                            lambda curve, P, cand=cand: cand)
+        with pytest.raises(VerificationError, match=message):
+            build_cocycle(E, T)
+
+
+def test_build_cocycle_at_two_torsion(monkeypatch):
+    # on y^2 = x^3 - x the point T = (0, 0) is 2-torsion: x - x_T has a
+    # double zero at T, so only valuation_at(T) tells a simple pole (y/x)
+    # from a double one (1/x + y/x), and -T = T needs no separate check
+    E = WeierstrassCurve(QQ, 0, 0, 0, -1, 0)
+    T = E.point(0, 0)
+    c = build_cocycle(E, T)
+    x, y = FuncElem.x_function(E), FuncElem.y_function(E)
+    assert c.g == y / x
+    assert c.certificate == {"denominator": "1*x", "minus_T": "is T",
+                             "pole_inf": 1, "pole_T": 1}
+    assert not any(is_coboundary_jet(c, c.g, k) for k in (1, 2, 3))
+    monkeypatch.setattr(surface, "_one_pole_function",
+                        lambda curve, P: (FuncElem.one(E) + y) / x)
+    with pytest.raises(VerificationError, match="1 at inf and 2 at T"):
+        build_cocycle(E, T)
 
 
 def test_make_surface_guards(rational_curve):
@@ -375,12 +454,15 @@ def test_h0_caching(rational_surface):
         rational_surface.h0(-1, twisted=False)
 
 
-def test_cocycle_certificate_on_other_fields(f9_surface, f4_surface, f3_surface):
-    for surf in (f9_surface, f4_surface, f3_surface):
+def test_cocycle_certificate_on_other_fields(f9_surface, f4_surface, f3_surface,
+                                            f256_surface):
+    for surf in (f9_surface, f4_surface, f3_surface, f256_surface):
         c = surf.cocycle
-        assert c.order == 1
-        assert c.certificate["cokernel_dims"] == {1: 1, 2: 1, 3: 1}
-        assert not is_coboundary_jet(c, c.g)
+        assert c.pole_inf == c.pole_T == 1
+        assert c.certificate["minus_T"] == ("regular" if -c.T != c.T else "is T")
+        assert ({k: coboundary_cokernel_dim(c, k) for k in (1, 2, 3)}
+                == {1: 1, 2: 1, 3: 1})
+        assert not any(is_coboundary_jet(c, c.g, k) for k in (1, 2, 3))
 
 
 # sha256 over json.dumps(h0(level, twisted).serialize(), sort_keys=True) for
