@@ -97,9 +97,13 @@ class RationalField:
     and a ``Fraction`` otherwise; the two forms of an integer compare, hash
     and print alike, so either may meet the other.
 
-    ``add``, ``sub`` and ``mul`` are the bare operators, which keep ints ints;
-    ``zero``, ``one``, ``from_int``, ``parse``, ``inv``, ``div`` and ``pow``
-    give an int whenever the result is integral and never a float.
+    ``add``, ``sub`` and ``mul`` are the bare operators, which keep ints ints
+    (two Fractions may still give an integral Fraction); ``zero``, ``one``,
+    ``from_int``, ``parse``, ``inv``, ``div`` and ``pow`` give an int
+    whenever the result is integral and never a float.  So what divides
+    through ``div`` keeps ints: ``poly``'s division and ``monic``, and the
+    reduction of a ``FuncElem``, which divides every coefficient by the
+    leading one of its denominator.
     """
 
     p = 0
@@ -271,7 +275,7 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return a if b == self.one else self.mul(a, self.inv(b))
 
     def inv(self, a):
         if a == self.zero:

@@ -2,11 +2,15 @@
 
 A :class:`FuncElem` is stored as (a(x) + b(x) y) / d(x) with dense polynomial
 parts, reduced so that gcd(a, b, d) = 1 and d is monic — a canonical form, so
-equality is coefficient equality.  Products reduce y^2 through the curve
-relation y^2 = S(x) + T(x) y with S = x^3 + a2 x^2 + a4 x + a6 and
-T = -(a1 x + a3); inverses go through the conjugate (a + bT) - b y and the
-norm a^2 + a b T - b^2 S.  :func:`combination` sums many terms over the lcm of
-the denominators with one reduction; the oracle ``transformed`` keeps ``+``.
+equality is coefficient equality.  The reduction divides every coefficient
+by the leading one of d through ``field.div``, so over Q, where ``div``
+gives an int whenever the quotient is integral, a reduced element keeps its
+integral coefficients as ints whatever sums and products built it.
+Products reduce y^2 through the curve relation y^2 = S(x) + T(x) y with
+S = x^3 + a2 x^2 + a4 x + a6 and T = -(a1 x + a3); inverses go through the
+conjugate (a + bT) - b y and the norm a^2 + a b T - b^2 S.
+:func:`combination` sums many terms over the lcm of the denominators with
+one reduction; the oracle ``transformed`` keeps ``+``.
 
 Local parameters are fixed once and for all, each chart knowing one
 coordinate as a series in t and solving for the other:
@@ -81,17 +85,14 @@ class FuncElem:
         if not d:
             raise ZeroDivisionError("denominator polynomial is zero")
         if reduce:
-            g = poly.gcd(field, poly.gcd(field, a, b), d)
+            # d first: on the solve path deg d <= 1, so Euclid starts small
+            g = poly.gcd(field, poly.gcd(field, d, a), b)
             if poly.degree(g) > 0:
                 a, _ = poly.divmod_poly(field, a, g)
                 b, _ = poly.divmod_poly(field, b, g)
                 d, _ = poly.divmod_poly(field, d, g)
             lead = d[-1]
-            if lead != field.one:
-                inv = field.inv(lead)
-                a = poly.scalar_mul(field, inv, a)
-                b = poly.scalar_mul(field, inv, b)
-                d = poly.scalar_mul(field, inv, d)
+            a, b, d = ([field.div(c, lead) for c in p] for p in (a, b, d))
         self.a, self.b, self.d = a, b, d
 
     # -- constructors --------------------------------------------------------

@@ -15,7 +15,10 @@ primitive vector of ints with positive leading entry over Q, and
 kernel found another way, which gives the same vectors.
 
 :func:`back_substitute` solves rows that are already triangular on given
-columns; it checks that shape from the entries and eliminates nothing.
+columns; it checks that shape from the entries and eliminates nothing.  It
+scatters by column rather than gathering by row, so its cost is the
+multiply-adds it does, and :func:`certify_kernel` checks M v = 0 the same
+way over the support of each vector, in a pass of its own.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
@@ -105,28 +108,77 @@ def back_substitute(field, rows, ncols, steps):
     the pivots and the others are free.  The entries are checked to make the
     step rows triangular, each nonzero at its own column and zero on the
     columns of later steps (VerificationError otherwise), so each solution
-    exists and is unique.  A step divides only where its entry is not 1.
+    exists and is unique.
+
+    The solve scatters by column (Gilbert and Peierls, SIAM J. Sci. Stat.
+    Comput. 9 (1988)): the step rows are indexed by column once, and each
+    solved entry x of column c adds x M[r][c] to the sum of every step row
+    r that c reaches.  A step row reaches only free columns and columns
+    solved before it, so its sum is complete when its turn comes.  The cost
+    is the multiply-adds done, never a walk over whole rows.
     """
     zero, one = field.zero, field.one
+    fz, fadd, fmul = field.is_zero, field.add, field.mul
     when = {col: i for i, (col, _) in enumerate(steps)}
     for i, (col, r) in enumerate(steps):
-        if field.is_zero(rows[r].get(col, zero)):
+        if fz(rows[r].get(col, zero)):
             raise VerificationError(f"pivot entry of column {col} is zero")
         if any(when.get(c, i) > i for c in rows[r]):
             raise VerificationError(
                 f"pivot row of column {col} reaches a column solved later")
+    # the step rows by column, leaving out each row's own pivot entry
+    by_col = _by_column((r, c, a) for col, r in steps
+                        for c, a in rows[r].items() if c != col)
     basis = []
     for f in range(ncols):
         if f in when:
             continue
         vec = {f: one}
+        acc = dict(zip(*by_col.get(f, ((), ()))))   # row sums, seeded by f
         for col, r in steps:
-            acc = dot(field, rows[r], vec)
-            if not field.is_zero(acc):
-                lc = rows[r][col]
-                vec[col] = field.neg(acc if lc == one else field.div(acc, lc))
+            s = acc.pop(r, None)
+            if s is None or fz(s):
+                continue
+            lc = rows[r][col]
+            x = vec[col] = field.neg(s if lc == one else field.div(s, lc))
+            for r2, a in zip(*by_col.get(col, ((), ()))):
+                acc[r2] = fadd(acc.get(r2, zero), fmul(a, x))
         basis.append(vec)
     return basis
+
+
+def _by_column(entries):
+    """{col: (row indices, values)} of the (row, col, value) entries; two
+    flat lists per column hold a large matrix in a few bytes per entry."""
+    index = {}
+    for r, c, a in entries:
+        hit = index.get(c)
+        if hit is None:
+            hit = index[c] = ([], [])
+        hit[0].append(r)
+        hit[1].append(a)
+    return index
+
+
+def certify_kernel(field, rows, vectors):
+    """Raise VerificationError unless M v = 0 for every sparse vector v
+    {col: value}, M the sparse rows {col: value}.
+
+    An independent pass: it indexes the rows by column itself and, for each
+    v, sums v[c] M[:, c] over the support of v into per-row sums, so it costs
+    the multiply-adds of the product and rows v does not reach count as 0.
+    """
+    fz, fadd, fmul, zero = field.is_zero, field.add, field.mul, field.zero
+    by_col = _by_column((r, c, a) for r, row in enumerate(rows)
+                        for c, a in row.items())
+    for vec in vectors:
+        sums = {}
+        for c, x in vec.items():
+            if not fz(x):
+                for r, a in zip(*by_col.get(c, ((), ()))):
+                    sums[r] = fadd(sums.get(r, zero), fmul(a, x))
+        if not all(fz(s) for s in sums.values()):
+            raise VerificationError("a kernel vector leaves M v nonzero")
 
 
 def _primitive_int_vector(field, v):

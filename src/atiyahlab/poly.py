@@ -3,6 +3,11 @@
 A polynomial is a plain list/tuple of raw field values, index = exponent,
 with no trailing zeros ([] is the zero polynomial).  Functions take the field
 first and never mutate their arguments.
+
+Division and :func:`monic` divide coefficients through ``field.div``, never
+by multiplying with an inverse, so over Q, where ``div`` returns an ``int``
+whenever the quotient is integral, quotients and monic polynomials keep
+integral coefficients as ints.
 """
 
 from __future__ import annotations
@@ -60,12 +65,12 @@ def divmod_poly(field, f, g):
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     q = [field.zero] * max(0, len(f) - len(g) + 1)
-    inv_lead = field.inv(g[-1])
+    lead = g[-1]
     while len(f) >= len(g):
         if field.is_zero(f[-1]):
             f.pop()
             continue
-        c = field.mul(f[-1], inv_lead)
+        c = field.div(f[-1], lead)
         off = len(f) - len(g)
         q[off] = c
         for i, b in enumerate(g):
@@ -110,7 +115,7 @@ def monic(field, f):
     lead = f[-1]
     if lead == field.one:
         return list(f)
-    return scalar_mul(field, field.inv(lead), f)
+    return [field.div(c, lead) for c in f]
 
 
 def evaluate(field, f, x_raw):

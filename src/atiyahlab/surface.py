@@ -26,7 +26,8 @@ columns, so each non-constant column is one back-substitution step, checked
 from the entries, and the only elimination is on the plain obstruction rows.
 The kernel must vanish on the columns past the margin cutoffs
 (CutoffInstabilityError otherwise), every kernel vector is certified by
-M v = 0, and its restriction to the other columns is the basis at the margin.
+M v = 0, summed by column over its support, and its restriction to the
+other columns is the basis at the margin.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
 x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
@@ -57,8 +58,8 @@ from .curve import CurvePoint, Divisor, WeierstrassCurve
 from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationError
 from .fields import FieldElem
 from .funcfield import FuncElem, combination, mul_numerators
-from .linalg import (Matrix, back_substitute, canonical_basis, dot,
-                     rank_and_kernel, rank)
+from .linalg import (Matrix, back_substitute, canonical_basis,
+                     certify_kernel, dot, rank_and_kernel, rank)
 from .riemann_roch import rr_basis
 
 DEFAULT_MARGIN = 4
@@ -340,7 +341,14 @@ class SectionSpace:
 
 
 class AtiyahSurface:
-    """The ruled surface with a marked fiber over q (and its caches)."""
+    """The ruled surface with a marked fiber over q (and its caches).
+
+    A surface lives in reference cycles: each cached section points back at
+    it (``SectionVector.surface`` <-> ``AtiyahSurface._h0``), and the
+    ``CurvePoint`` keys of the curve's chart cache point back at the curve.
+    A dropped surface, with its sections and charts, is therefore freed only
+    by Python's cyclic garbage collector, not when its last reference goes.
+    """
 
     def __init__(self, cocycle: CechCocycle, q: CurvePoint):
         if q.is_infinity or q == cocycle.T:
@@ -380,7 +388,10 @@ class AtiyahSurface:
           constants are free.  Twisted, every row leads; plain, the rows of
           order 1 (B at x^(deg D_j - 1), j < level) are left over and cut
           the constants by rank_and_kernel.  Every kernel vector is
-          certified by M v = 0 on every row.
+          certified by M v = 0 on every row (certify_kernel, a pass of its
+          own over the rows indexed by column, summing over the vector's
+          support; the solve's accumulators are zero on the step rows by
+          construction, so they would certify nothing).
         * Zero block: a column (a, m) reaches t_j only up to pole order
           (a - j) * k_inf + m <= caps[j] - 2, and the numerators are reduced
           P + Q y, so the rows past the margin cutoffs vanish on the margin
@@ -426,9 +437,7 @@ class AtiyahSurface:
                                         for row in rows], len(kept))
             raise CutoffInstabilityError(level, twisted, margin,
                                          len(kept) - rank(margin_mat), len(kernel))
-        if any(not field.is_zero(dot(field, row, vec))
-               for vec in kernel for row in rows):
-            raise VerificationError("a kernel vector leaves M v nonzero")
+        certify_kernel(field, rows, kernel)
         basis = canonical_basis(field, kernel, len(columns))
         if len(basis) != len(kernel):
             raise VerificationError("the kernel vectors are linearly dependent")

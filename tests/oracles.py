@@ -1,7 +1,8 @@
 """Oracles the tests check the library against.
 
 None of these is on a production path: each restates a fact the library
-computes another way (a matrix product, the chart-change matrix, the
+computes another way (a matrix product, a triangular solve by rows, the
+chart-change matrix, the
 coboundary test, a class-preserving translation, span membership of
 sections, the level-by-level search for a minimal level, the
 multiplicity-by-multiplicity search for a maximal multiplicity, the
@@ -21,7 +22,7 @@ from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
                                   fat_system, h0_fat, verify_jets)
 from atiyahlab.fields import FieldElem
 from atiyahlab.funcfield import FuncElem, point_expansion
-from atiyahlab.linalg import Matrix, rank, rank_naive
+from atiyahlab.linalg import Matrix, dot, rank, rank_naive
 from atiyahlab.series import LaurentSeries, eval_poly
 from atiyahlab.riemann_roch import monomial_basis, rr_basis
 from atiyahlab.surface import AtiyahSurface
@@ -48,6 +49,31 @@ def kernel_check(mat: Matrix, vectors) -> bool:
     """True iff every vector multiplies to zero against the matrix."""
     field = mat.field
     return all(field.is_zero(e) for v in vectors for e in mul_vector(mat, v))
+
+
+def back_substitute_rows(field, rows, ncols, steps):
+    """``linalg.back_substitute`` by rows: the same entry checks, then each
+    step gathers its row's sum with ``dot`` over the solution so far."""
+    zero, one = field.zero, field.one
+    when = {col: i for i, (col, _) in enumerate(steps)}
+    for i, (col, r) in enumerate(steps):
+        if field.is_zero(rows[r].get(col, zero)):
+            raise VerificationError(f"pivot entry of column {col} is zero")
+        if any(when.get(c, i) > i for c in rows[r]):
+            raise VerificationError(
+                f"pivot row of column {col} reaches a column solved later")
+    basis = []
+    for f in range(ncols):
+        if f in when:
+            continue
+        vec = {f: one}
+        for col, r in steps:
+            acc = dot(field, rows[r], vec)
+            if not field.is_zero(acc):
+                lc = rows[r][col]
+                vec[col] = field.neg(acc if lc == one else field.div(acc, lc))
+        basis.append(vec)
+    return basis
 
 
 def sym_transition(cocycle, level: int):

@@ -494,3 +494,14 @@ def test_rational_constants_are_ints():
     assert type(QQ.inv(-1)) is int and QQ.inv(2) == Fraction(1, 2)
     assert type(QQ.pow(Fraction(4, 2), -1)) is Fraction
     assert str(QQ.parse("-12")) == str(Fraction(-12)) == "-12"
+
+
+def test_poly_division_over_q_keeps_ints():
+    # monic, divmod_poly and gcd divide through QQ.div, so 6 / 2 is the int
+    # 3, where 6 * (1/2) would be Fraction(3, 1)
+    quo, rem = poly.divmod_poly(QQ, [2, 4, 6], [1, 2])
+    assert quo == [Fraction(1, 2), 3] and type(quo[1]) is int
+    assert rem == [Fraction(3, 2)]
+    for got, want in ((poly.monic(QQ, [4, 6, 2]), [2, 3, 1]),
+                      (poly.gcd(QQ, [-2, 2], [-4, 0, 4]), [-1, 1])):
+        assert got == want and all(type(c) is int for c in got)

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atiyahlab import funcfield, poly
-from atiyahlab.curve import CurvePoint, WeierstrassCurve
+from atiyahlab.curve import CurvePoint, Divisor, WeierstrassCurve
 from atiyahlab.fat_points import FatPoint, max_multiplicity, min_level
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import (
@@ -18,8 +18,9 @@ from atiyahlab.funcfield import (
     pair_function,
     point_expansion,
 )
+from atiyahlab.riemann_roch import rr_basis
 from atiyahlab.series import LaurentSeries
-from atiyahlab.surface import make_surface
+from atiyahlab.surface import SectionVector, make_surface
 from oracles import expand_horner
 
 
@@ -517,3 +518,68 @@ def test_twisted_ladder_keeps_one_chart_per_point(monkeypatch):
         counts = [uses[id(chart), d_h] for chart in charts[P]
                   if uses[id(chart), d_h]]
         assert counts and sum(counts) >= 10 * len(counts), counts
+
+
+# -- over Q, integral coefficients stay ints -----------------------------------
+
+# rational points of y^2 = x^3 - x + 1, two of them with x = 1/4
+RATIONAL_POINTS = [(0, 1), (-1, 1), (1, -1), (3, 5),
+                   (Fraction(1, 4), Fraction(7, 8)),
+                   (Fraction(1, 4), Fraction(-7, 8))]
+
+
+def _integral_fractions(fn):
+    """The coefficients of fn held as a Fraction with denominator 1."""
+    return [c for part in (fn.a, fn.b, fn.d) for c in part
+            if isinstance(c, Fraction) and c.denominator == 1]
+
+
+def _rational_coefficients(rng, n):
+    # QQ.div gives ints when integral, as every raw value over Q must be
+    return [QQ.div(rng.randrange(-9, 10), rng.randrange(1, 7))
+            for _ in range(n)]
+
+
+@functools.cache
+def _surface_over_q(q, T):
+    E = rational_model()
+    return make_surface(E, E.point(*q), T=E.point(*T))
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(q=st.sampled_from(RATIONAL_POINTS), T=st.sampled_from(RATIONAL_POINTS),
+       level=st.integers(0, 20), twisted=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(q=(0, 1), T=(-1, 1), level=20, twisted=True, seed=0)
+@example(q=(0, 1), T=(-1, 1), level=20, twisted=False, seed=0)
+@example(q=RATIONAL_POINTS[4], T=(-1, 1), level=20, twisted=True, seed=1)
+@example(q=(0, 1), T=RATIONAL_POINTS[5], level=20, twisted=False, seed=2)
+def test_reduced_functions_over_q_hold_no_integral_fraction(q, T, level,
+                                                            twisted, seed):
+    # the h0 sections, a combination of their components with rational
+    # coefficients, and section products: every reduced FuncElem keeps its
+    # integral coefficients as ints
+    assume(q != T)
+    surf = _surface_over_q(q, T)
+    E, rng = surf.curve, random.Random(seed)
+    sections = surf.h0(level, twisted).sections
+    comps = [c for sec in sections for c in sec.components if c]
+    assert not [c for fn in comps for c in _integral_fractions(fn)]
+    mixed = combination(E, _rational_coefficients(rng, len(comps)), comps)
+    assert not _integral_fractions(mixed)
+    sec = rng.choice(sections)
+    view = SectionVector(surf, sec.level, False, sec.components)
+    for prod in (sec * surf.h0(2, False).sections[0], view * view):
+        assert not [c for fn in prod.components
+                    for c in _integral_fractions(fn)]
+
+
+@pytest.mark.parametrize("T", [(-1, 1), (Fraction(1, 4), Fraction(7, 8))])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rr_basis_over_q_holds_no_integral_fraction(T, k):
+    E = rational_model()
+    basis = rr_basis(E, Divisor(E, {E.point(*T): k})).basis
+    assert not [c for fn in basis for c in _integral_fractions(fn)]
+    mixed = combination(E, _rational_coefficients(random.Random(k), len(basis)),
+                        basis)
+    assert not _integral_fractions(mixed)

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from atiyahlab.errors import VerificationError
 from atiyahlab.fields import QQ, make_extension_field
-from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis, rank,
-                              rank_and_kernel, rank_naive)
-from oracles import from_elems, kernel_check, mul_vector
+from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis,
+                              certify_kernel, rank, rank_and_kernel,
+                              rank_naive)
+from oracles import back_substitute_rows, from_elems, kernel_check, mul_vector
 
 FIELDS = {"QQ": lambda: QQ,
           "F7": lambda: make_extension_field(7),
           "F9": lambda: make_extension_field(3, 2),
+          "F101": lambda: make_extension_field(101),
+          "F256": lambda: make_extension_field(2, 8),
           "F4": lambda: make_extension_field(2, 2),
           "F1000003": lambda: make_extension_field(1000003),
           "F3^13": lambda: make_extension_field(3, 13)}
@@ -286,3 +289,80 @@ def test_back_substitution_checks_the_triangle_from_the_entries():
         back_substitute(QQ, rows, 3, [(0, 1), (1, 0)])
     # a pivot entry other than 1 is divided out: 2 x0 + 3 x1 = 0
     assert back_substitute(QQ, [{0: 2, 1: 3}], 2, [(0, 0)]) == [{1: 1, 0: Fraction(-3, 2)}]
+
+
+def test_kernel_certificate_sums_each_row_over_the_support():
+    # x0 - x1 = 0, 3 x2 = 0 and a row no support reaches: {0: 1, 1: 1}
+    # passes; adding x2 = 5 leaves row 1, reached by column 2 alone, at 15
+    rows = [{0: 1, 1: -1}, {2: 3}, {3: 7}]
+    certify_kernel(QQ, rows, [{0: 1, 1: 1}, {}, {0: 2, 1: 2, 4: 9}])
+    with pytest.raises(VerificationError, match="M v"):
+        certify_kernel(QQ, rows, [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 5}])
+    # a single column of the support reaching a row is a residual, and so is
+    # a support that misses one column of a row it reaches
+    with pytest.raises(VerificationError, match="M v"):
+        certify_kernel(QQ, rows, [{3: Fraction(1, 7)}])
+    with pytest.raises(VerificationError, match="M v"):
+        certify_kernel(QQ, rows, [{1: 1}])
+
+
+def random_triangular_system(field, rng, ncols, nsteps, nother):
+    """(rows, steps) with nsteps step columns in random solving order: each
+    step row is nonzero at its column and sparse on the free columns and
+    the columns of earlier steps; nother rows no step leads ride along."""
+    cols = rng.sample(range(ncols), nsteps)
+    earlier, rows, steps = [], [], []
+    free = [c for c in range(ncols) if c not in cols]
+    for col in cols:
+        row = {col: random_elem(field, rng, nonzero=True)}
+        for c in free + earlier:
+            if rng.random() < 0.5:
+                row[c] = random_elem(field, rng, nonzero=True)
+        steps.append((col, len(rows)))
+        rows.append(row)
+        earlier.append(col)
+    for _ in range(nother):
+        rows.append({c: random_elem(field, rng, nonzero=True)
+                     for c in range(ncols) if rng.random() < 0.5})
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    where = {r: i for i, r in enumerate(order)}
+    return [rows[r] for r in order], [(col, where[r]) for col, r in steps]
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("field_key", ["QQ", "F9", "F101", "F256"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), ncols=st.integers(1, 9),
+       data=st.data())
+def test_scatter_solve_equals_the_row_solve(field_key, seed, ncols, data):
+    # the same vectors as the oracle that gathers each row's sum, and on a
+    # system broken either way the same VerificationError
+    field, rng = FIELDS[field_key](), random.Random(seed)
+    nsteps = data.draw(st.integers(0, ncols))
+    rows, steps = random_triangular_system(field, rng, ncols, nsteps,
+                                           data.draw(st.integers(0, 3)))
+    want = back_substitute_rows(field, rows, ncols, steps)
+    assert back_substitute(field, rows, ncols, steps) == want
+    assert len(want) == ncols - nsteps
+    if not steps:
+        return
+    broken = [dict(r) for r in rows]
+    col, r = steps[data.draw(st.integers(0, len(steps) - 1))]
+    if len(steps) > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(steps) - 2))
+        later = steps[data.draw(st.integers(i + 1, len(steps) - 1))][0]
+        broken[steps[i][1]][later] = random_elem(field, rng, nonzero=True)
+        match = "solved later"
+    else:
+        broken[r].pop(col)
+        match = "is zero"
+    got = _outcome(back_substitute, field, broken, ncols, steps)
+    assert got == _outcome(back_substitute_rows, field, broken, ncols, steps)
+    assert isinstance(got, str) and match in got

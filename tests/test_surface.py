@@ -557,7 +557,7 @@ def test_structured_basis_equals_dense_kernel_small(name, level, twisted):
     assert structured == dense
 
 
-def test_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
+def _solve_with_a_vector_off_the_kernel(monkeypatch, twisted):
     # a vector that breaks a row, on a margin column so the stability check
     # passes it on, is caught by M v = 0 before any section is built
     surf = _fresh_rational_surface()
@@ -565,12 +565,21 @@ def test_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
 
     def corrupted(field, rows, ncols, steps, obstruction):
         kernel = original(field, rows, ncols, steps, obstruction)
-        col = steps[-1][0]    # the h column of slot 0
+        col = steps[-1][0]    # slot 0, lowest nonconstant order: h, or x if plain
         vec = dict(kernel[0])
         vec[col] = field.add(vec.get(col, field.zero), field.one)
         return [vec] + kernel[1:]
 
     monkeypatch.setattr(surface, "_leading_term_kernel", corrupted)
     with pytest.raises(VerificationError, match="M v"):
-        surf.h0(2, twisted=True)
+        surf.h0(2, twisted=twisted)
+
+
+def test_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
+    _solve_with_a_vector_off_the_kernel(monkeypatch, twisted=True)
+
+
+def test_plain_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
+    # the plain system, whose kernel also goes through the obstruction rows
+    _solve_with_a_vector_off_the_kernel(monkeypatch, twisted=False)
 
