@@ -419,6 +419,10 @@ def _expand_uncached(curve, P, H):
     a1, a2, a3, a4, a6 = (c.raw for c in
                           (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
     neg, one = f.neg, f.one
+    def normal(*series):    # over Q, div(c, 1) makes integral Fractions ints
+        return tuple(LaurentSeries(f, s.start, [f.div(c, one) for c in s.coeffs], s.hi)
+                     for s in series)
+
     if P.is_infinity:
         # t = x/y, w = 1/y: a6 w^3 + (a4 t - a3) w^2 + (a2 t^2 - a1 t - 1) w + t^3
         Hw = H + 6
@@ -427,7 +431,7 @@ def _expand_uncached(curve, P, H):
         w = _newton(f, [t3, eval_poly(f, [neg(one), neg(a1), a2], t),
                         eval_poly(f, [neg(a3), a4], t), a6], t3, P)
         ys = w.inverse()
-        return (t * ys).truncate(H), ys.truncate(H)
+        return normal((t * ys).truncate(H), ys.truncate(H))
     x0, y0 = P.x.raw, P.y.raw
     if not f.is_zero(f.add(f.add(f.add(y0, y0), f.mul(a1, x0)), a3)):
         # t = x - x_P: y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6)
@@ -435,14 +439,14 @@ def _expand_uncached(curve, P, H):
         ys = _newton(f, [eval_poly(f, [neg(a6), neg(a4), neg(a2), neg(one)], xs),
                          eval_poly(f, [a3, a1], xs), one],
                      LaurentSeries.constant(f, y0, H), P)
-        return xs, ys
+        return normal(xs, ys)
     # ramified, t = y - y_P: x^3 + a2 x^2 + (a4 - a1 y) x + a6 - a3 y - y^2,
     # a simple root by smoothness
     ys = LaurentSeries(f, 0, [y0, one] + [f.zero] * (H - 2), H)
     xs = _newton(f, [eval_poly(f, [a6, neg(a3), neg(one)], ys),
                      eval_poly(f, [a4, neg(a1)], ys), a2, one],
                  LaurentSeries.constant(f, x0, H), P)
-    return xs, ys
+    return normal(xs, ys)
 
 
 def pair_function(P: CurvePoint, Q: CurvePoint) -> FuncElem:

@@ -14,10 +14,11 @@ primitive vector of ints with positive leading entry over Q, and
 :func:`canonical_basis` takes them right to left over a spanning set of a
 kernel found another way, which gives the same vectors.
 
-:func:`back_substitute` solves rows that are already triangular on given
-columns; it checks that shape from the entries and eliminates nothing.  It
-scatters by column rather than gathering by row, so its cost is the
-multiply-adds it does, and :func:`certify_kernel` checks M v = 0 the same
+:func:`back_substitute` solves a matrix held by column, as two flat lists
+(row indices, values) per column, whose step rows are already triangular;
+it checks that shape from the entries, eliminates nothing, and scatters each
+solved entry down its column, so it costs the multiply-adds it does and ends
+with M v on the other rows.  :func:`certify_kernel` checks M v = 0 the same
 way over the support of each vector, in a pass of its own.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
@@ -90,92 +91,75 @@ def _reduce(field, rows, cols):
     return done
 
 
-def dot(field, row, vec):
-    """The sum of row[c] * vec[c] over a sparse row and vector {col: value}."""
-    fadd, fmul, acc = field.add, field.mul, field.zero
-    for c, a in row.items():
-        x = vec.get(c)
-        if x is not None:
-            acc = fadd(acc, fmul(a, x))
-    return acc
+def back_substitute(field, cols, steps):
+    """(vectors, sums): for each free column f in order, the solution v of
+    the step rows with 1 at f and 0 on the other free columns, as a sparse
+    vector {col: value}, and M v {row: value} on the rows no step leads.
 
-
-def back_substitute(field, rows, ncols, steps):
-    """For each free column f in order, the solution of the step rows with 1
-    at f and 0 on the other free columns, as a sparse vector {col: value}.
-
-    ``steps`` lists (column, row) pairs in solving order; their columns are
-    the pivots and the others are free.  The entries are checked to make the
-    step rows triangular, each nonzero at its own column and zero on the
-    columns of later steps (VerificationError otherwise), so each solution
-    exists and is unique.
+    ``cols[c]`` is column c of M as two flat lists, its row indices and its
+    values.  ``steps`` lists (column, row) pairs in solving order; their
+    columns are the pivots and the others are free.  The entries are checked
+    to make the step rows triangular, each nonzero at its own column and
+    zero on the columns of later steps (VerificationError otherwise), so
+    each solution exists and is unique.
 
     The solve scatters by column (Gilbert and Peierls, SIAM J. Sci. Stat.
-    Comput. 9 (1988)): the step rows are indexed by column once, and each
-    solved entry x of column c adds x M[r][c] to the sum of every step row
-    r that c reaches.  A step row reaches only free columns and columns
-    solved before it, so its sum is complete when its turn comes.  The cost
-    is the multiply-adds done, never a walk over whole rows.
+    Comput. 9 (1988)), at the cost of the multiply-adds it does: each solved
+    entry x of column c adds x M[r][c] to the sum of every row r of the
+    column.  A step row reaches only free columns and columns solved before
+    it, so its sum is complete when its turn comes, and zero once solved.
     """
     zero, one = field.zero, field.one
     fz, fadd, fmul = field.is_zero, field.add, field.mul
-    when = {col: i for i, (col, _) in enumerate(steps)}
-    for i, (col, r) in enumerate(steps):
-        if fz(rows[r].get(col, zero)):
+    solved = {col for col, _ in steps}
+    step_of = {r: i for i, (_, r) in enumerate(steps)}
+    # the pivot entries, and the first step whose row reaches a later column
+    lcs, first_bad = [zero] * len(steps), len(steps)
+    for k, (col, row) in enumerate(steps):
+        for r, a in zip(*cols[col]):
+            if r == row:
+                lcs[k] = a
+            elif step_of.get(r, k) < k:
+                first_bad = min(first_bad, step_of[r])
+    for i, (col, _) in enumerate(steps):
+        if fz(lcs[i]):
             raise VerificationError(f"pivot entry of column {col} is zero")
-        if any(when.get(c, i) > i for c in rows[r]):
+        if i == first_bad:
             raise VerificationError(
                 f"pivot row of column {col} reaches a column solved later")
-    # the step rows by column, leaving out each row's own pivot entry
-    by_col = _by_column((r, c, a) for col, r in steps
-                        for c, a in rows[r].items() if c != col)
-    basis = []
-    for f in range(ncols):
-        if f in when:
+    basis, sums = [], []
+    for f in range(len(cols)):
+        if f in solved:
             continue
         vec = {f: one}
-        acc = dict(zip(*by_col.get(f, ((), ()))))   # row sums, seeded by f
-        for col, r in steps:
+        acc = dict(zip(*cols[f]))       # row sums, seeded by f
+        for (col, r), lc in zip(steps, lcs):
             s = acc.pop(r, None)
             if s is None or fz(s):
                 continue
-            lc = rows[r][col]
             x = vec[col] = field.neg(s if lc == one else field.div(s, lc))
-            for r2, a in zip(*by_col.get(col, ((), ()))):
+            for r2, a in zip(*cols[col]):
                 acc[r2] = fadd(acc.get(r2, zero), fmul(a, x))
+            del acc[r]          # s + lc x = 0; no later column reaches r
         basis.append(vec)
-    return basis
+        sums.append(acc)
+    return basis, sums
 
 
-def _by_column(entries):
-    """{col: (row indices, values)} of the (row, col, value) entries; two
-    flat lists per column hold a large matrix in a few bytes per entry."""
-    index = {}
-    for r, c, a in entries:
-        hit = index.get(c)
-        if hit is None:
-            hit = index[c] = ([], [])
-        hit[0].append(r)
-        hit[1].append(a)
-    return index
-
-
-def certify_kernel(field, rows, vectors):
+def certify_kernel(field, cols, vectors):
     """Raise VerificationError unless M v = 0 for every sparse vector v
-    {col: value}, M the sparse rows {col: value}.
+    {col: value}, ``cols[c]`` column c of M as (row indices, values).
 
-    An independent pass: it indexes the rows by column itself and, for each
-    v, sums v[c] M[:, c] over the support of v into per-row sums, so it costs
-    the multiply-adds of the product and rows v does not reach count as 0.
+    An independent pass: for each v it sums v[c] M[:, c] over the support of
+    v into per-row sums, so it costs the multiply-adds of the product and
+    rows v does not reach count as 0.
     """
     fz, fadd, fmul, zero = field.is_zero, field.add, field.mul, field.zero
-    by_col = _by_column((r, c, a) for r, row in enumerate(rows)
-                        for c, a in row.items())
     for vec in vectors:
         sums = {}
         for c, x in vec.items():
             if not fz(x):
-                for r, a in zip(*by_col.get(c, ((), ()))):
+                for r, a in zip(*cols[c]):
                     sums[r] = fadd(sums.get(r, zero), fmul(a, x))
         if not all(fz(s) for s in sums.values()):
             raise VerificationError("a kernel vector leaves M v nonzero")

@@ -20,14 +20,14 @@ has nonnegative valuation at inf.  The solver turns this into one exact
 kernel computation per (level, twisted) with per-component pole cutoffs
 N_a = (level - a) * k_inf + margin — the inverse shift shows true sections
 satisfy the margin-0 bound, so the cutoff loses nothing.  It assembles the
-system once, at margin + 2, as sparse rows, and solves it without a pivot
+system once, at margin + 2, by column, and solves it without a pivot
 search: in slot order the matrix is triangular on the leading terms of its
 columns, so each non-constant column is one back-substitution step, checked
-from the entries, and the only elimination is on the plain obstruction rows.
-The kernel must vanish on the columns past the margin cutoffs
-(CutoffInstabilityError otherwise), every kernel vector is certified by
-M v = 0, summed by column over its support, and its restriction to the
-other columns is the basis at the margin.
+from the entries, scattered down its column; the only elimination is on the
+row sums it leaves, M v on the plain obstruction rows.  The kernel must
+vanish on the columns past the margin cutoffs (CutoffInstabilityError
+otherwise), every kernel vector is certified by M v = 0, summed by column
+over its support, and its restriction to the other columns is the basis.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
 x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
@@ -59,7 +59,7 @@ from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationEr
 from .fields import FieldElem
 from .funcfield import FuncElem, combination, mul_numerators
 from .linalg import (Matrix, back_substitute, canonical_basis,
-                     certify_kernel, dot, rank_and_kernel, rank)
+                     certify_kernel, rank_and_kernel, rank)
 from .riemann_roch import rr_basis
 
 DEFAULT_MARGIN = 4
@@ -153,15 +153,15 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
     return CechCocycle(curve, T, g, pole_inf, pole_T, cert)
 
 
-def _leading_term_kernel(field, rows, ncols, steps, obstruction):
-    """A basis of the kernel of the sparse rows {col: value}, as sparse
-    vectors: back_substitute on the leading terms in ``steps`` gives one
-    vector per free column, every kernel vector is a combination of these,
-    and the combinations the ``obstruction`` rows allow are read off their
-    kernel by rank_and_kernel (all of them when there is none, as twisted).
+def _leading_term_kernel(field, cols, steps, obstruction):
+    """A basis of the kernel of the matrix by column, as sparse vectors:
+    back_substitute on the leading terms in ``steps`` gives one vector per
+    free column, every kernel vector is a combination of these, and the
+    combinations the ``obstruction`` rows allow are read off the kernel of
+    the solve's row sums there by rank_and_kernel (all when there is none).
     """
-    basis = back_substitute(field, rows, ncols, steps)
-    mat = Matrix(field, [[dot(field, rows[r], v) for v in basis]
+    basis, sums = back_substitute(field, cols, steps)
+    mat = Matrix(field, [[s.get(r, field.zero) for s in sums]
                          for r in obstruction], len(basis))
     out = []
     for combo in rank_and_kernel(mat)[1]:
@@ -387,11 +387,11 @@ class AtiyahSurface:
           each, back_substitute checks this from the entries, and the
           constants are free.  Twisted, every row leads; plain, the rows of
           order 1 (B at x^(deg D_j - 1), j < level) are left over and cut
-          the constants by rank_and_kernel.  Every kernel vector is
-          certified by M v = 0 on every row (certify_kernel, a pass of its
-          own over the rows indexed by column, summing over the vector's
-          support; the solve's accumulators are zero on the step rows by
-          construction, so they would certify nothing).
+          the constants by rank_and_kernel, on the solve's row sums there.
+          Every kernel vector is certified by M v = 0 on every row
+          (certify_kernel, a pass of its own over the same columns, summing
+          over the vector's support; the solve's sums are zero on the step
+          rows by construction, so they would certify nothing).
         * Zero block: a column (a, m) reaches t_j only up to pole order
           (a - j) * k_inf + m <= caps[j] - 2, and the numerators are reduced
           P + Q y, so the rows past the margin cutoffs vanish on the margin
@@ -421,23 +421,23 @@ class AtiyahSurface:
         (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
         s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
         """
-        columns, caps, rows, steps, obstruction = self._system(level, twisted,
-                                                               margin)
+        columns, caps, cols, nrows, steps, obstruction = self._system(
+            level, twisted, margin)
         field, curve = self.field, self.curve
         h = self.one_pole_function if twisted else None
         d_h = h.d if twisted else [field.one]
-        kernel = _leading_term_kernel(field, rows, len(columns), steps,
-                                      obstruction)
+        kernel = _leading_term_kernel(field, cols, steps, obstruction)
 
         extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
         if any(not field.is_zero(vec.get(idx, field.zero))
                for vec in kernel for idx in extra):
             kept = [idx for idx in range(len(columns)) if idx not in extra]
-            margin_mat = Matrix(field, [[row.get(idx, field.zero) for idx in kept]
-                                        for row in rows], len(kept))
-            raise CutoffInstabilityError(level, twisted, margin,
-                                         len(kept) - rank(margin_mat), len(kernel))
-        certify_kernel(field, rows, kernel)
+            # the margin columns as the rows of the transpose, of equal rank
+            dense = [[col.get(r, field.zero) for r in range(nrows)]
+                     for col in (dict(zip(*cols[idx])) for idx in kept)]
+            raise CutoffInstabilityError(level, twisted, margin, len(kept) - rank(
+                Matrix(field, dense, nrows)), len(kernel))
+        certify_kernel(field, cols, kernel)
         basis = canonical_basis(field, kernel, len(columns))
         if len(basis) != len(kernel):
             raise VerificationError("the kernel vectors are linearly dependent")
@@ -467,12 +467,17 @@ class AtiyahSurface:
 
     def _system(self, level: int, twisted: bool, margin: int):
         """The matrix _solve reads its kernel off, at cutoffs
-        (level - a) * k_inf + margin + 2: (columns, caps, rows, steps,
-        obstruction).  columns lists the (slot, pole order) of each column,
-        caps the cutoff of each slot, rows the sparse rows {col: value};
+        (level - a) * k_inf + margin + 2, by column: (columns, caps, cols,
+        nrows, steps, obstruction).  columns lists the (slot, pole order) of
+        each column and caps the cutoff of each slot; cols[c] is column c as
+        its row indices, ascending, and its nonzero values, with the rows of
+        t_level to t_0, each as x^e in P, then x^e y in Q, e ascending.
         steps pairs every non-constant column with the row of its leading
-        term, in solving order, and obstruction lists the rows no column
-        leads.
+        term, in solving order; obstruction lists the rows no column leads.
+        Each numerator is formed once: G^i, that of g^i, times d_h, d_h y
+        and (twisted) h, then times d_g once per step of k = level - a from
+        0 up, and scaled by C(a, a - i); each column (a, m) copies a window
+        of it into the rows of t_(a-i).
         """
         kinf = self.cocycle.pole_inf
         caps = [(level - a) * kinf + margin + 2 for a in range(level + 1)]
@@ -481,54 +486,61 @@ class AtiyahSurface:
         col_of = {key: idx for idx, key in enumerate(columns)}
 
         field, curve, g = self.field, self.curve, self.cocycle.g
-        one = [field.one]
+        fz, fadd, fmul = field.is_zero, field.add, field.mul
+        zero, one, c0 = field.zero, [field.one], g.d[0]   # d_g = x + c0 (build_cocycle)
         h = self.one_pole_function if twisted else None
         d_h = h.d if twisted else one
-        g_num = [(one, [])]     # numerator of g^m over the denominator d_g^m
-        d_g_pow = [one]
-        for _ in range(level):
-            g_num.append(mul_numerators(curve, *g_num[-1], g.a, g.b))
-            d_g_pow.append(poly.mul(field, d_g_pow[-1], g.d))
 
-        rows, lead = [], {}     # lead: (slot j, pole order) -> row index
+        # numerator P + Q y of t_j over D_j = d_g^(level-j) d_h; t_j is
+        # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2; the
+        # row of x^e in P (x^e y in Q) has pole order 2(e - deg D_j) (plus
+        # 3).  blocks[j] holds (first row, first e, row count) per part.
+        blocks, lead, nrows = {}, {}, 0
         for j in range(level, -1, -1):
-            # numerator P + Q y of t_j over D_j = d_g^(level-j) d_h; t_j is
-            # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2;
-            # the row of x^e in P (x^e y in Q) has pole order 2(e - deg D_j)
-            # (plus 3)
-            deg_d = poly.degree(d_g_pow[level - j]) + poly.degree(d_h)
-            keys = [(0, e) for e in range(deg_d + 1, deg_d + caps[j] // 2 + 1)]
-            keys += [(1, e) for e in range(max(deg_d - 1, 0),
-                                           deg_d + (caps[j] - 3) // 2 + 1)]
-            row_of = {}
-            for part, e in keys:
-                row_of[part, e] = lead[j, 2 * (e - deg_d) + 3 * part] = len(rows)
-                rows.append({})
-            for a in range(j, level + 1):
-                c = field.from_int(comb(a, j))
-                if field.is_zero(c):
+            deg_d = (level - j) * poly.degree(g.d) + poly.degree(d_h)
+            e1, n0 = max(deg_d - 1, 0), caps[j] // 2
+            n1 = max(deg_d + (caps[j] - 1) // 2 - e1, 0)
+            blocks[j] = ((nrows, deg_d + 1, n0), (nrows + n0, e1, n1))
+            for part, (r0, e0, n) in enumerate(blocks[j]):
+                for e in range(e0, e0 + n):
+                    lead[j, 2 * (e - deg_d) + 3 * part] = r0 + e - e0
+                nrows += n
+
+        cols = [([], []) for _ in columns]
+        for i in range(level + 1):
+            G = mul_numerators(curve, *G, g.a, g.b) if i else (one, [])
+            mono = (poly.mul(field, G[0], d_h), poly.mul(field, G[1], d_h))
+            nums = [mono, mul_numerators(curve, *mono, [], one)]
+            if twisted:
+                nums.append(mul_numerators(curve, *G, h.a, h.b))
+            for a in range(level, i - 1, -1):
+                if a < level:       # times d_g: c0 cs[e] + cs[e - 1] at x^e
+                    nums = [tuple(cs and [fmul(c0, cs[0]), *map(
+                        fadd, cs, [fmul(c0, v) for v in cs[1:]]), cs[-1]]
+                        for cs in num) for num in nums]
+                c = field.from_int(comb(a, a - i))
+                if fz(c):
                     continue
-                ga, gb = g_num[a - j]
-                dp = d_g_pow[level - a]
-                ka, kb = poly.mul(field, ga, dp), poly.mul(field, gb, dp)
-                mono = (poly.mul(field, ka, d_h), poly.mul(field, kb, d_h))
-                mono_y = mul_numerators(curve, *mono, [], one)
-                for m in orders[a]:
-                    if m == 1:
-                        num, shift = mul_numerators(curve, ka, kb, h.a, h.b), 0
-                    elif m % 2 == 0:
-                        num, shift = mono, m // 2
-                    else:
-                        num, shift = mono_y, (m - 3) // 2
-                    col = col_of[(a, m)]
-                    for part, cs in enumerate(num):
-                        for k, coeff in enumerate(cs):
-                            r = row_of.get((part, k + shift))
-                            if r is not None and not field.is_zero(coeff):
-                                rows[r][col] = field.mul(c, coeff)
+                scaled = nums if c == field.one else [
+                    tuple([fmul(c, v) for v in cs] for cs in num) for num in nums]
+                block = blocks[a - i]
+                for m in orders[a]:     # h; x^(m/2); x^((m-3)/2) y
+                    num, shift = ((scaled[2], 0) if m == 1 else
+                                  (scaled[m % 2], (m - 3 * (m % 2)) // 2))
+                    rows_c, vals_c = cols[col_of[a, m]]
+                    for (r0, e0, n), cs in zip(block, num):
+                        lo, hi = max(e0 - shift, 0), min(e0 + n - shift, len(cs))
+                        win, base = cs[lo:hi], r0 + shift - e0
+                        if zero in win:     # keep the nonzero entries only
+                            ks = [k for k in range(lo, hi) if not fz(cs[k])]
+                            rows_c.extend([base + k for k in ks])
+                            vals_c.extend([cs[k] for k in ks])
+                        else:
+                            rows_c.extend(range(base + lo, base + hi))
+                            vals_c.extend(win)
         steps = [(col_of[(a, m)], lead.pop((a, m)))
                  for a in range(level, -1, -1) for m in reversed(orders[a]) if m]
-        return columns, caps, rows, steps, sorted(lead.values())
+        return columns, caps, cols, nrows, steps, sorted(lead.values())
 
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).

@@ -2,7 +2,7 @@
 
 None of these is on a production path: each restates a fact the library
 computes another way (a matrix product, a triangular solve by rows, the
-chart-change matrix, the
+row-by-row assembly of the h0 system, the chart-change matrix, the
 coboundary test, a class-preserving translation, span membership of
 sections, the level-by-level search for a minimal level, the
 multiplicity-by-multiplicity search for a maximal multiplicity, the
@@ -21,8 +21,8 @@ from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
                                   _check_admissible, _lambda_bounds,
                                   fat_system, h0_fat, verify_jets)
 from atiyahlab.fields import FieldElem
-from atiyahlab.funcfield import FuncElem, point_expansion
-from atiyahlab.linalg import Matrix, dot, rank, rank_naive
+from atiyahlab.funcfield import FuncElem, mul_numerators, point_expansion
+from atiyahlab.linalg import Matrix, rank, rank_naive
 from atiyahlab.series import LaurentSeries, eval_poly
 from atiyahlab.riemann_roch import monomial_basis, rr_basis
 from atiyahlab.surface import AtiyahSurface
@@ -51,6 +51,28 @@ def kernel_check(mat: Matrix, vectors) -> bool:
     return all(field.is_zero(e) for v in vectors for e in mul_vector(mat, v))
 
 
+def dot(field, row, vec):
+    """The sum of row[c] * vec[c] over a sparse row and vector {col: value}."""
+    fadd, fmul, acc = field.add, field.mul, field.zero
+    for c, a in row.items():
+        x = vec.get(c)
+        if x is not None:
+            acc = fadd(acc, fmul(a, x))
+    return acc
+
+
+def columns_of(rows, ncols):
+    """The sparse rows {col: value} as the column lists of
+    ``linalg.back_substitute``: per column, (row indices, values), rows
+    ascending."""
+    cols = [([], []) for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, a in row.items():
+            cols[c][0].append(r)
+            cols[c][1].append(a)
+    return cols
+
+
 def back_substitute_rows(field, rows, ncols, steps):
     """``linalg.back_substitute`` by rows: the same entry checks, then each
     step gathers its row's sum with ``dot`` over the solution so far."""
@@ -74,6 +96,68 @@ def back_substitute_rows(field, rows, ncols, steps):
                 vec[col] = field.neg(acc if lc == one else field.div(acc, lc))
         basis.append(vec)
     return basis
+
+
+def system_rows(surface: AtiyahSurface, level: int, twisted: bool,
+                margin: int):
+    """``AtiyahSurface._system`` by rows: (columns, caps, rows, steps,
+    obstruction), rows the sparse rows {col: value}.  Each entry is formed
+    afresh: for slot j and every a >= j, the numerator of C(a, j) g^(a-j)
+    d_g^(level-a) d_h by long products, shifted into the column of each
+    pole order of slot a."""
+    kinf = surface.cocycle.pole_inf
+    caps = [(level - a) * kinf + margin + 2 for a in range(level + 1)]
+    orders = [[m for m in range(cap + 1) if twisted or m != 1] for cap in caps]
+    columns = [(a, m) for a in range(level, -1, -1) for m in orders[a]]
+    col_of = {key: idx for idx, key in enumerate(columns)}
+
+    field, curve, g = surface.field, surface.curve, surface.cocycle.g
+    one = [field.one]
+    h = surface.one_pole_function if twisted else None
+    d_h = h.d if twisted else one
+    g_num = [(one, [])]     # numerator of g^m over the denominator d_g^m
+    d_g_pow = [one]
+    for _ in range(level):
+        g_num.append(mul_numerators(curve, *g_num[-1], g.a, g.b))
+        d_g_pow.append(poly.mul(field, d_g_pow[-1], g.d))
+
+    rows, lead = [], {}     # lead: (slot j, pole order) -> row index
+    for j in range(level, -1, -1):
+        # the row of x^e in P (x^e y in Q) has pole order 2(e - deg D_j)
+        # (plus 3)
+        deg_d = poly.degree(d_g_pow[level - j]) + poly.degree(d_h)
+        keys = [(0, e) for e in range(deg_d + 1, deg_d + caps[j] // 2 + 1)]
+        keys += [(1, e) for e in range(max(deg_d - 1, 0),
+                                       deg_d + (caps[j] - 3) // 2 + 1)]
+        row_of = {}
+        for part, e in keys:
+            row_of[part, e] = lead[j, 2 * (e - deg_d) + 3 * part] = len(rows)
+            rows.append({})
+        for a in range(j, level + 1):
+            c = field.from_int(comb(a, j))
+            if field.is_zero(c):
+                continue
+            ga, gb = g_num[a - j]
+            dp = d_g_pow[level - a]
+            ka, kb = poly.mul(field, ga, dp), poly.mul(field, gb, dp)
+            mono = (poly.mul(field, ka, d_h), poly.mul(field, kb, d_h))
+            mono_y = mul_numerators(curve, *mono, [], one)
+            for m in orders[a]:
+                if m == 1:
+                    num, shift = mul_numerators(curve, ka, kb, h.a, h.b), 0
+                elif m % 2 == 0:
+                    num, shift = mono, m // 2
+                else:
+                    num, shift = mono_y, (m - 3) // 2
+                col = col_of[(a, m)]
+                for part, cs in enumerate(num):
+                    for k, coeff in enumerate(cs):
+                        r = row_of.get((part, k + shift))
+                        if r is not None and not field.is_zero(coeff):
+                            rows[r][col] = field.mul(c, coeff)
+    steps = [(col_of[(a, m)], lead.pop((a, m)))
+             for a in range(level, -1, -1) for m in reversed(orders[a]) if m]
+    return columns, caps, rows, steps, sorted(lead.values())
 
 
 def sym_transition(cocycle, level: int):

@@ -583,3 +583,19 @@ def test_rr_basis_over_q_holds_no_integral_fraction(T, k):
     mixed = combination(E, _rational_coefficients(random.Random(k), len(basis)),
                         basis)
     assert not _integral_fractions(mixed)
+
+
+def test_charts_over_q_hold_no_integral_fraction():
+    # x(t) and y(t) leave the Newton solve with integral Fractions unless
+    # normalized; a chart then spreads them into its lists x^i/d, x^i y/d
+    E = rational_model()
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    for twisted in (True, False):
+        surf.h0(12, twisted)
+    series = [s for chart in E._expansion_cache.values()
+              for s in [chart.xs, chart.ys] + [s for lists in chart.over_d.values()
+                                              for part in lists for s in part]]
+    coeffs = [c for s in series for c in s.coeffs]
+    assert len(coeffs) > 1000
+    assert not [c for c in coeffs
+                if isinstance(c, Fraction) and c.denominator == 1]

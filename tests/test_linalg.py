@@ -11,7 +11,8 @@ from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis,
                               certify_kernel, rank, rank_and_kernel,
                               rank_naive)
-from oracles import back_substitute_rows, from_elems, kernel_check, mul_vector
+from oracles import (back_substitute_rows, columns_of, dot, from_elems,
+                     kernel_check, mul_vector)
 
 FIELDS = {"QQ": lambda: QQ,
           "F7": lambda: make_extension_field(7),
@@ -281,29 +282,31 @@ def test_canonical_basis_of_any_spanning_set_is_the_kernel_basis(
 def test_back_substitution_checks_the_triangle_from_the_entries():
     # rows x0 + 2 x1 + x2 = 0 and x1 + x2 = 0: x1 leads the second row and
     # x0 the first, so x0 must be solved after x1; x2 is free
-    rows = [{0: 1, 1: 2, 2: 1}, {1: 1, 2: 1}]
-    assert back_substitute(QQ, rows, 3, [(1, 1), (0, 0)]) == [{2: 1, 1: -1, 0: 1}]
+    cols = columns_of([{0: 1, 1: 2, 2: 1}, {1: 1, 2: 1}], 3)
+    assert back_substitute(QQ, cols, [(1, 1), (0, 0)])[0] == [{2: 1, 1: -1, 0: 1}]
     with pytest.raises(VerificationError, match="solved later"):
-        back_substitute(QQ, rows, 3, [(0, 0), (1, 1)])
+        back_substitute(QQ, cols, [(0, 0), (1, 1)])
     with pytest.raises(VerificationError, match="is zero"):
-        back_substitute(QQ, rows, 3, [(0, 1), (1, 0)])
+        back_substitute(QQ, cols, [(0, 1), (1, 0)])
     # a pivot entry other than 1 is divided out: 2 x0 + 3 x1 = 0
-    assert back_substitute(QQ, [{0: 2, 1: 3}], 2, [(0, 0)]) == [{1: 1, 0: Fraction(-3, 2)}]
+    assert (back_substitute(QQ, columns_of([{0: 2, 1: 3}], 2), [(0, 0)])[0]
+            == [{1: 1, 0: Fraction(-3, 2)}])
 
 
 def test_kernel_certificate_sums_each_row_over_the_support():
     # x0 - x1 = 0, 3 x2 = 0 and a row no support reaches: {0: 1, 1: 1}
     # passes; adding x2 = 5 leaves row 1, reached by column 2 alone, at 15
-    rows = [{0: 1, 1: -1}, {2: 3}, {3: 7}]
-    certify_kernel(QQ, rows, [{0: 1, 1: 1}, {}, {0: 2, 1: 2, 4: 9}])
+    # (column 4 reaches no row)
+    cols = columns_of([{0: 1, 1: -1}, {2: 3}, {3: 7}], 5)
+    certify_kernel(QQ, cols, [{0: 1, 1: 1}, {}, {0: 2, 1: 2, 4: 9}])
     with pytest.raises(VerificationError, match="M v"):
-        certify_kernel(QQ, rows, [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 5}])
+        certify_kernel(QQ, cols, [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 5}])
     # a single column of the support reaching a row is a residual, and so is
     # a support that misses one column of a row it reaches
     with pytest.raises(VerificationError, match="M v"):
-        certify_kernel(QQ, rows, [{3: Fraction(1, 7)}])
+        certify_kernel(QQ, cols, [{3: Fraction(1, 7)}])
     with pytest.raises(VerificationError, match="M v"):
-        certify_kernel(QQ, rows, [{1: 1}])
+        certify_kernel(QQ, cols, [{1: 1}])
 
 
 def random_triangular_system(field, rng, ncols, nsteps, nother):
@@ -349,8 +352,15 @@ def test_scatter_solve_equals_the_row_solve(field_key, seed, ncols, data):
     rows, steps = random_triangular_system(field, rng, ncols, nsteps,
                                            data.draw(st.integers(0, 3)))
     want = back_substitute_rows(field, rows, ncols, steps)
-    assert back_substitute(field, rows, ncols, steps) == want
+    got, sums = back_substitute(field, columns_of(rows, ncols), steps)
+    assert got == want
     assert len(want) == ncols - nsteps
+    # the row sums left are M v on the rows no step leads
+    led = {r for _, r in steps}
+    for vec, s in zip(got, sums):
+        assert set(s) <= set(range(len(rows))) - led
+        assert all(s.get(r, field.zero) == dot(field, row, vec)
+                   for r, row in enumerate(rows) if r not in led)
     if not steps:
         return
     broken = [dict(r) for r in rows]
@@ -363,6 +373,6 @@ def test_scatter_solve_equals_the_row_solve(field_key, seed, ncols, data):
     else:
         broken[r].pop(col)
         match = "is zero"
-    got = _outcome(back_substitute, field, broken, ncols, steps)
+    got = _outcome(back_substitute, field, columns_of(broken, ncols), steps)
     assert got == _outcome(back_substitute_rows, field, broken, ncols, steps)
     assert isinstance(got, str) and match in got

@@ -15,11 +15,13 @@ from atiyahlab.errors import CutoffInstabilityError, VerificationError
 from atiyahlab.fat_points import FatPoint, _combine, _point_jet_rows
 from atiyahlab.fields import QQ, FieldElem, make_extension_field
 from atiyahlab.funcfield import FuncElem
-from atiyahlab.linalg import Matrix, canonical_basis, rank_and_kernel
+from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis,
+                              rank_and_kernel)
 from atiyahlab.surface import (SectionSpace, SectionVector, build_cocycle,
                                make_surface)
 from atiyahlab.riemann_roch import rr_basis
-from oracles import coboundary_cokernel_dim, is_coboundary_jet, sym_transition
+from oracles import (coboundary_cokernel_dim, columns_of, dot,
+                     is_coboundary_jet, sym_transition, system_rows)
 
 
 def test_cocycle_order_and_poles(rational_surface):
@@ -249,10 +251,10 @@ def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
     surf = _fresh_rational_surface()
     original = surface._leading_term_kernel
 
-    def with_extra_vector(field, rows, ncols, steps, obstruction):
-        kernel = original(field, rows, ncols, steps, obstruction)
+    def with_extra_vector(field, cols, steps, obstruction):
+        kernel = original(field, cols, steps, obstruction)
         # the last column is the top pole order of slot 0, an extra column
-        return kernel + [{ncols - 1: field.one}]
+        return kernel + [{len(cols) - 1: field.one}]
 
     monkeypatch.setattr(surface, "_leading_term_kernel", with_extra_vector)
     with pytest.raises(CutoffInstabilityError) as err:
@@ -512,13 +514,16 @@ def test_pinned_section_bases(name):
 def _structured_and_dense(surf, level, twisted):
     """The canonical basis of the back-substituted kernel of one margin + 2
     system, and rank_and_kernel's kernel of the same rows as a dense Matrix."""
-    columns, _, rows, steps, obstruction = surf._system(level, twisted,
-                                                        surf.margin)
+    columns, _, cols, nrows, steps, obstruction = surf._system(
+        level, twisted, surf.margin)
     field, n = surf.field, len(columns)
-    kernel = surface._leading_term_kernel(field, rows, n, steps, obstruction)
-    dense = Matrix(field, [[row.get(c, field.zero) for c in range(n)]
-                           for row in rows], n)
-    return canonical_basis(field, kernel, n), rank_and_kernel(dense)[1]
+    kernel = surface._leading_term_kernel(field, cols, steps, obstruction)
+    dense = [[field.zero] * n for _ in range(nrows)]
+    for c, (rows, vals) in enumerate(cols):
+        for r, a in zip(rows, vals):
+            dense[r][c] = a
+    return (canonical_basis(field, kernel, n),
+            rank_and_kernel(Matrix(field, dense, n))[1])
 
 
 @pytest.mark.parametrize("name", list(PINNED_BASES))
@@ -536,14 +541,46 @@ def test_structured_basis_equals_dense_kernel_on_pins(name):
 
 @functools.cache
 def _small_surface(name):
-    field, coeffs = {
-        "QQ": (QQ, (0, 0, 0, -1, 1)),
-        "F9": (make_extension_field(3, 2), (0, 0, 0, -1, 1)),
-        "F1000003": (make_extension_field(1000003), (0, 0, 0, -1, 1)),
-        "F256": (make_extension_field(2, 8), (1, 0, 0, 0, 1)),
+    field, coeffs, q, T = {
+        "QQ": (QQ, (0, 0, 0, -1, 1), (0, 1), None),
+        # the surface of the shipped configs
+        "QQ-shipped": (QQ, (0, 0, 0, -1, 1), (0, 1), (-1, 1)),
+        # 389a1, y^2 + y = x^3 + x^2 - 2x, of rank 2
+        "389a1": (QQ, (0, 1, 1, -2, 0), (1, 0), (-1, 1)),
+        "F9": (make_extension_field(3, 2), (0, 0, 0, -1, 1), (0, 1), None),
+        "F1000003": (make_extension_field(1000003), (0, 0, 0, -1, 1), (0, 1),
+                     None),
+        "F256": (make_extension_field(2, 8), (1, 0, 0, 0, 1), (0, 1), None),
     }[name]
     E = WeierstrassCurve(field, *coeffs)
-    return make_surface(E, E.point(0, 1))
+    return make_surface(E, E.point(*q), T=E.point(*T) if T else None)
+
+
+@pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
+                                  "F1000003", "F256"])
+def test_column_assembly_equals_the_row_oracle(name):
+    # the matrix by column is the row-by-row assembly entry for entry, with
+    # rows ascending and no stored zero, and the solve's row sums are the
+    # obstruction rows times each vector
+    surf = _small_surface(name)
+    field = surf.field
+    for level in range(11):
+        for twisted in (False, True):
+            columns, caps, cols, nrows, steps, obstruction = surf._system(
+                level, twisted, surf.margin)
+            want_columns, want_caps, rows, want_steps, want_obstruction = (
+                system_rows(surf, level, twisted, surf.margin))
+            assert (columns, caps, nrows, steps, obstruction) == (
+                want_columns, want_caps, len(rows), want_steps,
+                want_obstruction)
+            assert [(list(r), list(v)) for r, v in cols] == columns_of(
+                rows, len(columns))
+            assert not any(field.is_zero(a) for _, vals in cols for a in vals)
+            basis, sums = back_substitute(field, cols, steps)
+            for vec, row_sums in zip(basis, sums):
+                assert set(row_sums) <= set(obstruction)
+                assert [row_sums.get(r, field.zero) for r in obstruction] == [
+                    dot(field, rows[r], vec) for r in obstruction]
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -563,8 +600,8 @@ def _solve_with_a_vector_off_the_kernel(monkeypatch, twisted):
     surf = _fresh_rational_surface()
     original = surface._leading_term_kernel
 
-    def corrupted(field, rows, ncols, steps, obstruction):
-        kernel = original(field, rows, ncols, steps, obstruction)
+    def corrupted(field, cols, steps, obstruction):
+        kernel = original(field, cols, steps, obstruction)
         col = steps[-1][0]    # slot 0, lowest nonconstant order: h, or x if plain
         vec = dict(kernel[0])
         vec[col] = field.add(vec.get(col, field.zero), field.one)
