@@ -11,7 +11,8 @@ Layout::
 
     [surface]
     q = 0, 1                    ; marked fiber point
-    T = -1, 1                   ; optional second chart point (default: -q)
+    T = -1, 1                   ; second chart point (default: -q; over Q
+                                ; required when q is 2-torsion)
 
     [run]
     seed = 42                   ; optional, default 0
@@ -21,7 +22,9 @@ Layout::
          | verify-prop27 | example-theorem | group-order | compare-char
     ... job parameters, all exact strings ...
 
-JOB_SCHEMA lists every job type's keys with their parsers and defaults.
+SECTION_KEYS lists the keys of the four fixed sections and JOB_SCHEMA every
+job type's keys with their parsers and defaults; any other section or key is
+a ConfigError, as is a file configparser cannot read or that is not UTF-8.
 load_config parses every job through parse_job, so a malformed value is a
 ConfigError before any job runs; jobs.run_job parses again and hands the
 runners only the typed values, while JobSpec.params keeps the strings as
@@ -272,52 +275,73 @@ def parse_job(kind: str, params: dict, p: int) -> SimpleNamespace:
     return args
 
 
-def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
+# The keys of the sections other than [job.NAME], as configparser reads them
+# (lower case, so T and t are one key).
+SECTION_KEYS = {"field": ("p", "k"), "curve": ("a",), "surface": ("q", "t"),
+                "run": ("seed",)}
 
-    if "field" not in parser:
+
+def _read_sections(path: str) -> dict:
+    """The file's sections as {name: {key: value}}, in file order, checked
+    against SECTION_KEYS.  Whatever configparser rejects (a duplicate key or
+    section, a line outside a section, a junk line, a broken %-reference)
+    and bytes that are not UTF-8 are a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file {path!r} not found or unreadable")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} is not a valid INI file: "
+                          f"{exc}") from None
+    for name, items in sections.items():
+        if name.startswith("job."):
+            continue
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}] (accepted: "
+                              f"{', '.join(SECTION_KEYS)}, job.NAME)")
+        for key in items:
+            if key not in SECTION_KEYS[name]:
+                raise ConfigError(f"unknown key {key!r} in [{name}] (accepted: "
+                                  f"{', '.join(SECTION_KEYS[name])})")
+    return sections
+
+
+def load_config(path: str) -> ExperimentConfig:
+    sections = _read_sections(path)
+    if "field" not in sections:
         raise ConfigError("missing [field] section")
-    p = parse_int(parser["field"].get("p", "0"), "field.p")
-    k = parse_int(parser["field"].get("k", "1"), "field.k")
+    p = parse_int(sections["field"].get("p", "0"), "field.p")
+    k = parse_int(sections["field"].get("k", "1"), "field.k")
     if p < 0 or (p == 0 and k != 1) or (p > 0 and k < 1):
         raise ConfigError(f"invalid field parameters p={p}, k={k}")
 
-    if "curve" not in parser or "a" not in parser["curve"]:
+    if "a" not in sections.get("curve", {}):
         raise ConfigError("missing [curve] section with key 'a'")
     coeffs = [parse_coordinate(c, "curve.a")
-              for c in parser["curve"]["a"].split(",")]
+              for c in sections["curve"]["a"].split(",")]
     if len(coeffs) != 5:
         raise ConfigError("curve needs exactly five coefficients a1,a2,a3,a4,a6")
     _check_digits(coeffs, "curve.a", p, k)
 
-    if "surface" not in parser or "q" not in parser["surface"]:
+    surface = sections.get("surface", {})
+    if "q" not in surface:
         raise ConfigError("missing [surface] section with key 'q'")
-    q = parse_pair(parser["surface"]["q"], "surface.q")
-    T = None
-    if parser["surface"].get("T"):
-        T = parse_pair(parser["surface"]["T"], "surface.T")
+    q = parse_pair(surface["q"], "surface.q")
+    T = parse_pair(surface["t"], "surface.T") if surface.get("t") else None
     _check_digits(q, "surface.q", p, k)
     _check_digits(T, "surface.T", p, k)
 
-    seed = 0
-    if "run" in parser and parser["run"].get("seed"):
-        seed = parse_int(parser["run"]["seed"], "run.seed")
+    seed = sections.get("run", {}).get("seed")
+    seed = parse_int(seed, "run.seed") if seed else 0
 
     jobs = []
-    seen = set()
-    for section in parser.sections():
-        if not section.startswith("job"):
+    for section, params in sections.items():
+        if not section.startswith("job."):
             continue
-        ident = section[4:] if section.startswith("job.") else section
+        ident = section[4:]    # section names are unique, so idents are too
         if not ident:
             raise ConfigError(f"job section {section!r} needs a name: [job.NAME]")
-        if ident in seen:
-            raise ConfigError(f"duplicate job id {ident!r}")
-        seen.add(ident)
-        params = {key: value for key, value in parser[section].items()}
         kind = params.pop("type", None)
         if kind is None:
             raise ConfigError(f"job {ident!r} has no 'type'")

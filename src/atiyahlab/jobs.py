@@ -68,6 +68,11 @@ class RunContext:
                     raise ValueError("T must differ from the marked point q")
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"inconsistent field/curve data: {exc}") from exc
+        if self.T is None and config.p == 0 and -self.q == self.q:
+            # make_surface would fall back to enumerating points, and Q has
+            # no enumeration to take T from
+            raise ConfigError(f"q = {self.q} is 2-torsion, so T = -q is q: "
+                              f"over Q, [surface] T is required")
         self._surface = None
 
     def point(self, x: str, y: str) -> CurvePoint:
@@ -204,6 +209,12 @@ def _run_example_theorem(ctx, args, rng):
         for (x, y, w0), m in zip(args.points, mults):
             pts.append(FatPoint(ctx.point(x, y), w0, m))
     if p == 0:
+        # the theorem claims emptiness only where char_p_witness's balance
+        # condition has its upper end, 2 * level < sum of m_i^2
+        rhs = sum(m * m for m in mults)
+        if not 2 * level < rhs:
+            raise ValueError(f"outside the theorem's range: need "
+                             f"2 * level = {2 * level} < {rhs} = sum of m_i^2")
         for fp in pts:
             certify_non_torsion(fp.class_point(ctx.surface))
         system = fat_system(ctx.surface, level, pts)

@@ -18,16 +18,17 @@ the chart-1 coefficients.  Regularity requirements: each s_a has poles only at
 inf (plus a simple pole at the marked fiber point q when twisted); each t_j
 has nonnegative valuation at inf.  The solver turns this into one exact
 kernel computation per (level, twisted) with per-component pole cutoffs
-N_a = (level - a) * k_inf + margin — the inverse shift shows true sections
-satisfy the margin-0 bound, so the cutoff loses nothing.  It assembles the
-system once, at margin + 2, by column, and solves it without a pivot
-search: in slot order the matrix is triangular on the leading terms of its
-columns, so each non-constant column is one back-substitution step, checked
-from the entries, scattered down its column; the only elimination is on the
-row sums it leaves, M v on the plain obstruction rows.  The kernel must
-vanish on the columns past the margin cutoffs (CutoffInstabilityError
-otherwise), every kernel vector is certified by M v = 0, summed by column
-over its support, and its restriction to the other columns is the basis.
+N_a = level - a + MARGIN — g has a simple pole at inf (build_cocycle), and
+the inverse shift shows true sections satisfy N_a - MARGIN, so the cutoff
+loses nothing.  It assembles the system once, at N_a + 2, by column, and
+solves it without a pivot search: in slot order the matrix is triangular on
+the leading terms of its columns, so each non-constant column is one
+back-substitution step, checked from the entries, scattered down its
+column; the only elimination is on the row sums it leaves, M v on the plain
+obstruction rows.  The kernel must vanish on the columns past N_a
+(CutoffInstabilityError otherwise), every kernel vector is certified by
+M v = 0, summed by column over its support, and its restriction to the
+other columns is the basis.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
 x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
@@ -62,19 +63,22 @@ from .linalg import (Matrix, back_substitute, canonical_basis,
                      certify_kernel, rank_and_kernel, rank)
 from .riemann_roch import rr_basis
 
-DEFAULT_MARGIN = 4
+MARGIN = 4
+
+
+def _cutoffs(level: int) -> list:
+    """The pole cutoffs N_a = level - a + MARGIN of the slots a = 0..level."""
+    return [level - a + MARGIN for a in range(level + 1)]
 
 
 class CechCocycle:
     """The gluing function g of the charts U0 = E - {inf} and U1 = E - {T},
     together with the record of the checks that certify it nontrivial."""
 
-    def __init__(self, curve, T, g, pole_inf, pole_T, certificate):
+    def __init__(self, curve, T, g, certificate):
         self.curve = curve
         self.T = T
         self.g = g
-        self.pole_inf = pole_inf
-        self.pole_T = pole_T
         self.certificate = certificate
 
     def __repr__(self):
@@ -140,17 +144,16 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
     off = _affine_pole(g, T)
     if off is not None:
         raise VerificationError(f"gluing candidate has {off}")
-    pole_inf, pole_T = -g.valuation_at(inf), -g.valuation_at(T)
-    if pole_inf != 1 or pole_T != 1:
-        raise VerificationError(
-            f"gluing candidate has pole orders {pole_inf} at inf and "
-            f"{pole_T} at T, not 1 and 1")
+    at_inf, at_T = -g.valuation_at(inf), -g.valuation_at(T)
+    if (at_inf, at_T) != (1, 1):
+        raise VerificationError(f"gluing candidate has pole orders {at_inf} "
+                                f"at inf and {at_T} at T, not 1 and 1")
     lead = g.expand(inf, 1).coefficient(-1)
     g = g * FieldElem(field, field.inv(lead))
     cert = {"denominator": poly.to_text(field, g.d),
             "minus_T": "regular" if -T != T else "is T",
             "pole_inf": 1, "pole_T": 1}
-    return CechCocycle(curve, T, g, pole_inf, pole_T, cert)
+    return CechCocycle(curve, T, g, cert)
 
 
 def _leading_term_kernel(field, cols, steps, obstruction):
@@ -222,18 +225,17 @@ class SectionVector:
         but one at q, whose order is bounded by a Laurent expansion there.
 
         The infinity half works on Laurent series in t = x/y.  Each nonzero
-        s_a is expanded to the absolute horizon a * k_inf and g, of valuation
-        -k_inf, to max(0, max_a -v(s_a)) + top * k_inf, top the highest
+        s_a is expanded to the absolute horizon a and g, of valuation -1
+        (build_cocycle), to max(0, max_a -v(s_a)) + top, top the highest
         nonzero slot; then sum_a s_a (w + g)^a is evaluated by Horner in w.
         By the product horizon hi(PQ) = min(v(P) + hi(Q), v(Q) + hi(P)), the
-        w^k coefficient after folding in slot a is known below
-        (a + k) * k_inf, so each t_j is known below j * k_inf >= 0 and its
-        negative coefficients are exact.  A t_j known only below a negative
-        horizon raises SeriesPrecisionError rather than passing.
+        w^k coefficient after folding in slot a is known below a + k, so each
+        t_j is known below j >= 0 and its negative coefficients are exact.  A
+        t_j known only below a negative horizon raises SeriesPrecisionError
+        rather than passing.
         """
         surf = self.surface
         inf = surf.curve.infinity
-        kinf = surf.cocycle.pole_inf
         allowed = -1 if self.twisted else 0
         series, reach = {}, 0
         for a, s in enumerate(self.components):
@@ -249,13 +251,12 @@ class SectionVector:
                     f"fiber point (allowed {-allowed})"
                 )
             v = s.valuation_at(inf)
-            series[a] = s.expand(inf, max(a * kinf - v, 1)).truncate(a * kinf)
+            series[a] = s.expand(inf, max(a - v, 1)).truncate(a)
             reach = max(reach, -v)
         if not series:
             return
         top = max(series)
-        hi_g = reach + top * kinf
-        G = surf.cocycle.g.expand(inf, hi_g + kinf)
+        G = surf.cocycle.g.expand(inf, reach + top + 1)
         coeffs = [series[top]]          # coefficients of w^0, w^1, ...
         for a in range(top - 1, -1, -1):
             coeffs = ([coeffs[0] * G]
@@ -358,7 +359,6 @@ class AtiyahSurface:
         self.field = cocycle.curve.field
         self.T = cocycle.T
         self.q = q
-        self.margin = DEFAULT_MARGIN
         self._h0 = {}            # (level, twisted) -> SectionSpace
 
     # -- ambient bases -------------------------------------------------------
@@ -370,14 +370,14 @@ class AtiyahSurface:
 
     # -- the solver ---------------------------------------------------------------
 
-    def _solve(self, level: int, twisted: bool, margin: int):
-        """The basis at pole cutoffs (level - a) * k_inf + margin, read off
-        one kernel at margin + 2 that also certifies the cutoff stable.
+    def _solve(self, level: int, twisted: bool):
+        """The basis at the pole cutoffs N_a = level - a + MARGIN, read off
+        one kernel at N_a + 2 that also certifies the cutoff stable.
 
-        Slot a takes the pole orders m <= caps[a] at inf (0: the constant; 1:
-        h, twisted only; m >= 2: x^(m/2) or x^((m-3)/2) y), and its columns
-        with m > caps[a] - 2 are the extra columns.  Let M be the matrix and
-        A its rows and columns within the margin cutoffs.
+        Slot a takes the pole orders m <= caps[a] = N_a + 2 at inf (0: the
+        constant; 1: h, twisted only; m >= 2: x^(m/2) or x^((m-3)/2) y), and
+        its columns with m > N_a are the extra columns.  Let M be the matrix
+        and A its rows and columns within the cutoffs N_a.
         * The solve (reduction by leading terms, as in F. Hess, J. Symbolic
           Comput. 33 (2002)): column (a, m), m >= 1, has its leading term in
           the row of t_a at pole order m, with entry lc(D_a) (for h, h.b
@@ -392,21 +392,21 @@ class AtiyahSurface:
           (certify_kernel, a pass of its own over the same columns, summing
           over the vector's support; the solve's sums are zero on the step
           rows by construction, so they would certify nothing).
-        * Zero block: a column (a, m) reaches t_j only up to pole order
-          (a - j) * k_inf + m <= caps[j] - 2, and the numerators are reduced
-          P + Q y, so the rows past the margin cutoffs vanish on the margin
-          columns: M = [[A, B], [0, C]] up to row and column order.
+        * Zero block: g has a simple pole at inf, so a column (a, m) with
+          m <= N_a reaches t_j only up to pole order a - j + m <= N_j; the
+          numerators are reduced P + Q y, so the rows past the cutoffs vanish
+          on these columns: M = [[A, B], [0, C]] up to row and column order.
         * Equal dimensions: if every basis vector of ker M vanishes on the
           extra columns, ker M = {(v, 0) : v in ker A}, so the dimensions at
-          margin and at margin + 2 agree.
+          N_a and at N_a + 2 agree.
         * Equal canonical bases: canonical_basis gives the basis that
           rank_and_kernel(M) would.  A free column of A is free in M and the
           kernels have equal dimension, so the free sets agree; a canonical
           vector is fixed by its free entries, and the Q normalization (lcm,
           gcd, sign of the first nonzero entry) sees only zeros on the extra
           columns.  So the restriction is the canonical basis of ker A.
-        * Otherwise CutoffInstabilityError, the margin dimension read from
-          the rank of M on the margin columns (= rank A).
+        * Otherwise CutoffInstabilityError; dim ker A counts the kernel
+          vectors zero on the extra columns, len(kernel) - rank there.
         * Nesting, twisted: a section's top nonzero slot a has t_a = s_a in
           L(q), the constants, so basis section a should be nonzero at slot
           a and zero above it; that is checked (VerificationError
@@ -421,8 +421,8 @@ class AtiyahSurface:
         (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
         s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
         """
-        columns, caps, cols, nrows, steps, obstruction = self._system(
-            level, twisted, margin)
+        columns, caps, cols, _, steps, obstruction = self._system(
+            level, twisted)
         field, curve = self.field, self.curve
         h = self.one_pole_function if twisted else None
         d_h = h.d if twisted else [field.one]
@@ -431,12 +431,10 @@ class AtiyahSurface:
         extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
         if any(not field.is_zero(vec.get(idx, field.zero))
                for vec in kernel for idx in extra):
-            kept = [idx for idx in range(len(columns)) if idx not in extra]
-            # the margin columns as the rows of the transpose, of equal rank
-            dense = [[col.get(r, field.zero) for r in range(nrows)]
-                     for col in (dict(zip(*cols[idx])) for idx in kept)]
-            raise CutoffInstabilityError(level, twisted, margin, len(kept) - rank(
-                Matrix(field, dense, nrows)), len(kernel))
+            on_extra = [[vec.get(idx, field.zero) for idx in extra]
+                        for vec in kernel]
+            raise CutoffInstabilityError(level, twisted, MARGIN, len(kernel) - rank(
+                Matrix(field, on_extra, len(extra))), len(kernel))
         certify_kernel(field, cols, kernel)
         basis = canonical_basis(field, kernel, len(columns))
         if len(basis) != len(kernel):
@@ -465,11 +463,11 @@ class AtiyahSurface:
                 "a twisted basis section a is zero at slot a or nonzero above it")
         return sections
 
-    def _system(self, level: int, twisted: bool, margin: int):
-        """The matrix _solve reads its kernel off, at cutoffs
-        (level - a) * k_inf + margin + 2, by column: (columns, caps, cols,
-        nrows, steps, obstruction).  columns lists the (slot, pole order) of
-        each column and caps the cutoff of each slot; cols[c] is column c as
+    def _system(self, level: int, twisted: bool):
+        """The matrix _solve reads its kernel off, at the cutoffs
+        caps[a] = N_a + 2, by column: (columns, caps, cols, nrows, steps,
+        obstruction).  columns lists the (slot, pole order) of each column
+        and caps the cutoff of each slot; cols[c] is column c as
         its row indices, ascending, and its nonzero values, with the rows of
         t_level to t_0, each as x^e in P, then x^e y in Q, e ascending.
         steps pairs every non-constant column with the row of its leading
@@ -479,8 +477,7 @@ class AtiyahSurface:
         0 up, and scaled by C(a, a - i); each column (a, m) copies a window
         of it into the rows of t_(a-i).
         """
-        kinf = self.cocycle.pole_inf
-        caps = [(level - a) * kinf + margin + 2 for a in range(level + 1)]
+        caps = [n + 2 for n in _cutoffs(level)]
         orders = [[m for m in range(cap + 1) if twisted or m != 1] for cap in caps]
         columns = [(a, m) for a in range(level, -1, -1) for m in orders[a]]
         col_of = {key: idx for idx, key in enumerate(columns)}
@@ -497,7 +494,7 @@ class AtiyahSurface:
         # 3).  blocks[j] holds (first row, first e, row count) per part.
         blocks, lead, nrows = {}, {}, 0
         for j in range(level, -1, -1):
-            deg_d = (level - j) * poly.degree(g.d) + poly.degree(d_h)
+            deg_d = level - j + poly.degree(d_h)       # deg d_g = 1
             e1, n0 = max(deg_d - 1, 0), caps[j] // 2
             n1 = max(deg_d + (caps[j] - 1) // 2 - e1, 0)
             blocks[j] = ((nrows, deg_d + 1, n0), (nrows + n0, e1, n1))
@@ -555,14 +552,13 @@ class AtiyahSurface:
         space = self._h0.get(key)
         if space is not None:
             return space
-        sections = self._solve(level, twisted, self.margin)
+        sections = self._solve(level, twisted)
         for s in sections:
             s.validate()
         space = SectionSpace(
             level, twisted, sections,
-            {"margin": self.margin, "stability_margin": self.margin + 2,
-             "stable": True, "cutoffs": [(level - j) * self.cocycle.pole_inf
-                                         + self.margin for j in range(level + 1)]},
+            {"margin": MARGIN, "stability_margin": MARGIN + 2,
+             "stable": True, "cutoffs": _cutoffs(level)},
         )
         self._h0[key] = space
         return space

@@ -105,8 +105,7 @@ def system_rows(surface: AtiyahSurface, level: int, twisted: bool,
     afresh: for slot j and every a >= j, the numerator of C(a, j) g^(a-j)
     d_g^(level-a) d_h by long products, shifted into the column of each
     pole order of slot a."""
-    kinf = surface.cocycle.pole_inf
-    caps = [(level - a) * kinf + margin + 2 for a in range(level + 1)]
+    caps = [level - a + margin + 2 for a in range(level + 1)]
     orders = [[m for m in range(cap + 1) if twisted or m != 1] for cap in caps]
     columns = [(a, m) for a in range(level, -1, -1) for m in orders[a]]
     col_of = {key: idx for idx, key in enumerate(columns)}

@@ -226,13 +226,13 @@ def test_bad_jobs_flag_exits_2(tmp_path, capsys):
 
 def test_jobs_flag_solves_each_space_once(tmp_path, capsys, monkeypatch):
     # verify-prop23 and verify-prop27 share twisted spaces; every
-    # (surface, level, twisted, margin) must be solved once and then cached
+    # (surface, level, twisted) must be solved once and then cached
     solves = Counter()
     original = AtiyahSurface._solve
 
-    def counting(self, level, twisted, margin):
-        solves[(id(self), level, twisted, margin)] += 1
-        return original(self, level, twisted, margin)
+    def counting(self, level, twisted):
+        solves[(id(self), level, twisted)] += 1
+        return original(self, level, twisted)
 
     monkeypatch.setattr(AtiyahSurface, "_solve", counting)
     cfg = str(CONFIGS / "char3-reduction.ini")
@@ -354,3 +354,101 @@ def test_signed_digits_past_p_exit_2(tmp_path, capsys):
     assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert "surface.T: +10 names no element of F_9" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data,fragment", [
+    (TINY.replace("seed = 5", "seed = 5\nseed = 6").encode(), "already exists"),
+    ((TINY + "[run]\nseed = 6\n").encode(), "already exists"),
+    (("p = 0\n" + TINY).encode(), "no section headers"),
+    (TINY.replace("[run]", "[run]\nthis line is junk").encode(), "parsing errors"),
+    (TINY.replace("seed = 5", "seed = %(x)s").encode(), "'x'"),
+    (TINY.encode() + b"; caf\xe9\n", "utf-8"),
+], ids=["duplicate-key", "duplicate-section", "no-section-header", "junk-line",
+        "interpolation", "not-utf-8"])
+def test_malformed_ini_exits_2(tmp_path, capsys, data, fragment):
+    # configparser and the decoder reject these files; each is a
+    # configuration error, not a traceback
+    path = tmp_path / "exp.ini"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate,fragment", [
+    (lambda t: t.replace("seed = 5", "sead = 7"), "'sead' in [run]"),
+    (lambda t: t.replace("T = -1, 1", "Tpoint = 1, 1"), "'tpoint' in [surface]"),
+    (lambda t: t.replace("T = -1, 1", "T = -1, 1\nt = -1, 1"), "already exists"),
+    (lambda t: t.replace("k = 1", "k = 1\nq = 2"), "'q' in [field]"),
+    (lambda t: t.replace("a = 0, 0, 0, -1, 1", "a = 0, 0, 0, -1, 1\nb = 1"),
+     "'b' in [curve]"),
+    (lambda t: t + "[Job.a]\ntype = h0\n", "[Job.a]"),
+    (lambda t: t + "[extra]\nnote = 1\n", "[extra]"),
+    (lambda t: t + "[jobs.b]\ntype = h0\n", "[jobs.b]"),
+    (lambda t: t + "[job]\ntype = h0\n", "[job]"),
+], ids=["run-key", "surface-key", "T-and-t", "field-key", "curve-key",
+        "capital-job", "extra-section", "jobs-prefix", "job-without-name"])
+def test_mistyped_key_or_section_exits_2(tmp_path, capsys, mutate, fragment):
+    # a mistyped key would fall back to its default and a mistyped section
+    # would be dropped, so both are configuration errors
+    text = mutate(TINY.replace("p = 0", "p = 0\nk = 1"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+TWO_TORSION = """\
+[field]
+p = 0
+
+[curve]
+a = 0, 0, 0, -1, 0          ; y^2 = x^3 - x
+
+[surface]
+q = 0, 0                    ; 2-torsion: -q = q
+
+[job.dims]
+type = h0
+levels = 0..2
+"""
+
+
+def test_two_torsion_q_over_Q_needs_T(tmp_path, capsys):
+    # make_surface would fall back to enumerating points, which Q cannot do
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, TWO_TORSION),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "2-torsion" in err and "T is required" in err
+    assert not out.exists()
+    text = TWO_TORSION.replace("; 2-torsion: -q = q", "\nT = 1, 0")
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+
+
+def test_example_theorem_over_Q(tmp_path, capsys):
+    # inside the range (2 * 11 < 5^2) the one 5-fold point leaves the system
+    # empty; at level 14 with multiplicities 3, 3 (28 >= 18) the theorem
+    # claims nothing, so the job is an ERROR, not a counterexample
+    text = TINY.replace("[job.h0-small]", """[job.in-range]
+type = example-theorem
+level = 11
+multiplicities = 5
+points = 1:1:2
+
+[job.out-of-range]
+type = example-theorem
+level = 14
+multiplicities = 3, 3
+points = 1:1:2; 1:-1:3
+
+[job.h0-small]""")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 1
+    rows = json.loads((out / "report.json").read_text())["results"]
+    assert [r["status"] for r in rows] == ["PASS", "ERROR", "INFO", "PASS"]
+    assert rows[0]["values"]["dim"] == 0 and rows[0]["values"]["empty"]
+    assert "outside the theorem's range" in rows[1]["error"]
+    assert "28 < 18" in rows[1]["error"]

@@ -26,7 +26,6 @@ from oracles import (coboundary_cokernel_dim, columns_of, dot,
 
 def test_cocycle_order_and_poles(rational_surface):
     c = rational_surface.cocycle
-    assert c.pole_inf == 1 and c.pole_T == 1
     assert c.certificate == {"denominator": "1 + 1*x", "minus_T": "regular",
                              "pole_inf": 1, "pole_T": 1}
     # the room outside the coboundaries stays one-dimensional as the allowed
@@ -88,7 +87,7 @@ def test_build_cocycle_builds_one_space_and_no_rank(monkeypatch):
     monkeypatch.setattr(surface, "rank", no_rank)
     c = build_cocycle(E, T)
     assert built == [Divisor(E, {E.infinity: 1, T: 1})]
-    assert c.pole_inf == c.pole_T == 1
+    assert c.certificate["pole_inf"] == c.certificate["pole_T"] == 1
 
 
 def test_build_cocycle_rejects_bad_candidates(monkeypatch, rational_curve):
@@ -206,11 +205,13 @@ def test_twisted_dimensions_char_p(f9_surface, f4_surface):
             assert surf.h0(level, twisted=True).dim == level + 1
 
 
-def test_solver_margin_independence(rational_surface):
+def test_solver_margin_independence(rational_surface, monkeypatch):
     # the dimension must not depend on the pole-cutoff margin
     for level, twisted in [(2, True), (3, False), (3, True)]:
-        dims = {len(rational_surface._solve(level, twisted, margin))
-                for margin in (2, 4, 6, 8)}
+        dims = set()
+        for margin in (2, 4, 6, 8):
+            monkeypatch.setattr(surface, "MARGIN", margin)
+            dims.add(len(rational_surface._solve(level, twisted)))
         assert len(dims) == 1
 
 
@@ -246,8 +247,8 @@ def test_fresh_h0_solves_once_without_rank(monkeypatch):
 
 def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
     # a kernel vector that is nonzero on a column past the margin cutoff
-    # means the dimension grew with the cutoff; the margin dimension comes
-    # from the rank on the margin columns
+    # means the dimension grew with the cutoff; the margin dimension counts
+    # the kernel vectors that vanish on the extra columns
     surf = _fresh_rational_surface()
     original = surface._leading_term_kernel
 
@@ -260,7 +261,7 @@ def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
     with pytest.raises(CutoffInstabilityError) as err:
         surf.h0(2, twisted=True)
     assert (err.value.dim_lo, err.value.dim_hi) == (3, 4)
-    assert err.value.margin == surf.margin
+    assert err.value.margin == surface.MARGIN
     monkeypatch.undo()
     assert surf.h0(2, twisted=True).dim == 3
 
@@ -460,7 +461,7 @@ def test_cocycle_certificate_on_other_fields(f9_surface, f4_surface, f3_surface,
                                             f256_surface):
     for surf in (f9_surface, f4_surface, f3_surface, f256_surface):
         c = surf.cocycle
-        assert c.pole_inf == c.pole_T == 1
+        assert c.certificate["pole_inf"] == c.certificate["pole_T"] == 1
         assert c.certificate["minus_T"] == ("regular" if -c.T != c.T else "is T")
         assert ({k: coboundary_cokernel_dim(c, k) for k in (1, 2, 3)}
                 == {1: 1, 2: 1, 3: 1})
@@ -514,8 +515,7 @@ def test_pinned_section_bases(name):
 def _structured_and_dense(surf, level, twisted):
     """The canonical basis of the back-substituted kernel of one margin + 2
     system, and rank_and_kernel's kernel of the same rows as a dense Matrix."""
-    columns, _, cols, nrows, steps, obstruction = surf._system(
-        level, twisted, surf.margin)
+    columns, _, cols, nrows, steps, obstruction = surf._system(level, twisted)
     field, n = surf.field, len(columns)
     kernel = surface._leading_term_kernel(field, cols, steps, obstruction)
     dense = [[field.zero] * n for _ in range(nrows)]
@@ -567,9 +567,9 @@ def test_column_assembly_equals_the_row_oracle(name):
     for level in range(11):
         for twisted in (False, True):
             columns, caps, cols, nrows, steps, obstruction = surf._system(
-                level, twisted, surf.margin)
+                level, twisted)
             want_columns, want_caps, rows, want_steps, want_obstruction = (
-                system_rows(surf, level, twisted, surf.margin))
+                system_rows(surf, level, twisted, surface.MARGIN))
             assert (columns, caps, nrows, steps, obstruction) == (
                 want_columns, want_caps, len(rows), want_steps,
                 want_obstruction)
