@@ -285,11 +285,15 @@ def _read_sections(path: str) -> dict:
     """The file's sections as {name: {key: value}}, in file order, checked
     against SECTION_KEYS.  Whatever configparser rejects (a duplicate key or
     section, a line outside a section, a junk line, a broken %-reference)
-    and bytes that are not UTF-8 are a ConfigError."""
+    and bytes that are not UTF-8 are a ConfigError, and so is a [DEFAULT]
+    section, whose keys configparser would copy into every other one."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file {path!r} not found or unreadable")
+        if parser.defaults():
+            raise ConfigError(f"[{parser.default_section}] is not accepted "
+                              f"(its keys would enter every section)")
         sections = {name: dict(parser[name]) for name in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r} is not a valid INI file: "

@@ -43,7 +43,7 @@ function and every plain one has d = 1, so a chart holds a few lists.
 from __future__ import annotations
 
 from . import poly
-from .curve import CurvePoint, WeierstrassCurve
+from .curve import CurvePoint
 from .errors import SeriesPrecisionError
 from .fields import FieldElem
 from .series import LaurentSeries, eval_poly, linear_combination
@@ -329,13 +329,6 @@ def linearly_independent(funcs) -> bool:
 
 
 # -- local expansions of the coordinate functions --------------------------------
-
-
-def point_expansion(curve: WeierstrassCurve, P: CurvePoint, prec: int):
-    """Series (x(t), y(t)) at P to horizon prec in the canonical parameter,
-    cut from the chart of P."""
-    chart = _chart(curve, P, prec)
-    return chart.xs.truncate(prec), chart.ys.truncate(prec)
 
 
 class _Chart:

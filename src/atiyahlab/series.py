@@ -75,9 +75,6 @@ class LaurentSeries:
             return self.field.zero
         return self.coeffs[e - self.start]
 
-    def precision_past_valuation(self) -> int:
-        return self.hi - self._val_eff()
-
     # -- arithmetic ----------------------------------------------------------------
 
     def _check(self, other):
@@ -105,6 +102,9 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, known below min(v(self) + hi(other), v(other) +
+        hi(self)): over Q with int coefficients by one big-int product
+        (_kronecker), otherwise by the schoolbook loop, its oracle."""
         self._check(other)
         field = self.field
         v1, v2 = self._val_eff(), other._val_eff()
@@ -112,18 +112,13 @@ class LaurentSeries:
         start = v1 + v2
         if start >= hi:
             return LaurentSeries.zero(field, hi)
-        n = hi - start
-        out = [field.zero] * n
-        fz, fmul, fadd = field.is_zero, field.mul, field.add
-        for i in range(v1, min(self.hi, hi - v2)):
-            a = self.coeffs[i - self.start] if i >= self.start else field.zero
-            if fz(a):
-                continue
-            jmax = min(other.hi, hi - i)
-            for j in range(v2, jmax):
-                b = other.coeffs[j - other.start]
-                if not fz(b):
-                    out[i + j - start] = fadd(out[i + j - start], fmul(a, b))
+        xs = self.coeffs[v1 - self.start:min(self.hi, hi - v2) - self.start]
+        ys = other.coeffs[v2 - other.start:min(other.hi, hi - v1) - other.start]
+        if (field.characteristic == 0 and all(type(c) is int for c in xs)
+                and all(type(c) is int for c in ys)):
+            out = _kronecker(xs, ys)[:hi - start]
+        else:
+            out = _schoolbook(field, xs, ys, hi - start)
         return LaurentSeries(field, start, out, hi)
 
     def scale(self, c):
@@ -204,6 +199,49 @@ class LaurentSeries:
                 parts.append("...")
                 break
         return " + ".join(parts) + f" + O(t^{self.hi})"
+
+
+def _schoolbook(field, xs, ys, n):
+    """The first n coefficients of (sum xs[i] t^i)(sum ys[j] t^j), one
+    multiply-add per pair of nonzero coefficients."""
+    out = [field.zero] * n
+    fz, fmul, fadd = field.is_zero, field.mul, field.add
+    for i, a in enumerate(xs[:n]):
+        if fz(a):
+            continue
+        for j, b in enumerate(ys[:n - i], i):
+            if not fz(b):
+                out[j] = fadd(out[j], fmul(a, b))
+    return out
+
+
+def _kronecker(xs, ys):
+    """The coefficients of (sum xs[i] t^i)(sum ys[j] t^j) for int lists, by
+    one big-int product (Kronecker substitution: A. Schoenhage, EUROCAM
+    1982; D. Harvey, J. Symbolic Comput. 44, 2009).
+
+    A product coefficient is a sum of at most min(len) terms, each below
+    2^(bits(A) + bits(B)) in absolute value, A and B the largest entries,
+    so it fits a slot of that many bits plus bit_length(min len) + 2, with
+    the sign bit to spare; the slot is rounded up to whole bytes.  Adding
+    half the slot range to every entry makes the digits nonnegative, so
+    they pack and unpack through int.from_bytes and int.to_bytes; the
+    offsets come back out as one subtraction of the same constant pattern.
+    """
+    width = (max(map(abs, xs)).bit_length() + max(map(abs, ys)).bit_length()
+             + min(len(xs), len(ys)).bit_length() + 2 + 7) // 8
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+
+    def pack(cs):
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(cs), "little")
+
+    n = len(xs) + len(ys) - 1
+    raw = (pack(xs) * pack(ys)
+           + int.from_bytes(slot * n, "little")).to_bytes(n * width, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, n * width, width)]
 
 
 def linear_combination(field, coeffs, terms, cap: int) -> LaurentSeries:

@@ -43,10 +43,11 @@ v_inf((P + Q y)/D) = min(-2 deg P, -2 deg Q - 3) + 2 deg D in every
 characteristic, so t_j is regular at inf exactly when the coefficients of
 x^e vanish in P for e > deg D_j and in Q for e >= deg D_j - 1; those
 coefficients are the rows.  SectionVector.validate re-checks every basis
-section on paths the solver never uses: each s_a off inf from its reduced
-denominator and at q by Laurent expansion, and at inf the t_j as
-coefficients of sum_a s_a (w + g)^a, formed by Horner in w on truncated
-series of the s_a and g.
+section on paths the solver never uses: each s_a off inf, q included, from
+its reduced denominator and its value at -q, and at inf the t_j as
+coefficients of sum_a s_a (w + g)^a, formed by Horner in w on Laurent
+series of the s_a and g, each cut to the horizon it is read at; nested
+twisted sections are validated once (h0).
 """
 
 from __future__ import annotations
@@ -99,15 +100,20 @@ def _one_pole_function(curve: WeierstrassCurve, P: CurvePoint) -> FuncElem:
     raise VerificationError("no degree-(1,1) function in L(inf + P)")
 
 
-def _affine_pole(fn: FuncElem, P: CurvePoint | None):
+def _affine_pole(fn: FuncElem, P: CurvePoint | None, simple: bool = False):
     """Where the reduced fn = (a + b y)/d has a pole on E - {inf, P} (on
-    E - {inf} when P is None), as text, or None when it has none there.
+    E - {inf} when P is None), or, when ``simple``, a pole of order 2 at
+    P, as text; None when it has none there.
 
     As k(E) = k(x) + k(x) y with gcd(a, b, d) = 1, fn is regular on
     E - {inf} exactly when d = 1.  A function with at most a simple pole at
-    P and no other affine pole has d = 1 or d = x - x_P, and then, when
-    -P != P, needs a + b y to vanish at -P; the pole order at P itself is
-    left to the caller.
+    P and no other affine pole has d = 1 or d = x - x_P.  When -P != P,
+    x - x_P vanishes simply at P and at -P, so the pole at P is at most
+    simple and a + b y must vanish at -P.  When -P = P, x - x_P has a
+    double zero at P, and the pole there is simple exactly when a + b y
+    vanishes at P: the same value test, made only when ``simple``, as
+    validate does at the marked fiber point (build_cocycle reads the order
+    at T by expansion instead).
     """
     field = fn.curve.field
     if fn.d == [field.one]:
@@ -115,11 +121,20 @@ def _affine_pole(fn: FuncElem, P: CurvePoint | None):
     if P is None or fn.d != [field.neg(P.x.raw), field.one]:
         return f"a pole where {poly.to_text(field, fn.d)} vanishes"
     minus = -P
-    if minus != P and not field.is_zero(field.add(
+    if (minus != P or simple) and not field.is_zero(field.add(
             poly.evaluate(field, fn.a, minus.x.raw),
             field.mul(poly.evaluate(field, fn.b, minus.x.raw), minus.y.raw))):
-        return f"a pole at {minus}"
+        return (f"a pole at {minus}" if minus != P else
+                "a pole of order 2 at the marked fiber point (allowed 1)")
     return None
+
+
+def _valuation_at_inf(fn: FuncElem) -> int:
+    """The valuation at inf of a nonzero fn = (a + b y)/d, in closed form:
+    x and y have poles of orders 2 and 3 there, which never coincide, so
+    v = min(-2 deg a, -2 deg b - 3) + 2 deg d in every characteristic."""
+    pole = max(2 * poly.degree(fn.a), 2 * poly.degree(fn.b) + 3 if fn.b else 0)
+    return 2 * poly.degree(fn.d) - pole
 
 
 def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
@@ -222,35 +237,31 @@ class SectionVector:
 
         The affine half reads each s_a = (a + b y)/d in its canonical form
         (_affine_pole): s_a may have no affine pole, or, when twisted, none
-        but one at q, whose order is bounded by a Laurent expansion there.
+        but a simple one at q, which d = 1 or d = x - x_q and, when -q = q,
+        a + b y vanishing at q guarantee.
 
         The infinity half works on Laurent series in t = x/y.  Each nonzero
-        s_a is expanded to the absolute horizon a and g, of valuation -1
+        s_a, of valuation v at inf in closed form (_valuation_at_inf), is
+        expanded to the absolute horizon a and g, of valuation -1
         (build_cocycle), to max(0, max_a -v(s_a)) + top, top the highest
         nonzero slot; then sum_a s_a (w + g)^a is evaluated by Horner in w.
         By the product horizon hi(PQ) = min(v(P) + hi(Q), v(Q) + hi(P)), the
         w^k coefficient after folding in slot a is known below a + k, so each
         t_j is known below j >= 0 and its negative coefficients are exact.  A
         t_j known only below a negative horizon raises SeriesPrecisionError
-        rather than passing.
+        rather than passing; so would a v set too high, as it only lowers
+        the horizons.
         """
         surf = self.surface
         inf = surf.curve.infinity
-        allowed = -1 if self.twisted else 0
         series, reach = {}, 0
         for a, s in enumerate(self.components):
             if s.is_zero():
                 continue
-            off = _affine_pole(s, surf.q if self.twisted else None)
+            off = _affine_pole(s, surf.q if self.twisted else None, simple=True)
             if off is not None:
                 raise VerificationError(f"component {a} has {off}")
-            vq = s.valuation_at(surf.q)
-            if vq < allowed:
-                raise VerificationError(
-                    f"component {a} has a pole of order {-vq} at the marked "
-                    f"fiber point (allowed {-allowed})"
-                )
-            v = s.valuation_at(inf)
+            v = _valuation_at_inf(s)
             series[a] = s.expand(inf, max(a - v, 1)).truncate(a)
             reach = max(reach, -v)
         if not series:
@@ -264,6 +275,11 @@ class SectionVector:
                       + [coeffs[-1]])
             if a in series:
                 coeffs[0] = coeffs[0] + series[a]
+            # Only the negative coefficients of the t_j are read, and what
+            # is folded now meets at most a more products by G, each of
+            # valuation -1, so a coefficient at t^e, e >= a, only reaches
+            # t^(e - a) and above: cut every coefficient at horizon a.
+            coeffs = [c.truncate(a) for c in coeffs]
         for j, t in enumerate(coeffs):
             if t.hi < 0:
                 raise SeriesPrecisionError(
@@ -543,8 +559,14 @@ class AtiyahSurface:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
 
         Result cached; _solve certifies the basis stable under a larger pole
-        cutoff, and every section is re-validated by Laurent expansion at q
-        and at infinity (SectionVector.validate) before it is returned.
+        cutoff, and every section is re-validated (SectionVector.validate:
+        its affine poles from its canonical form, at infinity by Laurent
+        expansion) before it is returned, once.  Twisted, the bases nest
+        (_solve), so section i is usually section i of the highest cached
+        twisted level below, padded; when its components are exactly those
+        of the padded section, it has the same t_j (zero above the lower
+        level), validate skips zero components, and the validation of the
+        lower section covers it.
         """
         if level < 0:
             raise ValueError("level must be >= 0")
@@ -553,7 +575,11 @@ class AtiyahSurface:
         if space is not None:
             return space
         sections = self._solve(level, twisted)
-        for s in sections:
+        lower = [lv for lv, tw in self._h0 if tw and lv < level] if twisted else []
+        done = self._h0[max(lower), True].sections if lower else ()
+        for i, s in enumerate(sections):
+            if i < len(done) and s.components == done[i].padded_to(level).components:
+                continue        # validated at the lower level
             s.validate()
         space = SectionSpace(
             level, twisted, sections,

@@ -6,8 +6,8 @@ row-by-row assembly of the h0 system, the chart-change matrix, the
 coboundary test, a class-preserving translation, span membership of
 sections, the level-by-level search for a minimal level, the
 multiplicity-by-multiplicity search for a maximal multiplicity, the
-expansion of a function by Horner's rule), so that the tests can compare
-the two.
+expansion of a function by Horner's rule on the coordinate series of a
+chart), so that the tests can compare the two.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
                                   _check_admissible, _lambda_bounds,
                                   fat_system, h0_fat, verify_jets)
 from atiyahlab.fields import FieldElem
-from atiyahlab.funcfield import FuncElem, mul_numerators, point_expansion
+from atiyahlab.funcfield import FuncElem, _chart, mul_numerators
 from atiyahlab.linalg import Matrix, rank, rank_naive
 from atiyahlab.series import LaurentSeries, eval_poly
 from atiyahlab.riemann_roch import monomial_basis, rr_basis
@@ -183,6 +183,19 @@ def sym_transition(cocycle, level: int):
     return rows
 
 
+def point_expansion(curve, P, prec: int):
+    """Series (x(t), y(t)) at P to horizon prec in the canonical parameter,
+    cut from the chart of P."""
+    chart = _chart(curve, P, prec)
+    return chart.xs.truncate(prec), chart.ys.truncate(prec)
+
+
+def precision_past_valuation(s: LaurentSeries) -> int:
+    """How many coefficients of s are known past its valuation (its
+    horizon when it is zero to precision)."""
+    return s.hi - s._val_eff()
+
+
 def expand_horner(fn: FuncElem, P, prec: int) -> LaurentSeries:
     """FuncElem.expand without the chart's lists: a(x(t)), b(x(t)) and
     d(x(t)) by Horner's rule on the point expansions, then
@@ -202,7 +215,7 @@ def expand_horner(fn: FuncElem, P, prec: int) -> LaurentSeries:
             H *= 2
             continue
         res = num * den.inverse()
-        if res.is_zero_to_precision() or res.precision_past_valuation() < prec:
+        if res.is_zero_to_precision() or precision_past_valuation(res) < prec:
             H *= 2
             continue
         return res

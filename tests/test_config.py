@@ -322,3 +322,19 @@ def test_curve_coefficients_parsed_at_load(tmp_path):
     bad = GOOD.replace("a = 0, 0, 0, -1, 1", "a = 0, 0, 0, x, 1")
     with pytest.raises(ConfigError, match="curve.a must be an exact number"):
         load_config(write(tmp_path, bad))
+
+
+def test_default_section_rejected_by_name(tmp_path, capsys):
+    # configparser copies [DEFAULT] keys into every section, where they
+    # would be reported as unknown keys of the first one; an empty
+    # [DEFAULT] copies nothing and is harmless
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "acceptance.ini"
+    assert load_config(write(tmp_path, "[DEFAULT]\n" + shipped.read_text())).jobs
+    cfg = write(tmp_path, "[DEFAULT]\nseed = 3\n\n" + shipped.read_text())
+    with pytest.raises(ConfigError, match=r"^\[DEFAULT\] is not accepted"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[DEFAULT] is not accepted" in err and "[field]" not in err
+    assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from atiyahlab.errors import SeriesPrecisionError
 from atiyahlab.fields import QQ, make_extension_field
+from atiyahlab import series
 from atiyahlab.series import LaurentSeries, eval_poly
 
 
@@ -235,3 +236,45 @@ def test_truncate_below_start_is_zero():
     tr = s.truncate(1)
     assert tr.hi == 1 and tr.is_zero_to_precision()
     assert tr.coefficient(0) == 0
+
+
+# -- the Kronecker product over Q against the schoolbook loop -------------------
+
+_INTS = st.one_of(st.integers(-9, 9), st.just(0),
+                  st.integers(-2 ** 200, 2 ** 200),
+                  st.sampled_from([2 ** 200, -2 ** 200, 2 ** 63 - 1, -2 ** 63]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(s1=st.integers(-6, 4), c1=st.lists(_INTS, min_size=1, max_size=12),
+       cut1=st.integers(0, 14), s2=st.integers(-6, 4),
+       c2=st.lists(_INTS, min_size=1, max_size=12), cut2=st.integers(0, 14))
+def test_kronecker_product_equals_the_schoolbook_loop(s1, c1, cut1, s2, c2, cut2):
+    # int windows of any sign and size, zero entries (leading ones too),
+    # length-1 factors and unequal starts and horizons: the one big-int
+    # product gives the window, the coefficients and the int type of the
+    # schoolbook loop, which Fraction entries force
+    a = LaurentSeries(QQ, s1, c1, s1 + len(c1)).truncate(s1 + cut1)
+    b = LaurentSeries(QQ, s2, c2, s2 + len(c2)).truncate(s2 + cut2)
+    got = a * b
+    want = (LaurentSeries(QQ, a.start, map(Fraction, a.coeffs), a.hi)
+            * LaurentSeries(QQ, b.start, map(Fraction, b.coeffs), b.hi))
+    assert (got.start, got.hi, got.coeffs) == (want.start, want.hi, want.coeffs)
+    assert all(type(c) is int for c in got.coeffs)
+    assert series._kronecker(c1, c2) == series._schoolbook(
+        QQ, c1, c2, len(c1) + len(c2) - 1)
+
+
+def test_fraction_and_finite_field_products_take_the_schoolbook_loop(monkeypatch):
+    def refuse(xs, ys):
+        raise AssertionError("Kronecker product off the int path")
+
+    monkeypatch.setattr(series, "_kronecker", refuse)
+    half = LaurentSeries(QQ, -1, [Fraction(1, 2), 3, -4])
+    assert (half * half).coeffs == [Fraction(1, 4), 3, 5]
+    integral = LaurentSeries(QQ, 0, [Fraction(2), 5])     # a Fraction, integral
+    assert (integral * integral).coeffs == [4, 20]
+    for field in (make_extension_field(1000003), make_extension_field(3, 2),
+                  make_extension_field(2, 8)):
+        s = LaurentSeries(field, 0, [field.from_packed(c) for c in (1, 2, 3)])
+        assert (s * s).coefficient(0) == field.one

@@ -406,6 +406,100 @@ def test_validate_rejects_affine_poles(rational_surface, ordinary_surface):
                for sec in surf.h0(2, True).sections for s in sec.components)
 
 
+def test_closed_form_valuation_at_infinity(ordinary_surface):
+    # validate reads v_inf of each component off its degrees; on every
+    # component of every basis up to level 8 it is the expanded valuation
+    surf = ordinary_surface
+    inf = surf.curve.infinity
+    comps = [c for level in range(1, 9) for twisted in (False, True)
+             for sec in surf.h0(level, twisted).sections
+             for c in sec.components if c]
+    assert any(c.b for c in comps) and any(not c.a for c in comps)
+    for c in comps:
+        assert surface._valuation_at_inf(c) == c.valuation_at(inf), c
+
+
+def test_validate_at_a_truncating_level_agrees_with_transformed_oracle(
+        rational_surface):
+    # at twisted level 12 the Horner loop cuts every coefficient at horizon
+    # a after folding slot a; x^k and y x^k added to a high slot of a basis
+    # section (or a basis section added to it) must still give exactly the
+    # verdict and message of the transformed sums
+    surf = rational_surface
+    E = surf.curve
+    x, y = FuncElem.x_function(E), FuncElem.y_function(E)
+    monomials = [FuncElem.one(E), x, y, x * x, x * y]
+    basis = surf.h0(12, twisted=True).sections
+    verdicts = []
+    for n in (3, 9, 12):
+        comps = basis[n].components
+        perturbed = [[c + m if a == slot else c for a, c in enumerate(comps)]
+                     for m in monomials for slot in (10, 12)]
+        perturbed.append([c + o for c, o in zip(comps, basis[n - 1].components)])
+        for bumped in perturbed:
+            bad = SectionVector(surf, 12, True, bumped)
+            expected = _transformed_pole(bad)
+            verdicts.append(expected is not None)
+            if expected is None:
+                bad.validate()
+            else:
+                with pytest.raises(VerificationError) as err:
+                    bad.validate()
+                assert str(err.value) == expected
+    assert any(verdicts) and not all(verdicts)
+
+
+def _counting_validate(monkeypatch):
+    """Patch SectionVector.validate to record the sections it checks."""
+    checked, real = [], SectionVector.validate
+
+    def counting(section):
+        checked.append(section)
+        real(section)
+
+    monkeypatch.setattr(SectionVector, "validate", counting)
+    return checked
+
+
+def test_nested_twisted_sections_are_validated_once(monkeypatch):
+    # a twisted ladder 1..8 meets 2 + 3 + ... + 9 = 44 sections, but
+    # section i of each level is section i of the level below, padded: only
+    # the 9 distinct sections are validated, each once; plain bases are
+    # validated in full
+    checked = _counting_validate(monkeypatch)
+    E = WeierstrassCurve(QQ, 0, 0, 0, -1, 1)
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    for level in range(1, 9):
+        surf.h0(level, twisted=True)
+    top = surf.h0(8, twisted=True).sections
+    assert len(checked) == 9
+    assert all(top[i].components[:sec.level + 1] == sec.components
+               for i, sec in enumerate(checked))
+    checked.clear()
+    plain = surf.h0(4, twisted=False).sections
+    assert checked == list(plain)
+
+
+def test_a_changed_cached_section_is_validated_again(monkeypatch):
+    # the skip reads the cache of the highest twisted level below: a
+    # cached section that differs from the new section i (here scaled by
+    # 2) sends section i through validate, and so does one equal to the
+    # new section's first slots when the new one is nonzero above them;
+    # the equal ones are skipped
+    checked = _counting_validate(monkeypatch)
+    E = WeierstrassCurve(QQ, 0, 0, 0, -1, 1)
+    surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+    low = surf.h0(3, twisted=True)
+    two = FieldElem(QQ, 2)
+    planted = list(low.sections)
+    planted[1] = SectionVector(surf, 3, True, [c * two for c in planted[1].components])
+    planted.append(SectionVector(surf, 3, True, surf._solve(4, True)[4].components[:4]))
+    surf._h0[3, True] = SectionSpace(3, True, planted, low.diagnostics)
+    checked.clear()
+    new = surf.h0(4, twisted=True).sections
+    assert checked == [new[1], new[4]]
+
+
 def test_section_products_and_padding(rational_surface):
     surf = rational_surface
     tw = surf.h0(1, twisted=True).sections[0]
