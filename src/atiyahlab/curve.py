@@ -50,8 +50,13 @@ class WeierstrassCurve:
         )
         if not self.discriminant:
             raise ValueError("singular model: discriminant vanishes")
-        self.infinity = CurvePoint(self, None, None)
         self._expansion_cache: dict = {}
+
+    @property
+    def infinity(self) -> "CurvePoint":
+        """The point at infinity, made afresh: a stored one would point back
+        at the curve, and the curve would wait for the cyclic collector."""
+        return CurvePoint(self, None, None)
 
     # -- point construction ------------------------------------------------
 
@@ -303,10 +308,6 @@ class Divisor:
             for P, n in dict(coeffs).items():
                 if n:
                     self.coeffs[P] = n
-
-    @classmethod
-    def of_point(cls, P, n: int = 1):
-        return cls(P.curve, {P: n})
 
     def degree(self) -> int:
         return sum(self.coeffs.values())

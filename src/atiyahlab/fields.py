@@ -38,11 +38,20 @@ Construction
 ------------
 Candidates for the modulus are tried in that order with Rabin's
 irreducibility test, computed with :mod:`atiyahlab.poly` over the prime field.
-A table gear builds the :class:`PolyField` gear of the same (p, k), takes as
-generator the least packed value >= 2 whose order is q - 1, and fills ``_exp``
-by repeated multiplication with it there; ``_log`` and the Zech table are read
-off ``_exp``.  So polynomial arithmetic over F_p has two homes only: ``poly``
-and the ``PolyField`` product.
+Each field searches once: a table gear hands its modulus to the
+:class:`PolyField` gear of the same (p, k) that helps build it.  There it
+takes as generator g the least packed value >= 2 whose order is q - 1, and
+walks the powers of g to fill ``_exp``.  Multiplying by g is F_p-linear, so
+with v = lo + hi p^h, h = k // 2, g v is the digitwise sum mod p of g lo and
+g (hi p^h): two half tables, of p^h and p^(k-h) entries, made once with the
+PolyField product, serve every step of the walk.  The sum is one integer
+addition in the wide encoding, which puts base-p digit j in bits
+[w j, w j + w) with w = p.bit_length() + 1.  Two digits below p sum below
+2p <= 2^w, so no carry crosses a field; adding 2^(w-1) - p to every field
+sets bit w - 1 of exactly the fields >= p, and p is subtracted there.  Two
+dicts keyed by the low and the high wide half give back lo and hi.  ``_log``
+and the Zech table are read off ``_exp``.  So polynomial arithmetic over F_p
+has two homes only: ``poly`` and the ``PolyField`` product.
 
 Quadratic roots
 ---------------
@@ -253,7 +262,7 @@ class FiniteField:
 
     characteristic: int
 
-    def __new__(cls, p: int, k: int = 1):
+    def __new__(cls, p: int, k: int = 1, modulus=None):
         if not is_probable_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if not 1 <= k <= 24:
@@ -263,10 +272,12 @@ class FiniteField:
                    TableField if p ** k <= _TABLE_LIMIT else PolyField)
         return super().__new__(cls)
 
-    def __init__(self, p: int, k: int = 1):
+    def __init__(self, p: int, k: int = 1, modulus=None):
+        """``modulus``, when given, is the canonical modulus of (p, k),
+        already found: a table gear hands its own to its PolyField helper."""
         self.p, self.k, self.q = p, k, p ** k
         self.characteristic = p
-        self.modulus = _canonical_modulus(p, k)
+        self.modulus = modulus or _canonical_modulus(p, k)
         self._setup()
 
     # -- raw arithmetic written once ------------------------------------------
@@ -313,9 +324,6 @@ class FiniteField:
             raise ValueError("too many coefficients")
         cs += [0] * (self.k - len(cs))
         return self.from_packed(_pack(self.p, cs))
-
-    def to_coeffs(self, a):
-        return _unpack(self.p, self.k, self.to_packed(a))
 
     def parse(self, text):
         """Raw value from an int or Fraction (reduced mod p), a coefficient
@@ -392,8 +400,8 @@ class TableField(FiniteField):
     q - 1 standing for zero; ``_exp`` and ``_log`` carry the zero entry too."""
 
     def _setup(self):
-        p, q = self.p, self.q
-        ring = PolyField(p, self.k)
+        p, k, q = self.p, self.k, self.q
+        ring = PolyField(p, k, self.modulus)
         factors = _prime_divisors(q - 1)
         # the generator is the least packed value >= 2 of order q - 1
         for packed in range(2, q):
@@ -402,12 +410,32 @@ class TableField(FiniteField):
                 break
         else:
             raise AssertionError("no multiplicative generator found")
+        # v = lo + hi p^h: gen v is the digitwise sum mod p of the half
+        # tables, one integer add in the wide encoding (module doc)
+        h = k // 2
+        ph, w = p ** h, p.bit_length() + 1
+        ones = sum(1 << (w * j) for j in range(k))
+        bias, top = ((1 << (w - 1)) - p) * ones, w - 1
+        shift = w * h
+        low = (1 << shift) - 1
+
+        def wide(coeffs):
+            return sum(c << (w * j) for j, c in enumerate(coeffs))
+
+        los = [ring.from_packed(v) for v in range(ph)]
+        his = [ring.from_packed(u * ph) for u in range(p ** (k - h))]
+        lo_tab = [wide(ring.mul(gen, a)) for a in los]
+        hi_tab = [wide(ring.mul(gen, a)) for a in his]
+        lo_of = {wide(a): v for v, a in enumerate(los)}
+        hi_of = {wide(a) >> shift: u for u, a in enumerate(his)}
         exp = [0] * q  # exp[q - 1] = 0 packs the zero sentinel
-        acc = ring.one
+        lo, hi = 1, 0
         for i in range(q - 1):
-            exp[i] = ring.to_packed(acc)
-            acc = ring.mul(gen, acc)
-        if acc != ring.one:
+            exp[i] = lo + hi * ph
+            s = lo_tab[lo] + hi_tab[hi]
+            s -= p * (((s + bias) >> top) & ones)
+            lo, hi = lo_of[s & low], hi_of[s >> shift]
+        if (lo, hi) != (1, 0):
             raise AssertionError("generator order mismatch")
         log = [0] * q
         for i, v in enumerate(exp):

@@ -365,12 +365,14 @@ class _Chart:
 
 def _chart(curve, P, H):
     """The chart of P to horizon >= H; one too short is replaced by one at
-    max(H, 8, twice its horizon)."""
+    max(H, 8, twice its horizon).  Charts are keyed by the raw coordinates
+    of P (None at infinity), which hold no reference to the curve."""
     cache = curve._expansion_cache
-    chart = cache.get(P)
+    key = None if P.is_infinity else (P.x.raw, P.y.raw)
+    chart = cache.get(key)
     if chart is None or chart.H < H:
         H = max(H, 8, 2 * chart.H if chart else 0)
-        chart = cache[P] = _Chart(curve, P, H)
+        chart = cache[key] = _Chart(curve, P, H)
     return chart
 
 

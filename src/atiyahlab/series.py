@@ -12,6 +12,11 @@ from __future__ import annotations
 
 from .errors import SeriesPrecisionError
 
+# the shortest window of an int product over Q that goes to _kronecker; on
+# shorter ones the schoolbook loop is faster (measured on int windows of 8
+# to 200 bits)
+KRONECKER_MIN = 6
+
 
 class LaurentSeries:
     __slots__ = ("field", "start", "coeffs", "hi")
@@ -103,8 +108,9 @@ class LaurentSeries:
 
     def __mul__(self, other):
         """The product, known below min(v(self) + hi(other), v(other) +
-        hi(self)): over Q with int coefficients by one big-int product
-        (_kronecker), otherwise by the schoolbook loop, its oracle."""
+        hi(self)): over Q with int windows of at least KRONECKER_MIN
+        coefficients by one big-int product (_kronecker), otherwise by the
+        schoolbook loop, its oracle."""
         self._check(other)
         field = self.field
         v1, v2 = self._val_eff(), other._val_eff()
@@ -114,7 +120,8 @@ class LaurentSeries:
             return LaurentSeries.zero(field, hi)
         xs = self.coeffs[v1 - self.start:min(self.hi, hi - v2) - self.start]
         ys = other.coeffs[v2 - other.start:min(other.hi, hi - v1) - other.start]
-        if (field.characteristic == 0 and all(type(c) is int for c in xs)
+        if (field.characteristic == 0 and min(len(xs), len(ys)) >= KRONECKER_MIN
+                and all(type(c) is int for c in xs)
                 and all(type(c) is int for c in ys)):
             out = _kronecker(xs, ys)[:hi - start]
         else:

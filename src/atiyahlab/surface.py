@@ -360,11 +360,12 @@ class SectionSpace:
 class AtiyahSurface:
     """The ruled surface with a marked fiber over q (and its caches).
 
-    A surface lives in reference cycles: each cached section points back at
-    it (``SectionVector.surface`` <-> ``AtiyahSurface._h0``), and the
-    ``CurvePoint`` keys of the curve's chart cache point back at the curve.
-    A dropped surface, with its sections and charts, is therefore freed only
-    by Python's cyclic garbage collector, not when its last reference goes.
+    Once ``h0`` has cached a section, the surface lives in a reference
+    cycle: each cached section points back at it (``SectionVector.surface``
+    <-> ``AtiyahSurface._h0``), so it is freed, with its sections, only by
+    Python's cyclic garbage collector.  Nothing else points back: a fresh
+    surface, its curve and the curve's charts are freed when the last
+    reference goes.
     """
 
     def __init__(self, cocycle: CechCocycle, q: CurvePoint):

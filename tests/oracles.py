@@ -7,7 +7,9 @@ coboundary test, a class-preserving translation, span membership of
 sections, the level-by-level search for a minimal level, the
 multiplicity-by-multiplicity search for a maximal multiplicity, the
 expansion of a function by Horner's rule on the coordinate series of a
-chart), so that the tests can compare the two.
+chart, the tables of a table field built one element at a time), so that
+the tests can compare the two.  ``of_point`` and ``to_coeffs`` are
+conveniences that only the tests use.
 """
 
 from __future__ import annotations
@@ -20,12 +22,23 @@ from atiyahlab.errors import SeriesPrecisionError, VerificationError
 from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
                                   _check_admissible, _lambda_bounds,
                                   fat_system, h0_fat, verify_jets)
-from atiyahlab.fields import FieldElem
+from atiyahlab.fields import FieldElem, PolyField, _prime_divisors, _unpack
 from atiyahlab.funcfield import FuncElem, _chart, mul_numerators
 from atiyahlab.linalg import Matrix, rank, rank_naive
 from atiyahlab.series import LaurentSeries, eval_poly
 from atiyahlab.riemann_roch import monomial_basis, rr_basis
 from atiyahlab.surface import AtiyahSurface
+
+
+def of_point(P, n: int = 1) -> Divisor:
+    """The divisor n (P)."""
+    return Divisor(P.curve, {P: n})
+
+
+def to_coeffs(field, a):
+    """The coefficients of the raw element a of F_{p^k} against the power
+    basis of the modulus, lowest first."""
+    return _unpack(field.p, field.k, field.to_packed(a))
 
 
 def from_elems(field, rows) -> Matrix:
@@ -378,3 +391,28 @@ def max_multiplicity_ladder(surface: AtiyahSurface, level: int,
         value = m
     raise VerificationError(
         f"multiplicity search still positive at the hard cap {hard_cap}")
+
+
+def tables_by_poly_mul(p: int, k: int):
+    """``_exp``, ``_log`` and ``_zech`` of the table gear of F_{p^k}, built
+    one element at a time: the generator (the least packed value >= 2 of
+    order q - 1) found in the PolyField gear, ``_exp`` filled by one
+    PolyField product with it per element, ``_log`` and ``_zech`` read off
+    ``_exp``."""
+    ring, q = PolyField(p, k), p ** k
+    factors = _prime_divisors(q - 1)
+    for packed in range(2, q):
+        gen = ring.from_packed(packed)
+        if all(ring.pow(gen, (q - 1) // r) != ring.one for r in factors):
+            break
+    exp = [0] * q
+    acc = ring.one
+    for i in range(q - 1):
+        exp[i] = ring.to_packed(acc)
+        acc = ring.mul(gen, acc)
+    assert acc == ring.one, "generator order mismatch"
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    zech = [log[v - v % p + (v + 1) % p] for v in exp[:-1]]
+    return exp, log, zech

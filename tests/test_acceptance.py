@@ -31,7 +31,7 @@ from atiyahlab.fields import QQ, make_extension_field
 from atiyahlab.linalg import rank_naive
 from atiyahlab.riemann_roch import rr_basis
 from atiyahlab.surface import make_surface
-from oracles import translate_marked_fiber
+from oracles import of_point, translate_marked_fiber
 
 
 @contextmanager
@@ -59,8 +59,8 @@ def _random_divisor(E, pool, rng, want_deg):
     D = Divisor(E)
     for _ in range(rng.randrange(1, 4)):
         P = pool[rng.randrange(len(pool))]
-        D = D + Divisor.of_point(P, rng.randrange(-2, 4))
-    return D + Divisor.of_point(E.infinity, want_deg - D.degree())
+        D = D + of_point(P, rng.randrange(-2, 4))
+    return D + of_point(E.infinity, want_deg - D.degree())
 
 
 def test_01_riemann_roch_dimensions():
@@ -85,7 +85,7 @@ def test_01_riemann_roch_dimensions():
                 total += 1
             P, Q = pool[0], pool[1]
             for D, dim in ((Divisor(E), 1),
-                           (Divisor.of_point(P) - Divisor.of_point(Q), 0)):
+                           (of_point(P) - of_point(Q), 0)):
                 space = rr_basis(E, D)
                 space.verify()
                 assert space.dim == dim

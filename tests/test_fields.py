@@ -22,6 +22,8 @@ from atiyahlab.fields import (
     make_extension_field,
     solve_quadratic,
 )
+from atiyahlab import fields
+from oracles import tables_by_poly_mul, to_coeffs
 
 
 def test_canonical_moduli_small():
@@ -74,8 +76,7 @@ PINNED_MODULI = {
 @pytest.mark.parametrize("p,k", sorted(PINNED_MODULI))
 def test_canonical_moduli_pinned(p, k):
     assert _canonical_modulus(p, k) == PINNED_MODULI[p, k]
-    if p ** k < 1 << 20:  # building F_{2^20} takes seconds; CI builds it
-        assert make_extension_field(p, k).modulus == PINNED_MODULI[p, k]
+    assert make_extension_field(p, k).modulus == PINNED_MODULI[p, k]
 
 
 def test_prime_field_basics():
@@ -141,8 +142,8 @@ def test_parse_rejects_garbage():
 
 def test_parse_reads_digits_as_packed_integers():
     F9 = make_extension_field(3, 2)
-    assert F9.to_coeffs(F9.parse("5")) == (2, 1)       # 5 = 2 + 1*3: z + 2
-    assert F9.to_coeffs(F9.parse(" 8 ")) == (2, 2)
+    assert to_coeffs(F9, F9.parse("5")) == (2, 1)       # 5 = 2 + 1*3: z + 2
+    assert to_coeffs(F9, F9.parse(" 8 ")) == (2, 2)
     # other number text is a fraction reduced mod p, and ints reduce mod p
     assert F9.parse("-1") == F9.from_int(2)
     assert F9.parse("1/2") == F9.from_int(2)
@@ -181,7 +182,7 @@ def test_parse_rejects_text_with_two_readings():
 def test_parse_coefficient_lists():
     F9 = make_extension_field(3, 2)
     a = F9.elem([1, 2])       # 1 + 2z
-    assert F9.to_coeffs(a.raw) == (1, 2)
+    assert to_coeffs(F9, a.raw) == (1, 2)
     with pytest.raises(ValueError):
         F9.parse([1, 2, 1])   # too many coefficients
 
@@ -381,6 +382,33 @@ def test_gear_class_called_directly_builds_that_gear():
         PrimeField(3, 2)
     with pytest.raises(ValueError):
         PolyField(4, 2)           # the guards run for every gear
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8), (3, 5), (5, 3), (7, 3),
+                                 (101, 2), (2, 16)])
+def test_table_build_equals_the_poly_mul_walk(p, k):
+    # the half tables in the wide encoding give the generator, the exp walk
+    # and the log and Zech tables of one PolyField product per element
+    F = TableField(p, k)
+    exp, log, zech = tables_by_poly_mul(p, k)
+    assert F._exp == exp
+    assert F._log == log
+    assert F._zech == zech
+
+
+def test_table_field_searches_its_modulus_once(monkeypatch):
+    # the PolyField helper of the table build takes the modulus it was given
+    calls = []
+    search = fields._canonical_modulus
+
+    def counting(p, k):
+        calls.append((p, k))
+        return search(p, k)
+
+    monkeypatch.setattr(fields, "_canonical_modulus", counting)
+    F = TableField(2, 8)
+    assert calls == [(2, 8)]
+    assert F.modulus == PINNED_MODULI[2, 8]
 
 
 _GEAR_ARGS = {

@@ -485,9 +485,10 @@ def test_expand_on_a_warm_curve_matches_a_cold_one(name, requests):
 
 def test_twisted_ladder_keeps_one_chart_per_point(monkeypatch):
     # every twisted component has the denominator d_h of the one-pole
-    # function (or 1); a ladder keeps one chart per point, replaced only
-    # when a request outgrows it, at least twice as far each time, and the
-    # d_h lists of the charts at infinity serve one expansion per d_h
+    # function (or 1); a ladder keeps one chart per point, keyed by its raw
+    # coordinates (None at infinity), replaced only when a request outgrows
+    # it, at least twice as far each time, and the d_h lists of the charts
+    # at infinity serve one expansion per d_h
     # component of the nine distinct sections (each validated once);
     # validate reads the pole at q off the canonical form, so no chart is
     # built there
@@ -509,8 +510,10 @@ def test_twisted_ladder_keeps_one_chart_per_point(monkeypatch):
     surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
     for level in range(1, 9):
         surf.h0(level, twisted=True)
-    assert set(E._expansion_cache) == set(charts)
-    assert all(isinstance(P, CurvePoint) and E._expansion_cache[P] is built[-1]
+    keys = {P: None if P.is_infinity else (P.x.raw, P.y.raw) for P in charts}
+    assert set(E._expansion_cache) == set(keys.values())
+    assert not any(isinstance(key, CurvePoint) for key in E._expansion_cache)
+    assert all(E._expansion_cache[keys[P]] is built[-1]
                for P, built in charts.items())
     for built in charts.values():
         hs = [chart.H for chart in built]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atiyahlab.errors import SeriesPrecisionError
@@ -245,15 +245,23 @@ _INTS = st.one_of(st.integers(-9, 9), st.just(0),
                   st.sampled_from([2 ** 200, -2 ** 200, 2 ** 63 - 1, -2 ** 63]))
 
 
+_K = series.KRONECKER_MIN
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(s1=st.integers(-6, 4), c1=st.lists(_INTS, min_size=1, max_size=12),
-       cut1=st.integers(0, 14), s2=st.integers(-6, 4),
-       c2=st.lists(_INTS, min_size=1, max_size=12), cut2=st.integers(0, 14))
+@given(s1=st.integers(-6, 4), c1=st.lists(_INTS, min_size=1, max_size=2 * _K + 2),
+       cut1=st.integers(0, 2 * _K + 4), s2=st.integers(-6, 4),
+       c2=st.lists(_INTS, min_size=1, max_size=2 * _K + 2),
+       cut2=st.integers(0, 2 * _K + 4))
+@example(s1=0, c1=[-3] * (_K - 1), cut1=_K - 1, s2=1, c2=[2 ** 200] * _K, cut2=_K)
+@example(s1=-2, c1=[5, -2 ** 70] * _K, cut1=_K, s2=0, c2=[7] * _K, cut2=_K)
+@example(s1=0, c1=[1] * (_K + 1), cut1=_K + 1, s2=0, c2=[-1] * (_K - 1), cut2=_K)
 def test_kronecker_product_equals_the_schoolbook_loop(s1, c1, cut1, s2, c2, cut2):
     # int windows of any sign and size, zero entries (leading ones too),
-    # length-1 factors and unequal starts and horizons: the one big-int
-    # product gives the window, the coefficients and the int type of the
-    # schoolbook loop, which Fraction entries force
+    # length-1 factors, lengths on both sides of KRONECKER_MIN and unequal
+    # starts and horizons: the product (one big-int product from
+    # KRONECKER_MIN on) gives the window, the coefficients and the int type
+    # of the schoolbook loop, which Fraction entries force
     a = LaurentSeries(QQ, s1, c1, s1 + len(c1)).truncate(s1 + cut1)
     b = LaurentSeries(QQ, s2, c2, s2 + len(c2)).truncate(s2 + cut2)
     got = a * b
@@ -265,16 +273,42 @@ def test_kronecker_product_equals_the_schoolbook_loop(s1, c1, cut1, s2, c2, cut2
         QQ, c1, c2, len(c1) + len(c2) - 1)
 
 
+@pytest.mark.parametrize("n1,n2", [(1, 1), (_K - 1, _K - 1), (_K - 1, 3 * _K),
+                                   (3 * _K, _K - 1), (_K, _K), (_K, 3 * _K),
+                                   (2 * _K, 2 * _K)])
+def test_kronecker_takes_int_products_from_the_length_cutoff(n1, n2, monkeypatch):
+    # the product of windows cut to min(n1, n2) goes to _kronecker exactly
+    # when that length reaches KRONECKER_MIN, with the same coefficients
+    calls = []
+    kronecker = series._kronecker
+
+    def counting(xs, ys):
+        calls.append((len(xs), len(ys)))
+        return kronecker(xs, ys)
+
+    monkeypatch.setattr(series, "_kronecker", counting)
+    rng = random.Random(n1 * 100 + n2)
+    a = LaurentSeries(QQ, -1, [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(n1)])
+    b = LaurentSeries(QQ, 2, [rng.randrange(-9, 10) or 1 for _ in range(n2)])
+    got = a * b
+    want = series._schoolbook(QQ, a.coeffs[:min(n1, n2)], b.coeffs[:min(n1, n2)],
+                              min(n1, n2))
+    assert (got.start, got.coeffs) == (1, want)
+    assert calls == ([(min(n1, n2),) * 2] if min(n1, n2) >= _K else [])
+
+
 def test_fraction_and_finite_field_products_take_the_schoolbook_loop(monkeypatch):
     def refuse(xs, ys):
         raise AssertionError("Kronecker product off the int path")
 
     monkeypatch.setattr(series, "_kronecker", refuse)
-    half = LaurentSeries(QQ, -1, [Fraction(1, 2), 3, -4])
-    assert (half * half).coeffs == [Fraction(1, 4), 3, 5]
-    integral = LaurentSeries(QQ, 0, [Fraction(2), 5])     # a Fraction, integral
-    assert (integral * integral).coeffs == [4, 20]
+    pad = [0] * _K        # windows long enough for _kronecker, were they ints
+    half = LaurentSeries(QQ, -1, [Fraction(1, 2), 3, -4] + pad)
+    assert (half * half).coeffs[:6] == [Fraction(1, 4), 3, 5, -24, 16, 0]
+    integral = LaurentSeries(QQ, 0, [Fraction(2), 5] + pad)   # a Fraction, integral
+    assert (integral * integral).coeffs[:4] == [4, 20, 25, 0]
     for field in (make_extension_field(1000003), make_extension_field(3, 2),
                   make_extension_field(2, 8)):
-        s = LaurentSeries(field, 0, [field.from_packed(c) for c in (1, 2, 3)])
+        s = LaurentSeries(field, 0, [field.from_packed(c) for c in (1, 2, 3)]
+                          + [field.zero] * _K)
         assert (s * s).coefficient(0) == field.one

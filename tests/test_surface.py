@@ -1,8 +1,10 @@
 import functools
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from atiyahlab import surface
 from atiyahlab.curve import Divisor, WeierstrassCurve
 from atiyahlab.errors import CutoffInstabilityError, VerificationError
 from atiyahlab.fat_points import FatPoint, _combine, _point_jet_rows
-from atiyahlab.fields import QQ, FieldElem, make_extension_field
+from atiyahlab.fields import QQ, FieldElem, FiniteField, make_extension_field
 from atiyahlab.funcfield import FuncElem
 from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis,
                               rank_and_kernel)
@@ -144,6 +146,27 @@ def test_make_surface_guards(rational_curve):
         make_surface(E, q, T=q)                     # q must avoid T
     surf = make_surface(E, q)
     assert surf.T == -q                             # default T
+
+
+@pytest.mark.parametrize("make_field", [lambda: QQ, lambda: FiniteField(3, 2)],
+                         ids=["QQ", "F9"])
+def test_dropped_surface_frees_its_curve_and_field(make_field):
+    # no reference cycle holds a fresh surface: with the cyclic collector
+    # off, dropping the last reference frees the surface, its curve and
+    # charts, and a field built for it (QQ is the module's own)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        field = make_field()
+        E = WeierstrassCurve(field, 0, 0, 0, -1, 1)
+        surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
+        assert E._expansion_cache
+        refs = [weakref.ref(obj) for obj in (surf, E, field) if obj is not QQ]
+        del surf, E, field
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_make_surface_two_torsion_fallback():
