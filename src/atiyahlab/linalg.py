@@ -18,8 +18,7 @@ kernel found another way, which gives the same vectors.
 (row indices, values) per column, whose step rows are already triangular;
 it checks that shape from the entries, eliminates nothing, and scatters each
 solved entry down its column, so it costs the multiply-adds it does and ends
-with M v on the other rows.  :func:`certify_kernel` checks M v = 0 the same
-way over the support of each vector, in a pass of its own.
+with M v on the other rows.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
@@ -144,25 +143,6 @@ def back_substitute(field, cols, steps):
         basis.append(vec)
         sums.append(acc)
     return basis, sums
-
-
-def certify_kernel(field, cols, vectors):
-    """Raise VerificationError unless M v = 0 for every sparse vector v
-    {col: value}, ``cols[c]`` column c of M as (row indices, values).
-
-    An independent pass: for each v it sums v[c] M[:, c] over the support of
-    v into per-row sums, so it costs the multiply-adds of the product and
-    rows v does not reach count as 0.
-    """
-    fz, fadd, fmul, zero = field.is_zero, field.add, field.mul, field.zero
-    for vec in vectors:
-        sums = {}
-        for c, x in vec.items():
-            if not fz(x):
-                for r, a in zip(*cols[c]):
-                    sums[r] = fadd(sums.get(r, zero), fmul(a, x))
-        if not all(fz(s) for s in sums.values()):
-            raise VerificationError("a kernel vector leaves M v nonzero")
 
 
 def _primitive_int_vector(field, v):

@@ -26,9 +26,8 @@ the leading terms of its columns, so each non-constant column is one
 back-substitution step, checked from the entries, scattered down its
 column; the only elimination is on the row sums it leaves, M v on the plain
 obstruction rows.  The kernel must vanish on the columns past N_a
-(CutoffInstabilityError otherwise), every kernel vector is certified by
-M v = 0, summed by column over its support, and its restriction to the
-other columns is the basis.
+(CutoffInstabilityError otherwise), and its restriction to the other
+columns is the basis.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
 x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
@@ -42,12 +41,13 @@ v_inf(x^i) = -2i and v_inf(x^i y) = -2i - 3 never coincide,
 v_inf((P + Q y)/D) = min(-2 deg P, -2 deg Q - 3) + 2 deg D in every
 characteristic, so t_j is regular at inf exactly when the coefficients of
 x^e vanish in P for e > deg D_j and in Q for e >= deg D_j - 1; those
-coefficients are the rows.  SectionVector.validate re-checks every basis
-section on paths the solver never uses: each s_a off inf, q included, from
-its reduced denominator and its value at -q, and at inf the t_j as
-coefficients of sum_a s_a (w + g)^a, formed by Horner in w on Laurent
-series of the s_a and g, each cut to the horizon it is read at; nested
-twisted sections are validated once (h0).
+coefficients are the rows.  The checked steps bound the dimension from
+above.  From below, SectionVector.validate proves every basis section a
+global section on paths the solver never uses: each s_a off inf, q
+included, from its reduced denominator and its value at -q, and at inf the
+t_j as coefficients of sum_a s_a (w + g)^a, formed by Horner in w on
+Laurent series of the s_a and g, each cut to the horizon it is read at;
+nested twisted sections are validated once (h0).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationEr
 from .fields import FieldElem
 from .funcfield import FuncElem, combination, mul_numerators
 from .linalg import (Matrix, back_substitute, canonical_basis,
-                     certify_kernel, rank_and_kernel, rank)
+                     rank_and_kernel, rank)
 from .riemann_roch import rr_basis
 
 MARGIN = 4
@@ -405,10 +405,6 @@ class AtiyahSurface:
           constants are free.  Twisted, every row leads; plain, the rows of
           order 1 (B at x^(deg D_j - 1), j < level) are left over and cut
           the constants by rank_and_kernel, on the solve's row sums there.
-          Every kernel vector is certified by M v = 0 on every row
-          (certify_kernel, a pass of its own over the same columns, summing
-          over the vector's support; the solve's sums are zero on the step
-          rows by construction, so they would certify nothing).
         * Zero block: g has a simple pole at inf, so a column (a, m) with
           m <= N_a reaches t_j only up to pole order a - j + m <= N_j; the
           numerators are reduced P + Q y, so the rows past the cutoffs vanish
@@ -434,6 +430,19 @@ class AtiyahSurface:
           the reduced echelon basis of its span, and the columns level L
           adds vanish there, so sections 0..l are the level-l basis,
           padded, and min_level reads lower jet matrices as column prefixes.
+        * Upper bound: the entry checks of back_substitute (each pivot entry
+          nonzero, no step row reaching a column solved later) give
+          rank M >= #steps, so dim ker M <= #constants; plain, the rank of
+          the row sums on the obstruction rows cuts the constants further.
+          The cutoff argument and the stability check make ker A, of the
+          dimension of ker M, the whole space of sections.
+        * Lower bound: no pass multiplies M v.  h0 validates every basis
+          section (a nested twisted section once, at the level it pads):
+          SectionVector.validate checks the affine poles from the canonical
+          form and every t_j at inf by expansion, and canonical_basis shows
+          the sections independent.  A vector off ker M is a section with a
+          pole, which validate rejects; and as validate checks the finished
+          sections, it also covers the conversion from vectors below.
         In slot a the kernel entries are the coefficients of x^(m/2) in U
         (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
         s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
@@ -452,7 +461,6 @@ class AtiyahSurface:
                         for vec in kernel]
             raise CutoffInstabilityError(level, twisted, MARGIN, len(kernel) - rank(
                 Matrix(field, on_extra, len(extra))), len(kernel))
-        certify_kernel(field, cols, kernel)
         basis = canonical_basis(field, kernel, len(columns))
         if len(basis) != len(kernel):
             raise VerificationError("the kernel vectors are linearly dependent")
@@ -559,10 +567,12 @@ class AtiyahSurface:
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
 
-        Result cached; _solve certifies the basis stable under a larger pole
-        cutoff, and every section is re-validated (SectionVector.validate:
-        its affine poles from its canonical form, at infinity by Laurent
-        expansion) before it is returned, once.  Twisted, the bases nest
+        Result cached.  _solve bounds the dimension from above and certifies
+        the basis stable under a larger pole cutoff.  SectionVector.validate
+        is the lower-bound certificate: every section is validated (its
+        affine poles from its canonical form, at infinity by Laurent
+        expansion) before it is returned, once, so each is a global section,
+        and _solve has shown them independent.  Twisted, the bases nest
         (_solve), so section i is usually section i of the highest cached
         twisted level below, padded; when its components are exactly those
         of the padded section, it has the same t_j (zero above the lower

@@ -712,8 +712,9 @@ def test_structured_basis_equals_dense_kernel_small(name, level, twisted):
 
 
 def _solve_with_a_vector_off_the_kernel(monkeypatch, twisted):
-    # a vector that breaks a row, on a margin column so the stability check
-    # passes it on, is caught by M v = 0 before any section is built
+    # a vector that breaks a row, on a column within the cutoffs so the
+    # stability check passes it on, is a section with a pole at infinity,
+    # which validate rejects
     surf = _fresh_rational_surface()
     original = surface._leading_term_kernel
 
@@ -725,7 +726,8 @@ def _solve_with_a_vector_off_the_kernel(monkeypatch, twisted):
         return [vec] + kernel[1:]
 
     monkeypatch.setattr(surface, "_leading_term_kernel", corrupted)
-    with pytest.raises(VerificationError, match="M v"):
+    with pytest.raises(VerificationError,
+                       match="transformed component 0 has a pole"):
         surf.h0(2, twisted=twisted)
 
 
@@ -737,3 +739,48 @@ def test_plain_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
     # the plain system, whose kernel also goes through the obstruction rows
     _solve_with_a_vector_off_the_kernel(monkeypatch, twisted=False)
 
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from(["QQ", "F9", "F1000003", "F256"]),
+       level=st.integers(0, 6), twisted=st.booleans(), data=st.data())
+def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
+                                                   data):
+    # one kernel vector moved by a nonzero delta on a column within the
+    # cutoffs, which the stability check passes on: h0 must reject it
+    # exactly when M v != 0 on the rows of system_rows, and plain, where
+    # there is no nesting check, by validate; a move that stays in the
+    # kernel gives the same space, or a dependent set
+    surf = _small_surface.__wrapped__(name)     # fresh: nothing cached
+    field = surf.field
+    columns, caps, rows, _, _ = system_rows(surf, level, twisted,
+                                            surface.MARGIN)
+    within = [idx for idx, (a, m) in enumerate(columns) if m <= caps[a] - 2]
+    delta = (field.parse(data.draw(st.fractions(-9, 9, max_denominator=4)
+                                   .filter(bool))) if field is QQ else
+             field.from_packed(data.draw(st.integers(1, field.q - 1))))
+    original, moved = surface._leading_term_kernel, []
+
+    def corrupted(field, cols, steps, obstruction):
+        kernel = original(field, cols, steps, obstruction)
+        i = data.draw(st.integers(0, len(kernel) - 1))
+        col = data.draw(st.sampled_from(within))
+        vec = dict(kernel[i])
+        vec[col] = field.add(vec.get(col, field.zero), delta)
+        moved.append(vec)
+        return kernel[:i] + [vec] + kernel[i + 1:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_leading_term_kernel", corrupted)
+        try:
+            got = surf.h0(level, twisted).serialize()
+        except VerificationError as exc:
+            got = str(exc)
+    (vec,) = moved
+    if any(not field.is_zero(dot(field, row, vec)) for row in rows):
+        assert isinstance(got, str), got
+        assert twisted or got.startswith("transformed component"), got
+        assert twisted or " has a pole of order " in got, got
+    else:
+        want = _small_surface(name).h0(level, twisted).serialize()
+        assert got == want or got == (
+            "the kernel vectors are linearly dependent"), got
