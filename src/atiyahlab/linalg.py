@@ -17,8 +17,7 @@ kernel found another way, which gives the same vectors.
 :func:`back_substitute` solves a matrix held by column, as two flat lists
 (row indices, values) per column, whose step rows are already triangular;
 it checks that shape from the entries, eliminates nothing, and scatters each
-solved entry down its column, so it costs the multiply-adds it does and ends
-with M v on the other rows.
+solved entry down its column, so it costs the multiply-adds it does.
 
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
@@ -91,9 +90,9 @@ def _reduce(field, rows, cols):
 
 
 def back_substitute(field, cols, steps):
-    """(vectors, sums): for each free column f in order, the solution v of
-    the step rows with 1 at f and 0 on the other free columns, as a sparse
-    vector {col: value}, and M v {row: value} on the rows no step leads.
+    """For each free column f in order, the solution v of the step rows
+    with 1 at f and 0 on the other free columns, as a sparse vector
+    {col: value}.
 
     ``cols[c]`` is column c of M as two flat lists, its row indices and its
     values.  ``steps`` lists (column, row) pairs in solving order; their
@@ -126,7 +125,7 @@ def back_substitute(field, cols, steps):
         if i == first_bad:
             raise VerificationError(
                 f"pivot row of column {col} reaches a column solved later")
-    basis, sums = [], []
+    basis = []
     for f in range(len(cols)):
         if f in solved:
             continue
@@ -141,8 +140,7 @@ def back_substitute(field, cols, steps):
                 acc[r2] = fadd(acc.get(r2, zero), fmul(a, x))
             del acc[r]          # s + lc x = 0; no later column reaches r
         basis.append(vec)
-        sums.append(acc)
-    return basis, sums
+    return basis
 
 
 def _primitive_int_vector(field, v):

@@ -45,10 +45,6 @@ class LaurentSeries:
         return cls(field, 0, [c] + [field.zero] * (hi - 1), hi)
 
     @classmethod
-    def one(cls, field, hi: int):
-        return cls.constant(field, field.one, hi)
-
-    @classmethod
     def t_power(cls, field, n: int, hi: int):
         if hi <= n:
             return cls.zero(field, hi)
@@ -138,10 +134,6 @@ class LaurentSeries:
             field, self.start, [field.mul(c, a) for a in self.coeffs], self.hi
         )
 
-    def shift(self, n: int):
-        """Multiplication by t^n."""
-        return LaurentSeries(self.field, self.start + n, self.coeffs, self.hi + n)
-
     def truncate(self, hi: int):
         if hi >= self.hi:
             return self
@@ -169,9 +161,6 @@ class LaurentSeries:
                     acc = field.add(acc, field.mul(cj, out[i - j]))
             out[i] = field.neg(field.mul(c0inv, acc))
         return LaurentSeries(field, -v, out, -v + n)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def __eq__(self, other):
         """Equality of the overlapping known data (same window required)."""

@@ -17,37 +17,37 @@ functions on E, polynomial in w0 on the first chart as sum s_a w0^a, with
 the chart-1 coefficients.  Regularity requirements: each s_a has poles only at
 inf (plus a simple pole at the marked fiber point q when twisted); each t_j
 has nonnegative valuation at inf.  The solver turns this into one exact
-kernel computation per (level, twisted) with per-component pole cutoffs
-N_a = level - a + MARGIN — g has a simple pole at inf (build_cocycle), and
-the inverse shift shows true sections satisfy N_a - MARGIN, so the cutoff
-loses nothing.  It assembles the system once, at N_a + 2, by column, and
-solves it without a pivot search: in slot order the matrix is triangular on
-the leading terms of its columns, so each non-constant column is one
-back-substitution step, checked from the entries, scattered down its
-column; the only elimination is on the row sums it leaves, M v on the plain
-obstruction rows.  The kernel must vanish on the columns past N_a
-(CutoffInstabilityError otherwise), and its restriction to the other
-columns is the basis.
+kernel computation per level, that of the twisted system, with
+per-component pole cutoffs N_a = level - a + MARGIN — g has a simple pole
+at inf (build_cocycle), and the inverse shift shows true sections satisfy
+N_a - MARGIN, so the cutoff loses nothing.  It assembles the system once,
+at N_a + 2, by column, and solves it without a pivot search: in slot order
+the matrix is triangular on the leading terms of its columns, so each
+non-constant column is one back-substitution step, checked from the
+entries, scattered down its column.  The kernel must vanish on the columns
+past N_a (CutoffInstabilityError otherwise), and its restriction to the
+other columns is the twisted basis.  F_q is effective, so O(level * E_inf)
+is inside O(F_q + level * E_inf): the plain sections are the twisted ones
+whose coefficient of h is 0 in every slot, an exact subspace of that kernel.
 
 The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
-x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h, the one-pole
-function with a simple pole at q, enters only when twisted.  With
-g = (a_g + b_g y)/d_g and h = (a_h + b_h y)/d_h (d_h = 1 untwisted), t_j
-is (P + Q y)/D_j over D_j = d_g^(level-j) d_h, and P, Q are linear in the
-unknowns: the products are taken unreduced, with y^2 = S + T y, so a
-monomial column is an index shift of the numerator of C(a,j) g^(a-j) d_h
-(times y for the odd orders) and only the h column needs a product.  As
-v_inf(x^i) = -2i and v_inf(x^i y) = -2i - 3 never coincide,
+x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h is the
+one-pole function with a simple pole at q.  With g = (a_g + b_g y)/d_g and
+h = (a_h + b_h y)/d_h, t_j is (P + Q y)/D_j over D_j = d_g^(level-j) d_h,
+and P, Q are linear in the unknowns: the products are taken unreduced, with
+y^2 = S + T y, so a monomial column is an index shift of the numerator of
+C(a,j) g^(a-j) d_h (times y for the odd orders) and only the h column needs
+a product.  As v_inf(x^i) = -2i and v_inf(x^i y) = -2i - 3 never coincide,
 v_inf((P + Q y)/D) = min(-2 deg P, -2 deg Q - 3) + 2 deg D in every
 characteristic, so t_j is regular at inf exactly when the coefficients of
 x^e vanish in P for e > deg D_j and in Q for e >= deg D_j - 1; those
-coefficients are the rows.  The checked steps bound the dimension from
-above.  From below, SectionVector.validate proves every basis section a
-global section on paths the solver never uses: each s_a off inf, q
-included, from its reduced denominator and its value at -q, and at inf the
-t_j as coefficients of sum_a s_a (w + g)^a, formed by Horner in w on
-Laurent series of the s_a and g, each cut to the horizon it is read at;
-nested twisted sections are validated once (h0).
+coefficients are the rows, each led by one column.  The checked steps bound
+the dimension from above.  From below, SectionVector.validate proves every
+basis section, plain and twisted, a global section on paths the solver
+never uses: each s_a off inf, q included, from its reduced denominator and
+its value at -q, and at inf the t_j as coefficients of sum_a s_a (w + g)^a,
+formed by Horner in w on Laurent series of the s_a and g, each cut to the
+horizon it is read at; nested twisted sections are validated once (h0).
 """
 
 from __future__ import annotations
@@ -169,27 +169,6 @@ def build_cocycle(curve: WeierstrassCurve, T: CurvePoint) -> CechCocycle:
             "minus_T": "regular" if -T != T else "is T",
             "pole_inf": 1, "pole_T": 1}
     return CechCocycle(curve, T, g, cert)
-
-
-def _leading_term_kernel(field, cols, steps, obstruction):
-    """A basis of the kernel of the matrix by column, as sparse vectors:
-    back_substitute on the leading terms in ``steps`` gives one vector per
-    free column, every kernel vector is a combination of these, and the
-    combinations the ``obstruction`` rows allow are read off the kernel of
-    the solve's row sums there by rank_and_kernel (all when there is none).
-    """
-    basis, sums = back_substitute(field, cols, steps)
-    mat = Matrix(field, [[s.get(r, field.zero) for s in sums]
-                         for r in obstruction], len(basis))
-    out = []
-    for combo in rank_and_kernel(mat)[1]:
-        vec = {}
-        for k, v in zip(combo, basis):
-            if not field.is_zero(k):
-                for c, a in v.items():
-                    vec[c] = field.add(vec.get(c, field.zero), field.mul(k, a))
-        out.append(vec)
-    return out
 
 
 class SectionVector:
@@ -387,14 +366,15 @@ class AtiyahSurface:
 
     # -- the solver ---------------------------------------------------------------
 
-    def _solve(self, level: int, twisted: bool):
-        """The basis at the pole cutoffs N_a = level - a + MARGIN, read off
-        one kernel at N_a + 2 that also certifies the cutoff stable.
+    def _solve(self, level: int):
+        """(twisted sections, plain sections): the bases at the pole cutoffs
+        N_a = level - a + MARGIN, read off one kernel at N_a + 2, that of
+        the twisted system, which also certifies the cutoff stable.
 
         Slot a takes the pole orders m <= caps[a] = N_a + 2 at inf (0: the
-        constant; 1: h, twisted only; m >= 2: x^(m/2) or x^((m-3)/2) y), and
-        its columns with m > N_a are the extra columns.  Let M be the matrix
-        and A its rows and columns within the cutoffs N_a.
+        constant; 1: h; m >= 2: x^(m/2) or x^((m-3)/2) y), and its columns
+        with m > N_a are the extra columns.  Let M be the matrix and A its
+        rows and columns within the cutoffs N_a.
         * The solve (reduction by leading terms, as in F. Hess, J. Symbolic
           Comput. 33 (2002)): column (a, m), m >= 1, has its leading term in
           the row of t_a at pole order m, with entry lc(D_a) (for h, h.b
@@ -402,9 +382,7 @@ class AtiyahSurface:
           reach that row.  Taken slot by slot from a = level down and from
           the highest order down, the columns are one substitution step
           each, back_substitute checks this from the entries, and the
-          constants are free.  Twisted, every row leads; plain, the rows of
-          order 1 (B at x^(deg D_j - 1), j < level) are left over and cut
-          the constants by rank_and_kernel, on the solve's row sums there.
+          constants are free.  Every row leads (_system checks it).
         * Zero block: g has a simple pole at inf, so a column (a, m) with
           m <= N_a reaches t_j only up to pole order a - j + m <= N_j; the
           numerators are reduced P + Q y, so the rows past the cutoffs vanish
@@ -418,8 +396,9 @@ class AtiyahSurface:
           vector is fixed by its free entries, and the Q normalization (lcm,
           gcd, sign of the first nonzero entry) sees only zeros on the extra
           columns.  So the restriction is the canonical basis of ker A.
-        * Otherwise CutoffInstabilityError; dim ker A counts the kernel
-          vectors zero on the extra columns, len(kernel) - rank there.
+        * Otherwise CutoffInstabilityError, naming the twisted system; dim
+          ker A counts the kernel vectors zero on the extra columns,
+          len(kernel) - rank there.
         * Nesting, twisted: a section's top nonzero slot a has t_a = s_a in
           L(q), the constants, so basis section a should be nonzero at slot
           a and zero above it; that is checked (VerificationError
@@ -430,43 +409,62 @@ class AtiyahSurface:
           the reduced echelon basis of its span, and the columns level L
           adds vanish there, so sections 0..l are the level-l basis,
           padded, and min_level reads lower jet matrices as column prefixes.
+        * Plain: F_q is effective, so O(level E_inf) lies in
+          O(F_q + level E_inf), and a plain section is exactly a twisted
+          one with c = 0 in every slot.  Those are the combinations of the
+          twisted basis in the kernel of its h entries (one row per slot,
+          one column per section), found by rank_and_kernel.  They vanish on
+          the extra columns as the whole kernel does, so the cutoff is
+          stable for them too.  canonical_basis over the same columns gives
+          the canonical basis of the plain system (the columns m != 1): the
+          h columns are zero, so they change neither the pivots nor the Q
+          normalization.
         * Upper bound: the entry checks of back_substitute (each pivot entry
           nonzero, no step row reaching a column solved later) give
-          rank M >= #steps, so dim ker M <= #constants; plain, the rank of
-          the row sums on the obstruction rows cuts the constants further.
-          The cutoff argument and the stability check make ker A, of the
-          dimension of ker M, the whole space of sections.
+          rank M >= #steps, so dim ker M <= #constants.  The cutoff argument
+          and the stability check make ker A, of the dimension of ker M,
+          the whole space of twisted sections, and its c = 0 subspace, an
+          exact kernel, the whole space of plain sections.
         * Lower bound: no pass multiplies M v.  h0 validates every basis
-          section (a nested twisted section once, at the level it pads):
-          SectionVector.validate checks the affine poles from the canonical
-          form and every t_j at inf by expansion, and canonical_basis shows
-          the sections independent.  A vector off ker M is a section with a
-          pole, which validate rejects; and as validate checks the finished
-          sections, it also covers the conversion from vectors below.
+          section of both spaces (a nested twisted section once, at the
+          level it pads): SectionVector.validate checks the affine poles
+          from the canonical form and every t_j at inf by expansion, and
+          canonical_basis shows the sections independent.  A vector off
+          ker M is a section with a pole, which validate rejects; and as
+          validate checks the finished sections, it also covers the
+          conversion from vectors below.
         In slot a the kernel entries are the coefficients of x^(m/2) in U
         (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
-        s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h.
+        s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h, which reduces to
+        U + V y when c = 0.
         """
-        columns, caps, cols, _, steps, obstruction = self._system(
-            level, twisted)
-        field, curve = self.field, self.curve
-        h = self.one_pole_function if twisted else None
-        d_h = h.d if twisted else [field.one]
-        kernel = _leading_term_kernel(field, cols, steps, obstruction)
+        columns, caps, cols, _, steps = self._system(level)
+        field, curve, h = self.field, self.curve, self.one_pole_function
+        kernel = back_substitute(field, cols, steps)
 
         extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
         if any(not field.is_zero(vec.get(idx, field.zero))
                for vec in kernel for idx in extra):
             on_extra = [[vec.get(idx, field.zero) for idx in extra]
                         for vec in kernel]
-            raise CutoffInstabilityError(level, twisted, MARGIN, len(kernel) - rank(
+            raise CutoffInstabilityError(level, True, MARGIN, len(kernel) - rank(
                 Matrix(field, on_extra, len(extra))), len(kernel))
         basis = canonical_basis(field, kernel, len(columns))
         if len(basis) != len(kernel):
             raise VerificationError("the kernel vectors are linearly dependent")
 
-        sections = []
-        for vec in basis:
+        on_h = [[vec[idx] for vec in basis]
+                for idx, (_, m) in enumerate(columns) if m == 1]
+        plain = []
+        for combo in rank_and_kernel(Matrix(field, on_h, len(basis)))[1]:
+            vec = [field.zero] * len(columns)
+            for k, v in zip(combo, basis):
+                if not field.is_zero(k):
+                    vec = [field.add(x, field.mul(k, a)) for x, a in zip(vec, v)]
+            plain.append(dict(enumerate(vec)))
+        plain = canonical_basis(field, plain, len(columns))
+
+        def section(vec, tw):
             slots = [{} for _ in caps]
             for (a, m), coeff in zip(columns, vec):
                 slots[a][m] = coeff
@@ -474,44 +472,46 @@ class AtiyahSurface:
             for cap, cs in zip(caps, slots):
                 u = [cs[m] for m in range(0, cap - 1, 2)]
                 v = [cs[m] for m in range(3, cap - 1, 2)]
-                if twisted:
-                    u = poly.add(field, poly.mul(field, u, d_h),
-                                 poly.scalar_mul(field, cs[1], h.a))
-                    v = poly.add(field, poly.mul(field, v, d_h),
-                                 poly.scalar_mul(field, cs[1], h.b))
-                comps.append(FuncElem(curve, u, v, d_h))
-            sections.append(SectionVector(self, level, twisted, comps))
-        if twisted and any(sec.components[a].is_zero()
-                           or any(not c.is_zero() for c in sec.components[a + 1:])
-                           for a, sec in enumerate(sections)):
+                if field.is_zero(cs[1]):    # U + V y over 1 is reduced
+                    comps.append(FuncElem(curve, u, v, [field.one], reduce=False))
+                    continue
+                u = poly.add(field, poly.mul(field, u, h.d),
+                             poly.scalar_mul(field, cs[1], h.a))
+                v = poly.add(field, poly.mul(field, v, h.d),
+                             poly.scalar_mul(field, cs[1], h.b))
+                comps.append(FuncElem(curve, u, v, h.d))
+            return SectionVector(self, level, tw, comps)
+
+        twisted = [section(vec, True) for vec in basis]
+        if any(sec.components[a].is_zero()
+               or any(not c.is_zero() for c in sec.components[a + 1:])
+               for a, sec in enumerate(twisted)):
             raise VerificationError(
                 "a twisted basis section a is zero at slot a or nonzero above it")
-        return sections
+        return twisted, [section(vec, False) for vec in plain]
 
-    def _system(self, level: int, twisted: bool):
-        """The matrix _solve reads its kernel off, at the cutoffs
-        caps[a] = N_a + 2, by column: (columns, caps, cols, nrows, steps,
-        obstruction).  columns lists the (slot, pole order) of each column
-        and caps the cutoff of each slot; cols[c] is column c as
-        its row indices, ascending, and its nonzero values, with the rows of
-        t_level to t_0, each as x^e in P, then x^e y in Q, e ascending.
-        steps pairs every non-constant column with the row of its leading
-        term, in solving order; obstruction lists the rows no column leads.
+    def _system(self, level: int):
+        """The twisted matrix _solve reads its kernel off, at the cutoffs
+        caps[a] = N_a + 2, by column: (columns, caps, cols, nrows, steps).
+        columns lists the (slot, pole order) of each column and caps the
+        cutoff of each slot; cols[c] is column c as its row indices,
+        ascending, and its nonzero values, with the rows of t_level to t_0,
+        each as x^e in P, then x^e y in Q, e ascending.  steps pairs every
+        non-constant column with the row of its leading term, in solving
+        order; a row led by no column raises VerificationError.
         Each numerator is formed once: G^i, that of g^i, times d_h, d_h y
-        and (twisted) h, then times d_g once per step of k = level - a from
-        0 up, and scaled by C(a, a - i); each column (a, m) copies a window
-        of it into the rows of t_(a-i).
+        and h, then times d_g once per step of k = level - a from 0 up, and
+        scaled by C(a, a - i); each column (a, m) copies a window of it into
+        the rows of t_(a-i).
         """
         caps = [n + 2 for n in _cutoffs(level)]
-        orders = [[m for m in range(cap + 1) if twisted or m != 1] for cap in caps]
-        columns = [(a, m) for a in range(level, -1, -1) for m in orders[a]]
+        columns = [(a, m) for a in range(level, -1, -1) for m in range(caps[a] + 1)]
         col_of = {key: idx for idx, key in enumerate(columns)}
 
         field, curve, g = self.field, self.curve, self.cocycle.g
         fz, fadd, fmul = field.is_zero, field.add, field.mul
         zero, one, c0 = field.zero, [field.one], g.d[0]   # d_g = x + c0 (build_cocycle)
-        h = self.one_pole_function if twisted else None
-        d_h = h.d if twisted else one
+        h = self.one_pole_function
 
         # numerator P + Q y of t_j over D_j = d_g^(level-j) d_h; t_j is
         # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2; the
@@ -519,7 +519,7 @@ class AtiyahSurface:
         # 3).  blocks[j] holds (first row, first e, row count) per part.
         blocks, lead, nrows = {}, {}, 0
         for j in range(level, -1, -1):
-            deg_d = level - j + poly.degree(d_h)       # deg d_g = 1
+            deg_d = level - j + poly.degree(h.d)       # deg d_g = 1
             e1, n0 = max(deg_d - 1, 0), caps[j] // 2
             n1 = max(deg_d + (caps[j] - 1) // 2 - e1, 0)
             blocks[j] = ((nrows, deg_d + 1, n0), (nrows + n0, e1, n1))
@@ -531,10 +531,9 @@ class AtiyahSurface:
         cols = [([], []) for _ in columns]
         for i in range(level + 1):
             G = mul_numerators(curve, *G, g.a, g.b) if i else (one, [])
-            mono = (poly.mul(field, G[0], d_h), poly.mul(field, G[1], d_h))
-            nums = [mono, mul_numerators(curve, *mono, [], one)]
-            if twisted:
-                nums.append(mul_numerators(curve, *G, h.a, h.b))
+            mono = (poly.mul(field, G[0], h.d), poly.mul(field, G[1], h.d))
+            nums = [mono, mul_numerators(curve, *mono, [], one),
+                    mul_numerators(curve, *G, h.a, h.b)]
             for a in range(level, i - 1, -1):
                 if a < level:       # times d_g: c0 cs[e] + cs[e - 1] at x^e
                     nums = [tuple(cs and [fmul(c0, cs[0]), *map(
@@ -546,7 +545,7 @@ class AtiyahSurface:
                 scaled = nums if c == field.one else [
                     tuple([fmul(c, v) for v in cs] for cs in num) for num in nums]
                 block = blocks[a - i]
-                for m in orders[a]:     # h; x^(m/2); x^((m-3)/2) y
+                for m in range(caps[a] + 1):    # h; x^(m/2); x^((m-3)/2) y
                     num, shift = ((scaled[2], 0) if m == 1 else
                                   (scaled[m % 2], (m - 3 * (m % 2)) // 2))
                     rows_c, vals_c = cols[col_of[a, m]]
@@ -561,17 +560,23 @@ class AtiyahSurface:
                             rows_c.extend(range(base + lo, base + hi))
                             vals_c.extend(win)
         steps = [(col_of[(a, m)], lead.pop((a, m)))
-                 for a in range(level, -1, -1) for m in reversed(orders[a]) if m]
-        return columns, caps, cols, nrows, steps, sorted(lead.values())
+                 for a in range(level, -1, -1) for m in range(caps[a], 0, -1)]
+        if lead:
+            raise VerificationError(
+                f"rows {sorted(lead.values())} are led by no column")
+        return columns, caps, cols, nrows, steps
 
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
 
-        Result cached.  _solve bounds the dimension from above and certifies
-        the basis stable under a larger pole cutoff.  SectionVector.validate
-        is the lower-bound certificate: every section is validated (its
-        affine poles from its canonical form, at infinity by Laurent
-        expansion) before it is returned, once, so each is a global section,
+        Result cached: one _solve per level fills both spaces.  _solve
+        bounds the twisted dimension from above, reads the plain space off
+        it as the exact subspace with no h term in any slot (F_q is
+        effective, so that is every plain section), and certifies the bases
+        stable under a larger pole cutoff.  SectionVector.validate is the
+        lower-bound certificate: every section of both spaces is validated
+        (its affine poles from its canonical form, at infinity by Laurent
+        expansion) before it is cached, once, so each is a global section,
         and _solve has shown them independent.  Twisted, the bases nest
         (_solve), so section i is usually section i of the highest cached
         twisted level below, padded; when its components are exactly those
@@ -581,24 +586,25 @@ class AtiyahSurface:
         """
         if level < 0:
             raise ValueError("level must be >= 0")
-        key = (level, twisted)
-        space = self._h0.get(key)
+        space = self._h0.get((level, twisted))
         if space is not None:
             return space
-        sections = self._solve(level, twisted)
-        lower = [lv for lv, tw in self._h0 if tw and lv < level] if twisted else []
+        spaces = dict(zip((True, False), self._solve(level)))
+        lower = [lv for lv, tw in self._h0 if tw and lv < level]
         done = self._h0[max(lower), True].sections if lower else ()
-        for i, s in enumerate(sections):
+        for i, s in enumerate(spaces[True]):
             if i < len(done) and s.components == done[i].padded_to(level).components:
                 continue        # validated at the lower level
             s.validate()
-        space = SectionSpace(
-            level, twisted, sections,
-            {"margin": MARGIN, "stability_margin": MARGIN + 2,
-             "stable": True, "cutoffs": _cutoffs(level)},
-        )
-        self._h0[key] = space
-        return space
+        for s in spaces[False]:
+            s.validate()
+        for tw, sections in spaces.items():
+            self._h0[level, tw] = SectionSpace(
+                level, tw, sections,
+                {"margin": MARGIN, "stability_margin": MARGIN + 2,
+                 "stable": True, "cutoffs": _cutoffs(level)},
+            )
+        return self._h0[level, twisted]
 
     def __repr__(self):
         return f"AtiyahSurface(q={self.q}, T={self.T}, over {self.curve!r})"

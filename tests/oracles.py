@@ -2,14 +2,14 @@
 
 None of these is on a production path: each restates a fact the library
 computes another way (a matrix product, a triangular solve by rows, the
-row-by-row assembly of the h0 system, the chart-change matrix, the
-coboundary test, a class-preserving translation, span membership of
-sections, the level-by-level search for a minimal level, the
-multiplicity-by-multiplicity search for a maximal multiplicity, the
-expansion of a function by Horner's rule on the coordinate series of a
-chart, the tables of a table field built one element at a time), so that
-the tests can compare the two.  ``of_point`` and ``to_coeffs`` are
-conveniences that only the tests use.
+row-by-row assembly of the h0 system, plain and twisted, the coefficient
+vector of a plain section, the chart-change matrix, the coboundary test, a
+class-preserving translation, span membership of sections, the
+level-by-level search for a minimal level, the multiplicity-by-multiplicity
+search for a maximal multiplicity, the expansion of a function by Horner's
+rule on the coordinate series of a chart, the tables of a table field built
+one element at a time), so that the tests can compare the two.
+``of_point`` and ``to_coeffs`` are conveniences that only the tests use.
 """
 
 from __future__ import annotations
@@ -113,9 +113,12 @@ def back_substitute_rows(field, rows, ncols, steps):
 
 def system_rows(surface: AtiyahSurface, level: int, twisted: bool,
                 margin: int):
-    """``AtiyahSurface._system`` by rows: (columns, caps, rows, steps,
-    obstruction), rows the sparse rows {col: value}.  Each entry is formed
-    afresh: for slot j and every a >= j, the numerator of C(a, j) g^(a-j)
+    """``AtiyahSurface._system`` by rows, twisted or plain: (columns, caps,
+    rows, steps, obstruction), rows the sparse rows {col: value} and
+    obstruction the rows no column leads (none when twisted).  The dense
+    kernel of the plain rows is the oracle of the plain space that
+    ``AtiyahSurface._solve`` derives.  Each entry is formed afresh: for
+    slot j and every a >= j, the numerator of C(a, j) g^(a-j)
     d_g^(level-a) d_h by long products, shifted into the column of each
     pole order of slot a."""
     caps = [level - a + margin + 2 for a in range(level + 1)]
@@ -170,6 +173,20 @@ def system_rows(surface: AtiyahSurface, level: int, twisted: bool,
     steps = [(col_of[(a, m)], lead.pop((a, m)))
              for a in range(level, -1, -1) for m in reversed(orders[a]) if m]
     return columns, caps, rows, steps, sorted(lead.values())
+
+
+def plain_vector(section, columns):
+    """The coefficient vector of a plain section, each s_a = U + V y, over
+    the plain columns (a, m) of ``system_rows``: the coefficient of x^(m/2)
+    in U for m even, of x^((m-3)/2) in V for m odd."""
+    field = section.surface.field
+    out = []
+    for a, m in columns:
+        s = section.components[a]
+        assert s.d == [field.one], s
+        cs, e = (s.a, m // 2) if m % 2 == 0 else (s.b, (m - 3) // 2)
+        out.append(cs[e] if e < len(cs) else field.zero)
+    return out
 
 
 def sym_transition(cocycle, level: int):

@@ -226,13 +226,13 @@ def test_bad_jobs_flag_exits_2(tmp_path, capsys):
 
 def test_jobs_flag_solves_each_space_once(tmp_path, capsys, monkeypatch):
     # verify-prop23 and verify-prop27 share twisted spaces; every
-    # (surface, level, twisted) must be solved once and then cached
+    # (surface, level) must be solved once, for both spaces, and then cached
     solves = Counter()
     original = AtiyahSurface._solve
 
-    def counting(self, level, twisted):
-        solves[(id(self), level, twisted)] += 1
-        return original(self, level, twisted)
+    def counting(self, level):
+        solves[(id(self), level)] += 1
+        return original(self, level)
 
     monkeypatch.setattr(AtiyahSurface, "_solve", counting)
     cfg = str(CONFIGS / "char3-reduction.ini")

@@ -457,17 +457,17 @@ def test_min_level_rejects_a_low_bound(monkeypatch, shortfall):
 
 
 def test_min_level_solves_the_bound_and_the_answer(rational_curve):
-    # lambda = U over Q: one twisted h0, at U = 10, which the certificate
-    # reuses
+    # lambda = U over Q: one solve, at U = 10, which fills both spaces
+    # there and which the certificate reuses
     surf = _fresh_rational(rational_curve)
     rec = min_level(surf, 4, FatPoint(rational_curve.point(1, 1), -2, 1))
-    assert rec.value == 10 and list(surf._h0) == [(10, True)]
+    assert rec.value == 10 and list(surf._h0) == [(10, True), (10, False)]
     # lambda = 8 < U = 10 on a 2-torsion class: the certificate is cut from
     # the basis at U, so no level-8 solve
     E = WeierstrassCurve(QQ, 0, 0, 0, 0, 1)
     surf = make_surface(E, E.point(0, 1))
     rec = min_level(surf, 4, FatPoint(E.point(2, -3), -2, 1), certify=False)
-    assert rec.value == 8 and list(surf._h0) == [(10, True)]
+    assert rec.value == 8 and list(surf._h0) == [(10, True), (10, False)]
 
 
 @pytest.mark.parametrize("name", ["QQ", "QQ-torsion", "F9", "F16", "F101"])

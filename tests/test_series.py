@@ -28,8 +28,6 @@ def test_constructors_and_coefficients():
     assert s.coefficient(-10) == 0       # below start: known zero
     with pytest.raises(SeriesPrecisionError):
         s.coefficient(5)                 # at/after horizon: unknown
-    one = LaurentSeries.one(QQ, 3)
-    assert one.coefficient(0) == 1 and one.valuation() == 0
     assert LaurentSeries.zero(QQ, 4).is_zero_to_precision()
 
 
@@ -105,17 +103,14 @@ def test_division_roundtrip_random():
                           + [F.from_int(rng.randrange(7)) for _ in range(6)], v1 + 7)
         b = LaurentSeries(F, v2, [F.from_int(rng.randrange(1, 7))]
                           + [F.from_int(rng.randrange(7)) for _ in range(6)], v2 + 7)
-        q = a / b
+        q = a * b.inverse()
         back = q * b
         for e in range(max(back.start, a.start), back.hi):
             assert back.coefficient(e) == a.coefficient(e)
 
 
-def test_shift_scale_truncate():
+def test_scale_truncate():
     s = series_from_fracs({0: 1, 2: 5}, hi=6)
-    sh = s.shift(-3)
-    assert sh.valuation() == -3 and sh.hi == 3
-    assert sh.coefficient(-1) == 5
     sc = s.scale(Fraction(2))
     assert sc.coefficient(2) == 10
     tr = s.truncate(2)
@@ -152,8 +147,8 @@ def test_eval_poly_empty_and_constant():
 
 
 def test_mixed_field_rejected():
-    a = LaurentSeries.one(QQ, 3)
-    b = LaurentSeries.one(make_extension_field(5), 3)
+    a = LaurentSeries.constant(QQ, 1, 3)
+    b = LaurentSeries.constant(make_extension_field(5), 1, 3)
     with pytest.raises(ValueError):
         _ = a + b
 

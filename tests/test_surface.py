@@ -23,7 +23,8 @@ from atiyahlab.surface import (SectionSpace, SectionVector, build_cocycle,
                                make_surface)
 from atiyahlab.riemann_roch import rr_basis
 from oracles import (coboundary_cokernel_dim, columns_of, dot,
-                     is_coboundary_jet, sym_transition, system_rows)
+                     is_coboundary_jet, plain_vector, sym_transition,
+                     system_rows)
 
 
 def test_cocycle_order_and_poles(rational_surface):
@@ -229,13 +230,13 @@ def test_twisted_dimensions_char_p(f9_surface, f4_surface):
 
 
 def test_solver_margin_independence(rational_surface, monkeypatch):
-    # the dimension must not depend on the pole-cutoff margin
-    for level, twisted in [(2, True), (3, False), (3, True)]:
+    # neither dimension may depend on the pole-cutoff margin
+    for level in (2, 3):
         dims = set()
         for margin in (2, 4, 6, 8):
             monkeypatch.setattr(surface, "MARGIN", margin)
-            dims.add(len(rational_surface._solve(level, twisted)))
-        assert len(dims) == 1
+            dims.add(tuple(map(len, rational_surface._solve(level))))
+        assert dims == {(level + 1, 1)}
 
 
 def _fresh_rational_surface():
@@ -244,10 +245,10 @@ def _fresh_rational_surface():
 
 
 def test_fresh_h0_solves_once_without_rank(monkeypatch):
-    # one matrix and one back-substitution per space: the margin + 2 kernel
-    # gives both the basis and its stability certificate, with no rank; the
-    # one elimination is rank_and_kernel on the plain obstruction rows (no
-    # rows when twisted)
+    # one matrix and one back-substitution per level, for both spaces: the
+    # margin + 2 kernel gives the twisted basis and its stability
+    # certificate, with no rank; the one elimination is rank_and_kernel on
+    # the h entries of the twisted basis, whose kernel gives the plain space
     surf = _fresh_rational_surface()
     calls = []
 
@@ -259,12 +260,13 @@ def test_fresh_h0_solves_once_without_rank(monkeypatch):
 
     for name in ("rank", "rank_and_kernel"):
         monkeypatch.setattr(surface, name, counting(name, getattr(surface, name)))
-    for level, twisted in [(0, False), (2, False), (2, True), (4, True)]:
+    for level, twisted in [(0, False), (2, False), (3, True), (4, True)]:
         calls.clear()
         surf.h0(level, twisted)
         assert calls == ["rank_and_kernel"]
         calls.clear()
         surf.h0(level, twisted)
+        surf.h0(level, not twisted)
         assert calls == []
 
 
@@ -273,18 +275,21 @@ def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
     # means the dimension grew with the cutoff; the margin dimension counts
     # the kernel vectors that vanish on the extra columns
     surf = _fresh_rational_surface()
-    original = surface._leading_term_kernel
+    original = surface.back_substitute
 
-    def with_extra_vector(field, cols, steps, obstruction):
-        kernel = original(field, cols, steps, obstruction)
+    def with_extra_vector(field, cols, steps):
+        kernel = original(field, cols, steps)
         # the last column is the top pole order of slot 0, an extra column
         return kernel + [{len(cols) - 1: field.one}]
 
-    monkeypatch.setattr(surface, "_leading_term_kernel", with_extra_vector)
-    with pytest.raises(CutoffInstabilityError) as err:
-        surf.h0(2, twisted=True)
-    assert (err.value.dim_lo, err.value.dim_hi) == (3, 4)
-    assert err.value.margin == surface.MARGIN
+    monkeypatch.setattr(surface, "back_substitute", with_extra_vector)
+    for twisted in (True, False):
+        # either request solves the twisted system, which the error names
+        with pytest.raises(CutoffInstabilityError) as err:
+            surf.h0(2, twisted)
+        assert (err.value.dim_lo, err.value.dim_hi) == (3, 4)
+        assert err.value.margin == surface.MARGIN
+        assert err.value.twisted is True
     monkeypatch.undo()
     assert surf.h0(2, twisted=True).dim == 3
 
@@ -487,20 +492,24 @@ def _counting_validate(monkeypatch):
 def test_nested_twisted_sections_are_validated_once(monkeypatch):
     # a twisted ladder 1..8 meets 2 + 3 + ... + 9 = 44 sections, but
     # section i of each level is section i of the level below, padded: only
-    # the 9 distinct sections are validated, each once; plain bases are
-    # validated in full
+    # the 9 distinct sections are validated, each once; the plain bases the
+    # same solves fill are validated in full, each once
     checked = _counting_validate(monkeypatch)
     E = WeierstrassCurve(QQ, 0, 0, 0, -1, 1)
     surf = make_surface(E, E.point(0, 1), T=E.point(-1, 1))
     for level in range(1, 9):
         surf.h0(level, twisted=True)
     top = surf.h0(8, twisted=True).sections
-    assert len(checked) == 9
+    twisted = [sec for sec in checked if sec.twisted]
+    assert len(twisted) == 9
     assert all(top[i].components[:sec.level + 1] == sec.components
-               for i, sec in enumerate(checked))
+               for i, sec in enumerate(twisted))
+    plain = [sec for level in range(1, 9)
+             for sec in surf.h0(level, twisted=False).sections]
+    assert [sec for sec in checked if not sec.twisted] == plain
     checked.clear()
-    plain = surf.h0(4, twisted=False).sections
-    assert checked == list(plain)
+    surf.h0(4, twisted=False)
+    assert checked == []
 
 
 def test_a_changed_cached_section_is_validated_again(monkeypatch):
@@ -516,11 +525,11 @@ def test_a_changed_cached_section_is_validated_again(monkeypatch):
     two = FieldElem(QQ, 2)
     planted = list(low.sections)
     planted[1] = SectionVector(surf, 3, True, [c * two for c in planted[1].components])
-    planted.append(SectionVector(surf, 3, True, surf._solve(4, True)[4].components[:4]))
+    planted.append(SectionVector(surf, 3, True, surf._solve(4)[0][4].components[:4]))
     surf._h0[3, True] = SectionSpace(3, True, planted, low.diagnostics)
     checked.clear()
     new = surf.h0(4, twisted=True).sections
-    assert checked == [new[1], new[4]]
+    assert checked == [new[1], new[4], *surf.h0(4, twisted=False).sections]
 
 
 def test_section_products_and_padding(rational_surface):
@@ -629,12 +638,13 @@ def test_pinned_section_bases(name):
     assert h.hexdigest() == digest
 
 
-def _structured_and_dense(surf, level, twisted):
+def _structured_and_dense(surf, level):
     """The canonical basis of the back-substituted kernel of one margin + 2
-    system, and rank_and_kernel's kernel of the same rows as a dense Matrix."""
-    columns, _, cols, nrows, steps, obstruction = surf._system(level, twisted)
+    twisted system, and rank_and_kernel's kernel of the same rows as a dense
+    Matrix."""
+    columns, _, cols, nrows, steps = surf._system(level)
     field, n = surf.field, len(columns)
-    kernel = surface._leading_term_kernel(field, cols, steps, obstruction)
+    kernel = back_substitute(field, cols, steps)
     dense = [[field.zero] * n for _ in range(nrows)]
     for c, (rows, vals) in enumerate(cols):
         for r, a in zip(rows, vals):
@@ -651,9 +661,8 @@ def test_structured_basis_equals_dense_kernel_on_pins(name):
     E = WeierstrassCurve(field, *coeffs)
     surf = make_surface(E, E.point(*q), T=E.point(*T) if T else None)
     for level in range(top + 1):
-        for twisted in (False, True):
-            structured, dense = _structured_and_dense(surf, level, twisted)
-            assert structured == dense, (level, twisted)
+        structured, dense = _structured_and_dense(surf, level)
+        assert structured == dense, level
 
 
 @functools.cache
@@ -676,38 +685,65 @@ def _small_surface(name):
 @pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
                                   "F1000003", "F256"])
 def test_column_assembly_equals_the_row_oracle(name):
-    # the matrix by column is the row-by-row assembly entry for entry, with
-    # rows ascending and no stored zero, and the solve's row sums are the
-    # obstruction rows times each vector
+    # the twisted matrix by column is the row-by-row assembly entry for
+    # entry, with rows ascending and no stored zero, and every row is led
+    # by a column (no obstruction rows)
     surf = _small_surface(name)
     field = surf.field
     for level in range(11):
-        for twisted in (False, True):
-            columns, caps, cols, nrows, steps, obstruction = surf._system(
-                level, twisted)
-            want_columns, want_caps, rows, want_steps, want_obstruction = (
-                system_rows(surf, level, twisted, surface.MARGIN))
-            assert (columns, caps, nrows, steps, obstruction) == (
-                want_columns, want_caps, len(rows), want_steps,
-                want_obstruction)
-            assert [(list(r), list(v)) for r, v in cols] == columns_of(
-                rows, len(columns))
-            assert not any(field.is_zero(a) for _, vals in cols for a in vals)
-            basis, sums = back_substitute(field, cols, steps)
-            for vec, row_sums in zip(basis, sums):
-                assert set(row_sums) <= set(obstruction)
-                assert [row_sums.get(r, field.zero) for r in obstruction] == [
-                    dot(field, rows[r], vec) for r in obstruction]
+        columns, caps, cols, nrows, steps = surf._system(level)
+        want_columns, want_caps, rows, want_steps, obstruction = (
+            system_rows(surf, level, True, surface.MARGIN))
+        assert (columns, caps, nrows, steps, obstruction) == (
+            want_columns, want_caps, len(rows), want_steps, [])
+        assert [(list(r), list(v)) for r, v in cols] == columns_of(
+            rows, len(columns))
+        assert not any(field.is_zero(a) for _, vals in cols for a in vals)
+
+
+@pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
+                                  "F1000003", "F256"])
+def test_derived_plain_basis_equals_the_plain_oracle(name):
+    # the plain basis read off the twisted kernel as its c = 0 subspace is,
+    # coefficient for coefficient, rank_and_kernel's kernel of the dense
+    # plain system that system_rows assembles row by row at margin + 2
+    surf = _small_surface(name)
+    field = surf.field
+    for level in range(11):
+        columns, _, rows, _, _ = system_rows(surf, level, False,
+                                             surface.MARGIN)
+        dense = Matrix(field, [[row.get(c, field.zero)
+                                for c in range(len(columns))] for row in rows],
+                       len(columns))
+        derived = [plain_vector(sec, columns)
+                   for sec in surf._solve(level)[1]]
+        assert derived == rank_and_kernel(dense)[1], level
+
+
+@pytest.mark.parametrize("name", ["QQ", "F9", "F256"])
+def test_plain_first_and_twisted_first_serialize_identically(name):
+    # one solve fills both spaces of a level, so the order of the requests
+    # changes no byte: a ladder of plain requests before the twisted ones,
+    # and the reverse, on fresh surfaces
+    def ladder(twists):
+        surf = _small_surface.__wrapped__(name)
+        for twisted in twists:
+            for level in range(9):
+                surf.h0(level, twisted)
+        return [json.dumps(surf.h0(level, twisted).serialize(),
+                           sort_keys=True)
+                for level in range(9) for twisted in (False, True)]
+
+    assert ladder((False, True)) == ladder((True, False))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(name=st.sampled_from(["QQ", "F9", "F1000003", "F256"]),
-       level=st.integers(0, 6), twisted=st.booleans())
-def test_structured_basis_equals_dense_kernel_small(name, level, twisted):
+       level=st.integers(0, 6))
+def test_structured_basis_equals_dense_kernel_small(name, level):
     # y^2 = x^3 - x + 1 with q = (0, 1), T = -q; in characteristic 2 the
     # ordinary y^2 + xy = x^3 + 1 (a1 != 0), where q is 2-torsion
-    structured, dense = _structured_and_dense(_small_surface(name), level,
-                                              twisted)
+    structured, dense = _structured_and_dense(_small_surface(name), level)
     assert structured == dense
 
 
@@ -716,16 +752,16 @@ def _solve_with_a_vector_off_the_kernel(monkeypatch, twisted):
     # stability check passes it on, is a section with a pole at infinity,
     # which validate rejects
     surf = _fresh_rational_surface()
-    original = surface._leading_term_kernel
+    original = surface.back_substitute
 
-    def corrupted(field, cols, steps, obstruction):
-        kernel = original(field, cols, steps, obstruction)
-        col = steps[-1][0]    # slot 0, lowest nonconstant order: h, or x if plain
+    def corrupted(field, cols, steps):
+        kernel = original(field, cols, steps)
+        col = steps[-1][0]    # slot 0, lowest nonconstant order: h
         vec = dict(kernel[0])
         vec[col] = field.add(vec.get(col, field.zero), field.one)
         return [vec] + kernel[1:]
 
-    monkeypatch.setattr(surface, "_leading_term_kernel", corrupted)
+    monkeypatch.setattr(surface, "back_substitute", corrupted)
     with pytest.raises(VerificationError,
                        match="transformed component 0 has a pole"):
         surf.h0(2, twisted=twisted)
@@ -736,7 +772,8 @@ def test_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
 
 
 def test_plain_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
-    # the plain system, whose kernel also goes through the obstruction rows
+    # a plain request solves the same twisted system, and caches nothing
+    # when a section of either space fails
     _solve_with_a_vector_off_the_kernel(monkeypatch, twisted=False)
 
 
@@ -745,23 +782,22 @@ def test_plain_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
        level=st.integers(0, 6), twisted=st.booleans(), data=st.data())
 def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
                                                    data):
-    # one kernel vector moved by a nonzero delta on a column within the
-    # cutoffs, which the stability check passes on: h0 must reject it
-    # exactly when M v != 0 on the rows of system_rows, and plain, where
-    # there is no nesting check, by validate; a move that stays in the
-    # kernel gives the same space, or a dependent set
+    # one twisted kernel vector moved by a nonzero delta on a column within
+    # the cutoffs, which the stability check passes on: h0 must reject it,
+    # whichever space is asked for, exactly when M v != 0 on the rows of
+    # the twisted system_rows; a move that stays in the kernel gives the
+    # same space, or a dependent set
     surf = _small_surface.__wrapped__(name)     # fresh: nothing cached
     field = surf.field
-    columns, caps, rows, _, _ = system_rows(surf, level, twisted,
-                                            surface.MARGIN)
+    columns, caps, rows, _, _ = system_rows(surf, level, True, surface.MARGIN)
     within = [idx for idx, (a, m) in enumerate(columns) if m <= caps[a] - 2]
     delta = (field.parse(data.draw(st.fractions(-9, 9, max_denominator=4)
                                    .filter(bool))) if field is QQ else
              field.from_packed(data.draw(st.integers(1, field.q - 1))))
-    original, moved = surface._leading_term_kernel, []
+    original, moved = surface.back_substitute, []
 
-    def corrupted(field, cols, steps, obstruction):
-        kernel = original(field, cols, steps, obstruction)
+    def corrupted(field, cols, steps):
+        kernel = original(field, cols, steps)
         i = data.draw(st.integers(0, len(kernel) - 1))
         col = data.draw(st.sampled_from(within))
         vec = dict(kernel[i])
@@ -770,7 +806,7 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
         return kernel[:i] + [vec] + kernel[i + 1:]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surface, "_leading_term_kernel", corrupted)
+        mp.setattr(surface, "back_substitute", corrupted)
         try:
             got = surf.h0(level, twisted).serialize()
         except VerificationError as exc:
@@ -778,8 +814,7 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
     (vec,) = moved
     if any(not field.is_zero(dot(field, row, vec)) for row in rows):
         assert isinstance(got, str), got
-        assert twisted or got.startswith("transformed component"), got
-        assert twisted or " has a pole of order " in got, got
+        assert not surf._h0, got
     else:
         want = _small_surface(name).h0(level, twisted).serialize()
         assert got == want or got == (
