@@ -5,7 +5,6 @@ from .errors import (
     AtiyahLabError,
     CertificationError,
     ConfigError,
-    CutoffInstabilityError,
     SeriesPrecisionError,
     VerificationError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "AtiyahLabError",
     "CertificationError",
     "ConfigError",
-    "CutoffInstabilityError",
     "SeriesPrecisionError",
     "VerificationError",
     "QQ",

@@ -9,24 +9,6 @@ class ConfigError(AtiyahLabError):
     """Malformed experiment configuration (exit code 2 in the CLI)."""
 
 
-class CutoffInstabilityError(AtiyahLabError):
-    """Section-space dimension changed when the pole cutoff was enlarged.
-
-    Carries enough context to reproduce: (level, twisted, margin, dims).
-    """
-
-    def __init__(self, level, twisted, margin, dim_lo, dim_hi):
-        self.level = level
-        self.twisted = twisted
-        self.margin = margin
-        self.dim_lo = dim_lo
-        self.dim_hi = dim_hi
-        super().__init__(
-            f"section space at level {level} (twisted={twisted}) unstable: "
-            f"dim {dim_lo} at margin {margin} vs {dim_hi} at margin {margin + 2}"
-        )
-
-
 class CertificationError(AtiyahLabError):
     """A required certificate (non-torsion class, field size, ...) failed."""
 

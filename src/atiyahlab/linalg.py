@@ -14,11 +14,6 @@ primitive vector of ints with positive leading entry over Q, and
 :func:`canonical_basis` takes them right to left over a spanning set of a
 kernel found another way, which gives the same vectors.
 
-:func:`back_substitute` solves a matrix held by column, as two flat lists
-(row indices, values) per column, whose step rows are already triangular;
-it checks that shape from the entries, eliminates nothing, and scatters each
-solved entry down its column, so it costs the multiply-adds it does.
-
 :func:`rank_naive` is an independent textbook elimination kept deliberately
 separate as a cross-check oracle; it shares no code with the production path.
 """
@@ -27,7 +22,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import VerificationError
 from .fields import QQ
 
 
@@ -87,60 +81,6 @@ def _reduce(field, rows, cols):
         piv[col] = field.one
         done[col] = piv
     return done
-
-
-def back_substitute(field, cols, steps):
-    """For each free column f in order, the solution v of the step rows
-    with 1 at f and 0 on the other free columns, as a sparse vector
-    {col: value}.
-
-    ``cols[c]`` is column c of M as two flat lists, its row indices and its
-    values.  ``steps`` lists (column, row) pairs in solving order; their
-    columns are the pivots and the others are free.  The entries are checked
-    to make the step rows triangular, each nonzero at its own column and
-    zero on the columns of later steps (VerificationError otherwise), so
-    each solution exists and is unique.
-
-    The solve scatters by column (Gilbert and Peierls, SIAM J. Sci. Stat.
-    Comput. 9 (1988)), at the cost of the multiply-adds it does: each solved
-    entry x of column c adds x M[r][c] to the sum of every row r of the
-    column.  A step row reaches only free columns and columns solved before
-    it, so its sum is complete when its turn comes, and zero once solved.
-    """
-    zero, one = field.zero, field.one
-    fz, fadd, fmul = field.is_zero, field.add, field.mul
-    solved = {col for col, _ in steps}
-    step_of = {r: i for i, (_, r) in enumerate(steps)}
-    # the pivot entries, and the first step whose row reaches a later column
-    lcs, first_bad = [zero] * len(steps), len(steps)
-    for k, (col, row) in enumerate(steps):
-        for r, a in zip(*cols[col]):
-            if r == row:
-                lcs[k] = a
-            elif step_of.get(r, k) < k:
-                first_bad = min(first_bad, step_of[r])
-    for i, (col, _) in enumerate(steps):
-        if fz(lcs[i]):
-            raise VerificationError(f"pivot entry of column {col} is zero")
-        if i == first_bad:
-            raise VerificationError(
-                f"pivot row of column {col} reaches a column solved later")
-    basis = []
-    for f in range(len(cols)):
-        if f in solved:
-            continue
-        vec = {f: one}
-        acc = dict(zip(*cols[f]))       # row sums, seeded by f
-        for (col, r), lc in zip(steps, lcs):
-            s = acc.pop(r, None)
-            if s is None or fz(s):
-                continue
-            x = vec[col] = field.neg(s if lc == one else field.div(s, lc))
-            for r2, a in zip(*cols[col]):
-                acc[r2] = fadd(acc.get(r2, zero), fmul(a, x))
-            del acc[r]          # s + lc x = 0; no later column reaches r
-        basis.append(vec)
-    return basis
 
 
 def _primitive_int_vector(field, v):

@@ -16,38 +16,35 @@ functions on E, polynomial in w0 on the first chart as sum s_a w0^a, with
 
 the chart-1 coefficients.  Regularity requirements: each s_a has poles only at
 inf (plus a simple pole at the marked fiber point q when twisted); each t_j
-has nonnegative valuation at inf.  The solver turns this into one exact
-kernel computation per level, that of the twisted system, with
-per-component pole cutoffs N_a = level - a + MARGIN — g has a simple pole
-at inf (build_cocycle), and the inverse shift shows true sections satisfy
-N_a - MARGIN, so the cutoff loses nothing.  It assembles the system once,
-at N_a + 2, by column, and solves it without a pivot search: in slot order
-the matrix is triangular on the leading terms of its columns, so each
-non-constant column is one back-substitution step, checked from the
-entries, scattered down its column.  The kernel must vanish on the columns
-past N_a (CutoffInstabilityError otherwise), and its restriction to the
-other columns is the twisted basis.  F_q is effective, so O(level * E_inf)
-is inside O(F_q + level * E_inf): the plain sections are the twisted ones
-whose coefficient of h is 0 in every slot, an exact subspace of that kernel.
+has nonnegative valuation at inf.  F_q is effective, so O(level * E_inf) is
+inside O(F_q + level * E_inf): the plain sections are the twisted ones whose
+coefficient of h is 0 in every slot, an exact subspace.
 
-The solver expands nothing.  Each s_a is sought in the basis 1, h, x, y,
-x^2, x y, ... of pole orders 0, 1, 2, 3, ... at inf, where h is the
-one-pole function with a simple pole at q.  With g = (a_g + b_g y)/d_g and
-h = (a_h + b_h y)/d_h, t_j is (P + Q y)/D_j over D_j = d_g^(level-j) d_h,
-and P, Q are linear in the unknowns: the products are taken unreduced, with
-y^2 = S + T y, so a monomial column is an index shift of the numerator of
-C(a,j) g^(a-j) d_h (times y for the odd orders) and only the h column needs
-a product.  As v_inf(x^i) = -2i and v_inf(x^i y) = -2i - 3 never coincide,
-v_inf((P + Q y)/D) = min(-2 deg P, -2 deg Q - 3) + 2 deg D in every
-characteristic, so t_j is regular at inf exactly when the coefficients of
-x^e vanish in P for e > deg D_j and in Q for e >= deg D_j - 1; those
-coefficients are the rows, each led by one column.  The checked steps bound
-the dimension from above.  From below, SectionVector.validate proves every
-basis section, plain and twisted, a global section on paths the solver
-never uses: each s_a off inf, q included, from its reduced denominator and
-its value at -q, and at inf the t_j as coefficients of sum_a s_a (w + g)^a,
-formed by Horner in w on Laurent series of the s_a and g, each cut to the
-horizon it is read at; nested twisted sections are validated once (h0).
+The solver builds the twisted basis with no matrix, the same way in every
+characteristic.  A section with top nonzero slot a has t_a = s_a in L(q),
+which holds only the constants, so twisted h0(level) <= level + 1.  One
+section per top slot is built as an Appell sequence: v_0 = 1 and, for
+a >= 1, v_a in L(a inf + q) cancels the polar part at inf of
+F_a = sum_{k=1..a} C(a,k) v_(a-k) g^k.  Such a v_a exists because
+L(a inf + q) maps onto the principal parts at inf of order <= a: it has
+dimension a + 1, and the kernel, L(q), holds only the constants.  The
+section tau_a has slot k = C(a,k) v_(a-k), and as C(a,k) C(k,j) =
+C(a,j) C(a-j,k-j), t_j(tau_a) = C(a,j) t_0(tau_(a-j)), which is regular:
+tau_0..tau_level span the space with no division by k.  g has a simple pole
+at inf (build_cocycle) and h, the one-pole function with a simple pole at
+q, one at inf, so with g = (g_a + g_b y)/d_g and h = (h_a + h_b y)/d_h the
+polar part of F_a = (P + Q y)/(d_h d_g^a) is read off the quotients of P and
+Q by the monic denominator, plus a multiple of h for the t^-1 term of the
+remainder of Q (y/x = 1/t): one Horner pass in the numerator of g and two
+polynomial divisions per section, no expansion.  canonical_basis turns
+them into the canonical basis, each s_a in the basis 1, h, x, y, x^2, x y,
+... of pole orders 0, 1, 2, 3, ... at inf.  From below, SectionVector.validate
+proves every basis section, plain and twisted, a global section on paths
+the builder never uses: each s_a off inf, q included, from its reduced
+denominator and its value at -q, and at inf the t_j as coefficients of
+sum_a s_a (w + g)^a, formed by Horner in w on Laurent series of the s_a and
+g, each cut to the horizon it is read at; nested twisted sections are
+validated once (h0).
 """
 
 from __future__ import annotations
@@ -57,20 +54,12 @@ from math import comb
 
 from . import poly
 from .curve import CurvePoint, Divisor, WeierstrassCurve
-from .errors import CutoffInstabilityError, SeriesPrecisionError, VerificationError
+from .errors import SeriesPrecisionError, VerificationError
 from .fields import FieldElem
 from .funcfield import FuncElem, combination, mul_numerators
-from .linalg import (Matrix, back_substitute, canonical_basis,
-                     rank_and_kernel, rank)
+from .linalg import Matrix, canonical_basis, rank_and_kernel
+from .linalg import rank  # noqa: F401  (bound here for bench/instrument.py)
 from .riemann_roch import rr_basis
-
-MARGIN = 4
-
-
-def _cutoffs(level: int) -> list:
-    """The pole cutoffs N_a = level - a + MARGIN of the slots a = 0..level."""
-    return [level - a + MARGIN for a in range(level + 1)]
-
 
 class CechCocycle:
     """The gluing function g of the charts U0 = E - {inf} and U1 = E - {T},
@@ -366,92 +355,149 @@ class AtiyahSurface:
 
     # -- the solver ---------------------------------------------------------------
 
-    def _solve(self, level: int):
-        """(twisted sections, plain sections): the bases at the pole cutoffs
-        N_a = level - a + MARGIN, read off one kernel at N_a + 2, that of
-        the twisted system, which also certifies the cutoff stable.
+    @staticmethod
+    def _columns(level: int) -> list:
+        """The (slot a, pole order m) of each vector column, slot level
+        first: slot a takes the orders m <= level - a (0: the constant; 1:
+        h; m >= 2: x^(m/2) or x^((m-3)/2) y), those of a section."""
+        return [(a, m) for a in range(level, -1, -1) for m in range(level - a + 1)]
 
-        Slot a takes the pole orders m <= caps[a] = N_a + 2 at inf (0: the
-        constant; 1: h; m >= 2: x^(m/2) or x^((m-3)/2) y), and its columns
-        with m > N_a are the extra columns.  Let M be the matrix and A its
-        rows and columns within the cutoffs N_a.
-        * The solve (reduction by leading terms, as in F. Hess, J. Symbolic
-          Comput. 33 (2002)): column (a, m), m >= 1, has its leading term in
-          the row of t_a at pole order m, with entry lc(D_a) (for h, h.b
-          times lc(d_g)^(level - a)), and lower orders and lower slots do not
-          reach that row.  Taken slot by slot from a = level down and from
-          the highest order down, the columns are one substitution step
-          each, back_substitute checks this from the entries, and the
-          constants are free.  Every row leads (_system checks it).
-        * Zero block: g has a simple pole at inf, so a column (a, m) with
-          m <= N_a reaches t_j only up to pole order a - j + m <= N_j; the
-          numerators are reduced P + Q y, so the rows past the cutoffs vanish
-          on these columns: M = [[A, B], [0, C]] up to row and column order.
-        * Equal dimensions: if every basis vector of ker M vanishes on the
-          extra columns, ker M = {(v, 0) : v in ker A}, so the dimensions at
-          N_a and at N_a + 2 agree.
-        * Equal canonical bases: canonical_basis gives the basis that
-          rank_and_kernel(M) would.  A free column of A is free in M and the
-          kernels have equal dimension, so the free sets agree; a canonical
-          vector is fixed by its free entries, and the Q normalization (lcm,
-          gcd, sign of the first nonzero entry) sees only zeros on the extra
-          columns.  So the restriction is the canonical basis of ker A.
-        * Otherwise CutoffInstabilityError, naming the twisted system; dim
-          ker A counts the kernel vectors zero on the extra columns,
-          len(kernel) - rank there.
-        * Nesting, twisted: a section's top nonzero slot a has t_a = s_a in
-          L(q), the constants, so basis section a should be nonzero at slot
-          a and zero above it; that is checked (VerificationError
-          otherwise).  Then sections 0..l span the level-L sections zero
-          above slot l, the padded level-l space (padding changes no t_j):
-          a combination with a nonzero coefficient past l is nonzero at
-          the highest such slot.  A subset of a reduced echelon basis is
-          the reduced echelon basis of its span, and the columns level L
-          adds vanish there, so sections 0..l are the level-l basis,
-          padded, and min_level reads lower jet matrices as column prefixes.
+    def _appell(self, level: int):
+        """The sections tau_0..tau_level of _solve as sparse vectors {column:
+        value} over _columns(level), with no matrix.
+
+        v_0 = 1; for a >= 1, F_a = sum_{k=1..a} C(a,k) v_(a-k) g^k is
+        (P + Q y)/D over D = d_h d_g^a, its numerator formed by one Horner
+        pass in the numerator u of g: with N_b the numerator of v_b over
+        d_h, P + Q y = sum_k C(a,k) N_(a-k) d_g^(a-k) u^k.  Dividing,
+        P = D A + R and Q = D B + R', so F_a = A + B y + (R + R' y)/D, and
+        v_a = -A - B y + c h with c = -lc(R')/lc(h_b) when deg R' =
+        deg D - 1, else 0.  tau_a has slot k = C(a,k) v_(a-k).
+        """
+        field, curve, g = self.field, self.curve, self.cocycle.g
+        h, from_int = self.one_pole_function, field.from_int
+        col_of = {key: idx for idx, key in enumerate(self._columns(level))}
+
+        def scaled(c, num):
+            return tuple(poly.scalar_mul(field, c, cs) for cs in num)
+
+        chain, lifted, d_pow = [], [], [field.one]  # lifted[b] = N_b d_g^b
+        vectors = []
+        for a in range(level + 1):
+            binom = [from_int(comb(a, k)) for k in range(a + 1)]
+            if a == 0:
+                U, V, c = [field.one], [], field.zero
+            else:
+                num = scaled(binom[a], lifted[0])
+                for k in range(a - 1, 0, -1):
+                    num = mul_numerators(curve, *num, g.a, g.b)
+                    num = tuple(poly.add(field, x, y) for x, y in
+                                zip(num, scaled(binom[k], lifted[a - k])))
+                P, Q = mul_numerators(curve, *num, g.a, g.b)
+                d_pow = poly.mul(field, d_pow, g.d)
+                D = poly.mul(field, h.d, d_pow)
+                A, _ = poly.divmod_poly(field, P, D)
+                B, R1 = poly.divmod_poly(field, Q, D)
+                c = (field.div(field.neg(R1[-1]), h.b[-1])
+                     if poly.degree(R1) == poly.degree(D) - 1 else field.zero)
+                U, V = poly.neg(field, A), poly.neg(field, B)
+            chain.append([(1, c)] + [(2 * i, e) for i, e in enumerate(U)]
+                         + [(2 * i + 3, e) for i, e in enumerate(V)])
+            lifted.append(tuple(poly.mul(field, cs, d_pow) for cs in (
+                poly.add(field, poly.mul(field, U, h.d),
+                         poly.scalar_mul(field, c, h.a)),
+                poly.add(field, poly.mul(field, V, h.d),
+                         poly.scalar_mul(field, c, h.b)))))
+            vec = {}
+            for k, ck in enumerate(binom):
+                if not field.is_zero(ck):
+                    for m, e in chain[a - k]:
+                        if not field.is_zero(e):
+                            vec[col_of[k, m]] = field.mul(ck, e)
+            vectors.append(vec)
+        return vectors
+
+    def _section(self, level, columns, vec, twisted) -> SectionVector:
+        """The section of the vector ``vec`` over ``columns``: slot a is
+        U + V y + c h, with the coefficients of x^(m/2) in U (m even), of
+        x^((m-3)/2) in V (m odd) and c (m = 1), so s_a =
+        ((U d_h + c h_a) + (V d_h + c h_b) y) / d_h, U + V y when c = 0."""
+        field, curve, h = self.field, self.curve, self.one_pole_function
+        slots = [{} for _ in range(level + 1)]
+        for (a, m), coeff in zip(columns, vec):
+            slots[a][m] = coeff
+        comps = []
+        for cs in slots:
+            u = [cs[m] for m in range(0, len(cs), 2)]
+            v = [cs[m] for m in range(3, len(cs), 2)]
+            c = cs.get(1, field.zero)
+            if field.is_zero(c):    # U + V y over 1 is reduced
+                comps.append(FuncElem(curve, u, v, [field.one], reduce=False))
+                continue
+            u = poly.add(field, poly.mul(field, u, h.d),
+                         poly.scalar_mul(field, c, h.a))
+            v = poly.add(field, poly.mul(field, v, h.d),
+                         poly.scalar_mul(field, c, h.b))
+            comps.append(FuncElem(curve, u, v, h.d))
+        return SectionVector(self, level, twisted, comps)
+
+    def _solve(self, level: int):
+        """(twisted sections, plain sections): the canonical bases, built
+        with no matrix.
+
+        * Upper bound: a twisted section with top nonzero slot a has
+          t_a = s_a in L(q), which holds only the constants.  So the
+          sections with top slot <= a form a filtration whose steps have
+          dimension at most 1, and twisted h0(level) <= level + 1, in every
+          characteristic.
+        * The builder (_appell): v_0 = 1 and, for a >= 1, v_a in
+          L(a inf + q) cancels the polar part at inf of
+          F_a = sum_{k=1..a} C(a,k) v_(a-k) g^k, of order <= a.  Such a v_a
+          exists: L(a inf + q), of dimension a + 1, maps onto the a-
+          dimensional space of principal parts at inf of order <= a, as the
+          kernel, L(q), holds only the constants.  tau_a has slot
+          k = C(a,k) v_(a-k).  By C(a,k) C(k,j) = C(a,j) C(a-j,k-j),
+          t_j(tau_a) = C(a,j) t_0(tau_(a-j)) = C(a,j) (v_(a-j) + F_(a-j)),
+          regular at inf, so tau_a is a section with top slot a (s_a = 1):
+          the steps are all of dimension 1, in every characteristic, and
+          nothing is divided by k.  Slot k of tau_a has pole order <= a - k,
+          so every section fits the columns of _columns(level).
+        * Lower bound: h0 validates every basis section of both spaces (a
+          nested twisted section once, at the level it pads), on paths the
+          builder does not use, and canonical_basis must return
+          level + 1 vectors (VerificationError otherwise), so they are
+          independent.  validate checks the finished sections, so it also
+          covers the conversion from vectors.
+        * Canonical bases: canonical_basis gives the reduced echelon form of
+          the span, taking columns from the last one first; it is unique for
+          the column order, so it is the basis of every solver of the same
+          conditions, and the columns past the pole orders of a section,
+          zero on all of them, change neither the pivots nor the Q
+          normalization.
+        * Nesting, twisted: basis section a should be nonzero at slot a and
+          zero above it; that is checked (VerificationError otherwise).
+          Then sections 0..l span the level-L sections zero above slot l,
+          the padded level-l space (padding changes no t_j): a combination
+          with a nonzero coefficient past l is nonzero at the highest such
+          slot.  A subset of a reduced echelon basis is the reduced echelon
+          basis of its span, and the columns level L adds vanish there, so
+          sections 0..l are the level-l basis, padded, and min_level reads
+          lower jet matrices as column prefixes.
         * Plain: F_q is effective, so O(level E_inf) lies in
           O(F_q + level E_inf), and a plain section is exactly a twisted
           one with c = 0 in every slot.  Those are the combinations of the
           twisted basis in the kernel of its h entries (one row per slot,
-          one column per section), found by rank_and_kernel.  They vanish on
-          the extra columns as the whole kernel does, so the cutoff is
-          stable for them too.  canonical_basis over the same columns gives
-          the canonical basis of the plain system (the columns m != 1): the
-          h columns are zero, so they change neither the pivots nor the Q
-          normalization.
-        * Upper bound: the entry checks of back_substitute (each pivot entry
-          nonzero, no step row reaching a column solved later) give
-          rank M >= #steps, so dim ker M <= #constants.  The cutoff argument
-          and the stability check make ker A, of the dimension of ker M,
-          the whole space of twisted sections, and its c = 0 subspace, an
-          exact kernel, the whole space of plain sections.
-        * Lower bound: no pass multiplies M v.  h0 validates every basis
-          section of both spaces (a nested twisted section once, at the
-          level it pads): SectionVector.validate checks the affine poles
-          from the canonical form and every t_j at inf by expansion, and
-          canonical_basis shows the sections independent.  A vector off
-          ker M is a section with a pole, which validate rejects; and as
-          validate checks the finished sections, it also covers the
-          conversion from vectors below.
-        In slot a the kernel entries are the coefficients of x^(m/2) in U
-        (m even), of x^((m-3)/2) in V (m odd) and c of h (m = 1), and
-        s_a = ((U d_h + c h.a) + (V d_h + c h.b) y) / d_h, which reduces to
-        U + V y when c = 0.
+          one column per section), found by rank_and_kernel, an exact
+          subspace of an exact space.  canonical_basis over the same
+          columns gives the canonical basis of the plain space (the h
+          columns are zero, so they change neither the pivots nor the Q
+          normalization).
         """
-        columns, caps, cols, _, steps = self._system(level)
-        field, curve, h = self.field, self.curve, self.one_pole_function
-        kernel = back_substitute(field, cols, steps)
-
-        extra = [idx for idx, (a, m) in enumerate(columns) if m > caps[a] - 2]
-        if any(not field.is_zero(vec.get(idx, field.zero))
-               for vec in kernel for idx in extra):
-            on_extra = [[vec.get(idx, field.zero) for idx in extra]
-                        for vec in kernel]
-            raise CutoffInstabilityError(level, True, MARGIN, len(kernel) - rank(
-                Matrix(field, on_extra, len(extra))), len(kernel))
-        basis = canonical_basis(field, kernel, len(columns))
-        if len(basis) != len(kernel):
-            raise VerificationError("the kernel vectors are linearly dependent")
+        field = self.field
+        columns = self._columns(level)
+        basis = canonical_basis(field, self._appell(level), len(columns))
+        if len(basis) != level + 1:
+            raise VerificationError("the built sections are linearly dependent")
 
         on_h = [[vec[idx] for vec in basis]
                 for idx, (_, m) in enumerate(columns) if m == 1]
@@ -464,116 +510,23 @@ class AtiyahSurface:
             plain.append(dict(enumerate(vec)))
         plain = canonical_basis(field, plain, len(columns))
 
-        def section(vec, tw):
-            slots = [{} for _ in caps]
-            for (a, m), coeff in zip(columns, vec):
-                slots[a][m] = coeff
-            comps = []
-            for cap, cs in zip(caps, slots):
-                u = [cs[m] for m in range(0, cap - 1, 2)]
-                v = [cs[m] for m in range(3, cap - 1, 2)]
-                if field.is_zero(cs[1]):    # U + V y over 1 is reduced
-                    comps.append(FuncElem(curve, u, v, [field.one], reduce=False))
-                    continue
-                u = poly.add(field, poly.mul(field, u, h.d),
-                             poly.scalar_mul(field, cs[1], h.a))
-                v = poly.add(field, poly.mul(field, v, h.d),
-                             poly.scalar_mul(field, cs[1], h.b))
-                comps.append(FuncElem(curve, u, v, h.d))
-            return SectionVector(self, level, tw, comps)
-
-        twisted = [section(vec, True) for vec in basis]
+        twisted = [self._section(level, columns, vec, True) for vec in basis]
         if any(sec.components[a].is_zero()
                or any(not c.is_zero() for c in sec.components[a + 1:])
                for a, sec in enumerate(twisted)):
             raise VerificationError(
                 "a twisted basis section a is zero at slot a or nonzero above it")
-        return twisted, [section(vec, False) for vec in plain]
-
-    def _system(self, level: int):
-        """The twisted matrix _solve reads its kernel off, at the cutoffs
-        caps[a] = N_a + 2, by column: (columns, caps, cols, nrows, steps).
-        columns lists the (slot, pole order) of each column and caps the
-        cutoff of each slot; cols[c] is column c as its row indices,
-        ascending, and its nonzero values, with the rows of t_level to t_0,
-        each as x^e in P, then x^e y in Q, e ascending.  steps pairs every
-        non-constant column with the row of its leading term, in solving
-        order; a row led by no column raises VerificationError.
-        Each numerator is formed once: G^i, that of g^i, times d_h, d_h y
-        and h, then times d_g once per step of k = level - a from 0 up, and
-        scaled by C(a, a - i); each column (a, m) copies a window of it into
-        the rows of t_(a-i).
-        """
-        caps = [n + 2 for n in _cutoffs(level)]
-        columns = [(a, m) for a in range(level, -1, -1) for m in range(caps[a] + 1)]
-        col_of = {key: idx for idx, key in enumerate(columns)}
-
-        field, curve, g = self.field, self.curve, self.cocycle.g
-        fz, fadd, fmul = field.is_zero, field.add, field.mul
-        zero, one, c0 = field.zero, [field.one], g.d[0]   # d_g = x + c0 (build_cocycle)
-        h = self.one_pole_function
-
-        # numerator P + Q y of t_j over D_j = d_g^(level-j) d_h; t_j is
-        # regular at inf iff deg P <= deg D_j and deg Q <= deg D_j - 2; the
-        # row of x^e in P (x^e y in Q) has pole order 2(e - deg D_j) (plus
-        # 3).  blocks[j] holds (first row, first e, row count) per part.
-        blocks, lead, nrows = {}, {}, 0
-        for j in range(level, -1, -1):
-            deg_d = level - j + poly.degree(h.d)       # deg d_g = 1
-            e1, n0 = max(deg_d - 1, 0), caps[j] // 2
-            n1 = max(deg_d + (caps[j] - 1) // 2 - e1, 0)
-            blocks[j] = ((nrows, deg_d + 1, n0), (nrows + n0, e1, n1))
-            for part, (r0, e0, n) in enumerate(blocks[j]):
-                for e in range(e0, e0 + n):
-                    lead[j, 2 * (e - deg_d) + 3 * part] = r0 + e - e0
-                nrows += n
-
-        cols = [([], []) for _ in columns]
-        for i in range(level + 1):
-            G = mul_numerators(curve, *G, g.a, g.b) if i else (one, [])
-            mono = (poly.mul(field, G[0], h.d), poly.mul(field, G[1], h.d))
-            nums = [mono, mul_numerators(curve, *mono, [], one),
-                    mul_numerators(curve, *G, h.a, h.b)]
-            for a in range(level, i - 1, -1):
-                if a < level:       # times d_g: c0 cs[e] + cs[e - 1] at x^e
-                    nums = [tuple(cs and [fmul(c0, cs[0]), *map(
-                        fadd, cs, [fmul(c0, v) for v in cs[1:]]), cs[-1]]
-                        for cs in num) for num in nums]
-                c = field.from_int(comb(a, a - i))
-                if fz(c):
-                    continue
-                scaled = nums if c == field.one else [
-                    tuple([fmul(c, v) for v in cs] for cs in num) for num in nums]
-                block = blocks[a - i]
-                for m in range(caps[a] + 1):    # h; x^(m/2); x^((m-3)/2) y
-                    num, shift = ((scaled[2], 0) if m == 1 else
-                                  (scaled[m % 2], (m - 3 * (m % 2)) // 2))
-                    rows_c, vals_c = cols[col_of[a, m]]
-                    for (r0, e0, n), cs in zip(block, num):
-                        lo, hi = max(e0 - shift, 0), min(e0 + n - shift, len(cs))
-                        win, base = cs[lo:hi], r0 + shift - e0
-                        if zero in win:     # keep the nonzero entries only
-                            ks = [k for k in range(lo, hi) if not fz(cs[k])]
-                            rows_c.extend([base + k for k in ks])
-                            vals_c.extend([cs[k] for k in ks])
-                        else:
-                            rows_c.extend(range(base + lo, base + hi))
-                            vals_c.extend(win)
-        steps = [(col_of[(a, m)], lead.pop((a, m)))
-                 for a in range(level, -1, -1) for m in range(caps[a], 0, -1)]
-        if lead:
-            raise VerificationError(
-                f"rows {sorted(lead.values())} are led by no column")
-        return columns, caps, cols, nrows, steps
+        return twisted, [self._section(level, columns, vec, False)
+                         for vec in plain]
 
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
 
         Result cached: one _solve per level fills both spaces.  _solve
-        bounds the twisted dimension from above, reads the plain space off
-        it as the exact subspace with no h term in any slot (F_q is
-        effective, so that is every plain section), and certifies the bases
-        stable under a larger pole cutoff.  SectionVector.validate is the
+        bounds the twisted dimension by level + 1 with no computation,
+        builds that many sections, and reads the plain space off them as
+        the exact subspace with no h term in any slot (F_q is effective, so
+        that is every plain section).  SectionVector.validate is the
         lower-bound certificate: every section of both spaces is validated
         (its affine poles from its canonical form, at infinity by Laurent
         expansion) before it is cached, once, so each is a global section,
@@ -583,6 +536,12 @@ class AtiyahSurface:
         of the padded section, it has the same t_j (zero above the lower
         level), validate skips zero components, and the validation of the
         lower section covers it.
+
+        The diagnostics state what the bases satisfy: slot a of every
+        section has pole order <= level - a at inf, below the ``cutoffs``
+        level - a + ``margin`` (margin 4) and level - a +
+        ``stability_margin`` (6), and ``stable`` is true because the space
+        is exact: no larger cutoff adds a section.
         """
         if level < 0:
             raise ValueError("level must be >= 0")
@@ -601,8 +560,8 @@ class AtiyahSurface:
         for tw, sections in spaces.items():
             self._h0[level, tw] = SectionSpace(
                 level, tw, sections,
-                {"margin": MARGIN, "stability_margin": MARGIN + 2,
-                 "stable": True, "cutoffs": _cutoffs(level)},
+                {"margin": 4, "stability_margin": 6, "stable": True,
+                 "cutoffs": [level - a + 4 for a in range(level + 1)]},
             )
         return self._h0[level, twisted]
 

@@ -1,14 +1,14 @@
 """Oracles the tests check the library against.
 
 None of these is on a production path: each restates a fact the library
-computes another way (a matrix product, a triangular solve by rows, the
-row-by-row assembly of the h0 system, plain and twisted, the coefficient
-vector of a plain section, the chart-change matrix, the coboundary test, a
-class-preserving translation, span membership of sections, the
-level-by-level search for a minimal level, the multiplicity-by-multiplicity
-search for a maximal multiplicity, the expansion of a function by Horner's
-rule on the coordinate series of a chart, the tables of a table field built
-one element at a time), so that the tests can compare the two.
+computes another way (a matrix product, the row-by-row assembly of the h0
+system, plain and twisted, the coefficient vector of a section, the
+chart-change matrix, the coboundary test, a class-preserving translation,
+span membership of sections, the level-by-level search for a minimal level,
+the multiplicity-by-multiplicity search for a maximal multiplicity, the
+expansion of a function by Horner's rule on the coordinate series of a
+chart, the tables of a table field built one element at a time), so that
+the tests can compare the two.
 ``of_point`` and ``to_coeffs`` are conveniences that only the tests use.
 """
 
@@ -74,50 +74,16 @@ def dot(field, row, vec):
     return acc
 
 
-def columns_of(rows, ncols):
-    """The sparse rows {col: value} as the column lists of
-    ``linalg.back_substitute``: per column, (row indices, values), rows
-    ascending."""
-    cols = [([], []) for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, a in row.items():
-            cols[c][0].append(r)
-            cols[c][1].append(a)
-    return cols
-
-
-def back_substitute_rows(field, rows, ncols, steps):
-    """``linalg.back_substitute`` by rows: the same entry checks, then each
-    step gathers its row's sum with ``dot`` over the solution so far."""
-    zero, one = field.zero, field.one
-    when = {col: i for i, (col, _) in enumerate(steps)}
-    for i, (col, r) in enumerate(steps):
-        if field.is_zero(rows[r].get(col, zero)):
-            raise VerificationError(f"pivot entry of column {col} is zero")
-        if any(when.get(c, i) > i for c in rows[r]):
-            raise VerificationError(
-                f"pivot row of column {col} reaches a column solved later")
-    basis = []
-    for f in range(ncols):
-        if f in when:
-            continue
-        vec = {f: one}
-        for col, r in steps:
-            acc = dot(field, rows[r], vec)
-            if not field.is_zero(acc):
-                lc = rows[r][col]
-                vec[col] = field.neg(acc if lc == one else field.div(acc, lc))
-        basis.append(vec)
-    return basis
-
-
 def system_rows(surface: AtiyahSurface, level: int, twisted: bool,
                 margin: int):
-    """``AtiyahSurface._system`` by rows, twisted or plain: (columns, caps,
-    rows, steps, obstruction), rows the sparse rows {col: value} and
-    obstruction the rows no column leads (none when twisted).  The dense
-    kernel of the plain rows is the oracle of the plain space that
-    ``AtiyahSurface._solve`` derives.  Each entry is formed afresh: for
+    """The h0 system at the pole cutoffs level - a + margin + 2, twisted or
+    plain, as a matrix: (columns, caps, rows, steps, obstruction), rows the
+    sparse rows {col: value}, one per coefficient of a chart-1 numerator
+    that must vanish for t_j to be regular at inf, steps the (column, row)
+    pairs of the leading terms and obstruction the rows no column leads
+    (none when twisted).  Its dense kernels are the oracles of the twisted
+    basis that ``AtiyahSurface._solve`` builds with no matrix and of the
+    plain space it derives.  Each entry is formed afresh: for
     slot j and every a >= j, the numerator of C(a, j) g^(a-j)
     d_g^(level-a) d_h by long products, shifted into the column of each
     pole order of slot a."""
@@ -175,16 +141,36 @@ def system_rows(surface: AtiyahSurface, level: int, twisted: bool,
     return columns, caps, rows, steps, sorted(lead.values())
 
 
-def plain_vector(section, columns):
-    """The coefficient vector of a plain section, each s_a = U + V y, over
-    the plain columns (a, m) of ``system_rows``: the coefficient of x^(m/2)
-    in U for m even, of x^((m-3)/2) in V for m odd."""
-    field = section.surface.field
+def section_vector(section, columns):
+    """The coefficient vector of a section over the columns (a, m) of
+    ``system_rows``, each s_a = U + V y + c h: the coefficient of x^(m/2)
+    in U for m even, c for m = 1 and that of x^((m-3)/2) in V for m odd
+    >= 3.  A component over d_h has s_a d_h = (U d_h + c h_a) +
+    (V d_h + c h_b) y, and h_b is a nonzero constant (h has a simple pole
+    at inf), so c h_b is the remainder of the y part by d_h."""
+    surface = section.surface
+    field, h = surface.field, surface.one_pole_function
+    parts = []
+    for s in section.components:
+        if s.d == [field.one]:
+            parts.append((s.a, s.b, field.zero))
+            continue
+        assert s.d == h.d and len(h.b) == 1, s
+        rest = poly.mod(field, s.b, h.d)
+        c = field.div(rest[0], h.b[0]) if rest else field.zero
+        U, r0 = poly.divmod_poly(field, poly.add(
+            field, s.a, poly.scalar_mul(field, field.neg(c), h.a)), h.d)
+        V, r1 = poly.divmod_poly(field, poly.add(
+            field, s.b, poly.scalar_mul(field, field.neg(c), h.b)), h.d)
+        assert not r0 and not r1, s
+        parts.append((U, V, c))
     out = []
     for a, m in columns:
-        s = section.components[a]
-        assert s.d == [field.one], s
-        cs, e = (s.a, m // 2) if m % 2 == 0 else (s.b, (m - 3) // 2)
+        U, V, c = parts[a]
+        if m == 1:
+            out.append(c)
+            continue
+        cs, e = (U, m // 2) if m % 2 == 0 else (V, (m - 3) // 2)
         out.append(cs[e] if e < len(cs) else field.zero)
     return out
 

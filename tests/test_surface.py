@@ -6,6 +6,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +14,16 @@ from hypothesis import strategies as st
 
 from atiyahlab import surface
 from atiyahlab.curve import Divisor, WeierstrassCurve
-from atiyahlab.errors import CutoffInstabilityError, VerificationError
+from atiyahlab.errors import VerificationError
 from atiyahlab.fat_points import FatPoint, _combine, _point_jet_rows
 from atiyahlab.fields import QQ, FieldElem, FiniteField, make_extension_field
 from atiyahlab.funcfield import FuncElem
-from atiyahlab.linalg import (Matrix, back_substitute, canonical_basis,
-                              rank_and_kernel)
+from atiyahlab.linalg import Matrix, canonical_basis, rank_and_kernel
 from atiyahlab.surface import (SectionSpace, SectionVector, build_cocycle,
                                make_surface)
 from atiyahlab.riemann_roch import rr_basis
-from oracles import (coboundary_cokernel_dim, columns_of, dot,
-                     is_coboundary_jet, plain_vector, sym_transition,
-                     system_rows)
+from oracles import (coboundary_cokernel_dim, dot, is_coboundary_jet,
+                     section_vector, sym_transition, system_rows)
 
 
 def test_cocycle_order_and_poles(rational_surface):
@@ -229,26 +228,15 @@ def test_twisted_dimensions_char_p(f9_surface, f4_surface):
             assert surf.h0(level, twisted=True).dim == level + 1
 
 
-def test_solver_margin_independence(rational_surface, monkeypatch):
-    # neither dimension may depend on the pole-cutoff margin
-    for level in (2, 3):
-        dims = set()
-        for margin in (2, 4, 6, 8):
-            monkeypatch.setattr(surface, "MARGIN", margin)
-            dims.add(tuple(map(len, rational_surface._solve(level))))
-        assert dims == {(level + 1, 1)}
-
-
 def _fresh_rational_surface():
     E = WeierstrassCurve(QQ, 0, 0, 0, -1, 1)
     return make_surface(E, E.point(0, 1), T=E.point(-1, 1))
 
 
 def test_fresh_h0_solves_once_without_rank(monkeypatch):
-    # one matrix and one back-substitution per level, for both spaces: the
-    # margin + 2 kernel gives the twisted basis and its stability
-    # certificate, with no rank; the one elimination is rank_and_kernel on
-    # the h entries of the twisted basis, whose kernel gives the plain space
+    # one build per level, for both spaces, with no rank: the one
+    # elimination besides canonical_basis is rank_and_kernel on the h
+    # entries of the twisted basis, whose kernel gives the plain space
     surf = _fresh_rational_surface()
     calls = []
 
@@ -270,26 +258,22 @@ def test_fresh_h0_solves_once_without_rank(monkeypatch):
         assert calls == []
 
 
-def test_kernel_off_the_margin_columns_is_cutoff_instability(monkeypatch):
-    # a kernel vector that is nonzero on a column past the margin cutoff
-    # means the dimension grew with the cutoff; the margin dimension counts
-    # the kernel vectors that vanish on the extra columns
+def test_dependent_built_sections_raise_and_cache_nothing(monkeypatch):
+    # the lower bound needs level + 1 independent sections: a built set with
+    # a repeated vector spans too little, and either request raises before
+    # anything is cached
     surf = _fresh_rational_surface()
-    original = surface.back_substitute
+    original = surface.AtiyahSurface._appell
 
-    def with_extra_vector(field, cols, steps):
-        kernel = original(field, cols, steps)
-        # the last column is the top pole order of slot 0, an extra column
-        return kernel + [{len(cols) - 1: field.one}]
+    def repeated(self, level):
+        vectors = original(self, level)
+        return vectors[:-1] + [dict(vectors[0])]
 
-    monkeypatch.setattr(surface, "back_substitute", with_extra_vector)
+    monkeypatch.setattr(surface.AtiyahSurface, "_appell", repeated)
     for twisted in (True, False):
-        # either request solves the twisted system, which the error names
-        with pytest.raises(CutoffInstabilityError) as err:
+        with pytest.raises(VerificationError, match="linearly dependent"):
             surf.h0(2, twisted)
-        assert (err.value.dim_lo, err.value.dim_hi) == (3, 4)
-        assert err.value.margin == surface.MARGIN
-        assert err.value.twisted is True
+        assert not surf._h0
     monkeypatch.undo()
     assert surf.h0(2, twisted=True).dim == 3
 
@@ -639,18 +623,25 @@ def test_pinned_section_bases(name):
 
 
 def _structured_and_dense(surf, level):
-    """The canonical basis of the back-substituted kernel of one margin + 2
-    twisted system, and rank_and_kernel's kernel of the same rows as a dense
-    Matrix."""
-    columns, _, cols, nrows, steps = surf._system(level)
-    field, n = surf.field, len(columns)
-    kernel = back_substitute(field, cols, steps)
-    dense = [[field.zero] * n for _ in range(nrows)]
-    for c, (rows, vals) in enumerate(cols):
-        for r, a in zip(rows, vals):
-            dense[r][c] = a
-    return (canonical_basis(field, kernel, n),
-            rank_and_kernel(Matrix(field, dense, n))[1])
+    """The canonical basis of the built sections tau_0..tau_level, and
+    rank_and_kernel's kernel of the dense twisted system_rows at margin 4,
+    restricted to the builder's columns after checking that it is 0 on
+    every column past them and that the vectors of the twisted sections
+    _solve returns are that kernel."""
+    field = surf.field
+    columns, _, rows, _, _ = system_rows(surf, level, True, 4)
+    n = len(columns)
+    dense = rank_and_kernel(Matrix(field, [[row.get(c, field.zero)
+                                            for c in range(n)] for row in rows],
+                                   n))[1]
+    assert [section_vector(sec, columns)
+            for sec in surf._solve(level)[0]] == dense
+    keep = [idx for idx, (a, m) in enumerate(columns) if m <= level - a]
+    assert [columns[idx] for idx in keep] == surf._columns(level)
+    assert all(field.is_zero(v[idx]) for v in dense
+               for idx in set(range(n)) - set(keep))
+    return (canonical_basis(field, surf._appell(level), len(keep)),
+            [[v[idx] for idx in keep] for v in dense])
 
 
 @pytest.mark.parametrize("name", list(PINNED_BASES))
@@ -684,38 +675,18 @@ def _small_surface(name):
 
 @pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
                                   "F1000003", "F256"])
-def test_column_assembly_equals_the_row_oracle(name):
-    # the twisted matrix by column is the row-by-row assembly entry for
-    # entry, with rows ascending and no stored zero, and every row is led
-    # by a column (no obstruction rows)
-    surf = _small_surface(name)
-    field = surf.field
-    for level in range(11):
-        columns, caps, cols, nrows, steps = surf._system(level)
-        want_columns, want_caps, rows, want_steps, obstruction = (
-            system_rows(surf, level, True, surface.MARGIN))
-        assert (columns, caps, nrows, steps, obstruction) == (
-            want_columns, want_caps, len(rows), want_steps, [])
-        assert [(list(r), list(v)) for r, v in cols] == columns_of(
-            rows, len(columns))
-        assert not any(field.is_zero(a) for _, vals in cols for a in vals)
-
-
-@pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
-                                  "F1000003", "F256"])
 def test_derived_plain_basis_equals_the_plain_oracle(name):
-    # the plain basis read off the twisted kernel as its c = 0 subspace is,
+    # the plain basis read off the twisted basis as its c = 0 subspace is,
     # coefficient for coefficient, rank_and_kernel's kernel of the dense
-    # plain system that system_rows assembles row by row at margin + 2
+    # plain system that system_rows assembles row by row at margin 4
     surf = _small_surface(name)
     field = surf.field
     for level in range(11):
-        columns, _, rows, _, _ = system_rows(surf, level, False,
-                                             surface.MARGIN)
+        columns, _, rows, _, _ = system_rows(surf, level, False, 4)
         dense = Matrix(field, [[row.get(c, field.zero)
                                 for c in range(len(columns))] for row in rows],
                        len(columns))
-        derived = [plain_vector(sec, columns)
+        derived = [section_vector(sec, columns)
                    for sec in surf._solve(level)[1]]
         assert derived == rank_and_kernel(dense)[1], level
 
@@ -747,24 +718,51 @@ def test_structured_basis_equals_dense_kernel_small(name, level):
     assert structured == dense
 
 
+@pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
+                                  "F1000003", "F256"])
+def test_built_sections_satisfy_the_appell_lemma(name):
+    # t_j(tau_a) = C(a, j) t_0(tau_(a-j)) by the exact chart-1 sums, and
+    # every tau_a passes validate, at levels past p = 3 and p = 2 too
+    surf = _small_surface.__wrapped__(name)
+    field, top = surf.field, 12
+    columns = surf._columns(top)
+    taus = [surf._section(top, columns, [vec.get(i, field.zero)
+                                         for i in range(len(columns))], True)
+            for vec in surf._appell(top)]
+    t0 = []
+    for a, tau in enumerate(taus):
+        assert tau.components[a] == FuncElem.one(surf.curve), a
+        assert all(c.is_zero() for c in tau.components[a + 1:]), a
+        ts = tau.transformed()
+        t0.append(ts[0])
+        for j in range(a + 1):
+            c = field.from_int(comb(a, j))
+            want = (FuncElem.zero(surf.curve) if field.is_zero(c)
+                    else t0[a - j] * FieldElem(field, c))
+            assert ts[j] == want, (a, j)
+        assert all(t.is_zero() for t in ts[a + 1:]), a
+        tau.validate()
+
+
 def _solve_with_a_vector_off_the_kernel(monkeypatch, twisted):
-    # a vector that breaks a row, on a column within the cutoffs so the
-    # stability check passes it on, is a section with a pole at infinity,
-    # which validate rejects
+    # the top built vector moved off the kernel by h in slot 0, which keeps
+    # its top slot, is a section with a pole at infinity that validate
+    # rejects
     surf = _fresh_rational_surface()
-    original = surface.back_substitute
+    original = surface.AtiyahSurface._appell
 
-    def corrupted(field, cols, steps):
-        kernel = original(field, cols, steps)
-        col = steps[-1][0]    # slot 0, lowest nonconstant order: h
-        vec = dict(kernel[0])
-        vec[col] = field.add(vec.get(col, field.zero), field.one)
-        return [vec] + kernel[1:]
+    def corrupted(self, level):
+        vectors = original(self, level)
+        col = self._columns(level).index((0, 1))    # slot 0, order 1: h
+        vec = dict(vectors[-1])
+        vec[col] = self.field.add(vec.get(col, self.field.zero), self.field.one)
+        return vectors[:-1] + [vec]
 
-    monkeypatch.setattr(surface, "back_substitute", corrupted)
+    monkeypatch.setattr(surface.AtiyahSurface, "_appell", corrupted)
     with pytest.raises(VerificationError,
                        match="transformed component 0 has a pole"):
         surf.h0(2, twisted=twisted)
+    assert not surf._h0
 
 
 def test_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
@@ -782,31 +780,31 @@ def test_plain_kernel_vector_off_the_kernel_fails_certification(monkeypatch):
        level=st.integers(0, 6), twisted=st.booleans(), data=st.data())
 def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
                                                    data):
-    # one twisted kernel vector moved by a nonzero delta on a column within
-    # the cutoffs, which the stability check passes on: h0 must reject it,
-    # whichever space is asked for, exactly when M v != 0 on the rows of
-    # the twisted system_rows; a move that stays in the kernel gives the
-    # same space, or a dependent set
+    # one built vector moved by a nonzero delta on one of its columns: h0
+    # must reject it, whichever space is asked for, exactly when M v != 0 on
+    # the rows of the twisted system_rows; a move that stays in the kernel
+    # gives the same space, or a dependent set
     surf = _small_surface.__wrapped__(name)     # fresh: nothing cached
     field = surf.field
-    columns, caps, rows, _, _ = system_rows(surf, level, True, surface.MARGIN)
-    within = [idx for idx, (a, m) in enumerate(columns) if m <= caps[a] - 2]
+    columns, _, rows, _, _ = system_rows(surf, level, True, 4)
+    wide = {key: idx for idx, key in enumerate(columns)}
     delta = (field.parse(data.draw(st.fractions(-9, 9, max_denominator=4)
                                    .filter(bool))) if field is QQ else
              field.from_packed(data.draw(st.integers(1, field.q - 1))))
-    original, moved = surface.back_substitute, []
+    original, moved = surface.AtiyahSurface._appell, []
 
-    def corrupted(field, cols, steps):
-        kernel = original(field, cols, steps)
-        i = data.draw(st.integers(0, len(kernel) - 1))
-        col = data.draw(st.sampled_from(within))
-        vec = dict(kernel[i])
+    def corrupted(self, level):
+        vectors = original(self, level)
+        narrow = self._columns(level)
+        i = data.draw(st.integers(0, len(vectors) - 1))
+        col = data.draw(st.integers(0, len(narrow) - 1))
+        vec = dict(vectors[i])
         vec[col] = field.add(vec.get(col, field.zero), delta)
-        moved.append(vec)
-        return kernel[:i] + [vec] + kernel[i + 1:]
+        moved.append({wide[narrow[c]]: v for c, v in vec.items()})
+        return vectors[:i] + [vec] + vectors[i + 1:]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(surface, "back_substitute", corrupted)
+        mp.setattr(surface.AtiyahSurface, "_appell", corrupted)
         try:
             got = surf.h0(level, twisted).serialize()
         except VerificationError as exc:
@@ -818,4 +816,4 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
     else:
         want = _small_surface(name).h0(level, twisted).serialize()
         assert got == want or got == (
-            "the kernel vectors are linearly dependent"), got
+            "the built sections are linearly dependent"), got
