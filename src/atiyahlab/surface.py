@@ -38,13 +38,22 @@ Q by the monic denominator, plus a multiple of h for the t^-1 term of the
 remainder of Q (y/x = 1/t): one Horner pass in the numerator of g and two
 polynomial divisions per section, no expansion.  canonical_basis turns
 them into the canonical basis, each s_a in the basis 1, h, x, y, x^2, x y,
-... of pole orders 0, 1, 2, 3, ... at inf.  From below, SectionVector.validate
-proves every basis section, plain and twisted, a global section on paths
-the builder never uses: each s_a off inf, q included, from its reduced
-denominator and its value at -q, and at inf the t_j as coefficients of
-sum_a s_a (w + g)^a, formed by Horner in w on Laurent series of the s_a and
-g, each cut to the horizon it is read at; nested twisted sections are
-validated once (h0).
+... of pole orders 0, 1, 2, 3, ... at inf.
+
+From below, h0 proves every basis section, plain and twisted, a global
+section by Hasse derivatives, on paths the builder never uses.  D^(r) puts
+C(b, r) s_b into slot b - r; it is the r-th Hasse derivative in w, which
+commutes with w0 = w1 + g, so t_(j-r)(D^(r) c) = C(j, r) t_j(c).  By
+Lucas' theorem every j >= 1 has an r = p^v <= j with C(j, r) != 0 mod p
+(r = 1 over Q).  So c, top slot a, is a section exactly when its
+components pass the affine check, t_0(c) is regular at inf and D^(r) c
+is a section for r = 1, p, p^2, ... <= a.  SectionVector.validate(upto=0)
+makes the first two checks: each s_a off inf, q included, from its
+reduced denominator and its value at -q, and t_0 = sum_a s_a g^a by
+Horner on Laurent series of the s_a and g, each cut to the horizon it is
+read at.  D^(r) c has top slot <= a - r and must be a combination of the
+twisted sections already proved (h0); nested twisted sections are proved
+once.  The full validate, every t_j, stays the oracle.
 """
 
 from __future__ import annotations
@@ -197,11 +206,12 @@ class SectionVector:
             out.append(t)
         return out
 
-    def validate(self) -> None:
+    def validate(self, upto: int | None = None) -> None:
         """Independent regularity re-check (never looks at solver matrices).
 
         Raises VerificationError if any chart-0 component has a forbidden
-        affine pole or any chart-1 component t_j has a pole at infinity.
+        affine pole or any chart-1 component t_j, j <= ``upto`` (every j
+        when None), has a pole at infinity.
 
         The affine half reads each s_a = (a + b y)/d in its canonical form
         (_affine_pole): s_a may have no affine pole, or, when twisted, none
@@ -218,7 +228,10 @@ class SectionVector:
         t_j is known below j >= 0 and its negative coefficients are exact.  A
         t_j known only below a negative horizon raises SeriesPrecisionError
         rather than passing; so would a v set too high, as it only lowers
-        the horizons.
+        the horizons.  The w^k coefficient after a fold needs only those of
+        w^k and w^(k-1) before it, so the loop keeps k <= ``upto``: with
+        upto = 0 (h0) it forms t_0 = sum_a s_a g^a with one product per slot
+        instead of about top^2 / 2.
         """
         surf = self.surface
         inf = surf.curve.infinity
@@ -235,12 +248,13 @@ class SectionVector:
         if not series:
             return
         top = max(series)
+        keep = top + 1 if upto is None else upto + 1
         G = surf.cocycle.g.expand(inf, reach + top + 1)
         coeffs = [series[top]]          # coefficients of w^0, w^1, ...
         for a in range(top - 1, -1, -1):
             coeffs = ([coeffs[0] * G]
                       + [coeffs[k] * G + coeffs[k - 1] for k in range(1, len(coeffs))]
-                      + [coeffs[-1]])
+                      + [coeffs[-1]])[:keep]
             if a in series:
                 coeffs[0] = coeffs[0] + series[a]
             # Only the negative coefficients of the t_j are read, and what
@@ -421,7 +435,12 @@ class AtiyahSurface:
         """The section of the vector ``vec`` over ``columns``: slot a is
         U + V y + c h, with the coefficients of x^(m/2) in U (m even), of
         x^((m-3)/2) in V (m odd) and c (m = 1), so s_a =
-        ((U d_h + c h_a) + (V d_h + c h_b) y) / d_h, U + V y when c = 0."""
+        ((U d_h + c h_a) + (V d_h + c h_b) y) / d_h, U + V y when c = 0.
+        Either is reduced as built: d_h = x - x_q is monic and linear, and
+        mod d_h the numerator is c (h_a + h_b y), nonzero as h is reduced
+        with a pole at q.  So no gcd is taken; over Q the coefficients go
+        through field.div(., 1), the reduction's own step, so they stay
+        ints."""
         field, curve, h = self.field, self.curve, self.one_pole_function
         slots = [{} for _ in range(level + 1)]
         for (a, m), coeff in zip(columns, vec):
@@ -434,16 +453,15 @@ class AtiyahSurface:
             if field.is_zero(c):    # U + V y over 1 is reduced
                 comps.append(FuncElem(curve, u, v, [field.one], reduce=False))
                 continue
-            u = poly.add(field, poly.mul(field, u, h.d),
-                         poly.scalar_mul(field, c, h.a))
-            v = poly.add(field, poly.mul(field, v, h.d),
-                         poly.scalar_mul(field, c, h.b))
-            comps.append(FuncElem(curve, u, v, h.d))
+            u, v = ([field.div(e, field.one) for e in poly.add(
+                field, poly.mul(field, w, h.d), poly.scalar_mul(field, c, hw))]
+                for w, hw in ((u, h.a), (v, h.b)))
+            comps.append(FuncElem(curve, u, v, h.d, reduce=False))
         return SectionVector(self, level, twisted, comps)
 
     def _solve(self, level: int):
-        """(twisted sections, plain sections): the canonical bases, built
-        with no matrix.
+        """(twisted sections, plain sections, their canonical vectors,
+        twisted first): the canonical bases, built with no matrix.
 
         * Upper bound: a twisted section with top nonzero slot a has
           t_a = s_a in L(q), which holds only the constants.  So the
@@ -462,12 +480,13 @@ class AtiyahSurface:
           the steps are all of dimension 1, in every characteristic, and
           nothing is divided by k.  Slot k of tau_a has pole order <= a - k,
           so every section fits the columns of _columns(level).
-        * Lower bound: h0 validates every basis section of both spaces (a
-          nested twisted section once, at the level it pads), on paths the
-          builder does not use, and canonical_basis must return
-          level + 1 vectors (VerificationError otherwise), so they are
-          independent.  validate checks the finished sections, so it also
-          covers the conversion from vectors.
+        * Lower bound: h0 proves every basis section of both spaces a
+          global section by the derivative lemma, on paths the builder does
+          not use, and canonical_basis must return level + 1 vectors
+          (VerificationError otherwise), so they are independent.  It
+          checks the finished sections and, as _section maps every slot
+          alike and so commutes with D^(r), their vectors, so it covers the
+          conversion from vectors.
         * Canonical bases: canonical_basis gives the reduced echelon form of
           the span, taking columns from the last one first; it is unique for
           the column order, so it is the basis of every solver of the same
@@ -516,8 +535,43 @@ class AtiyahSurface:
                for a, sec in enumerate(twisted)):
             raise VerificationError(
                 "a twisted basis section a is zero at slot a or nonzero above it")
-        return twisted, [self._section(level, columns, vec, False)
-                         for vec in plain]
+        return (twisted, [self._section(level, columns, vec, False)
+                          for vec in plain], basis + plain)
+
+    def _certify(self, sec, vec, columns, proved) -> None:
+        """Prove sec, of sparse canonical vector vec, a global section by
+        the derivative lemma against the (own column, sparse vector) of
+        each twisted section proved so far (h0); VerificationError if not."""
+        field, level = self.field, sec.level
+        fz, zero, p = field.is_zero, field.zero, field.characteristic
+        sec.validate(upto=0)
+        r, top = 1, columns[min(vec)][0]
+        while r <= top:
+            rest = {}               # D^(r) vec, less the proved sections
+            binom = [field.from_int(comb(b, r)) for b in range(top + 1)]
+            for col, e in vec.items():
+                b, m = columns[col]
+                if not fz(binom[b]):    # C(b, r) = 0 for b < r
+                    n = level - b + r       # slot b - r starts at column C(n+1, 2)
+                    rest[n * (n + 1) // 2 + m] = field.mul(binom[b], e)
+            for own, base in proved:
+                k = rest.get(own)
+                if k is None:
+                    continue
+                k = field.div(k, base[own])
+                for col, e in base.items():
+                    v = field.sub(rest.get(col, zero), field.mul(k, e))
+                    if fz(v):
+                        rest.pop(col, None)
+                    else:
+                        rest[col] = v
+            if rest:
+                raise VerificationError(
+                    f"D^({r}) of a basis section with top slot {top} is not "
+                    "a combination of the twisted basis sections below it")
+            if not p:
+                break
+            r *= p
 
     def h0(self, level: int, twisted: bool) -> SectionSpace:
         """Global sections of O(level * E_inf) (twisted: O(F_q + level * E_inf)).
@@ -526,16 +580,24 @@ class AtiyahSurface:
         bounds the twisted dimension by level + 1 with no computation,
         builds that many sections, and reads the plain space off them as
         the exact subspace with no h term in any slot (F_q is effective, so
-        that is every plain section).  SectionVector.validate is the
-        lower-bound certificate: every section of both spaces is validated
-        (its affine poles from its canonical form, at infinity by Laurent
-        expansion) before it is cached, once, so each is a global section,
-        and _solve has shown them independent.  Twisted, the bases nest
-        (_solve), so section i is usually section i of the highest cached
-        twisted level below, padded; when its components are exactly those
-        of the padded section, it has the same t_j (zero above the lower
-        level), validate skips zero components, and the validation of the
-        lower section covers it.
+        that is every plain section).  The lower-bound certificate, the
+        derivative lemma (module docstring), proves every section of both
+        spaces a global section, twisted 0..level first, before it is
+        cached, and _solve has shown them independent.  For each section c
+        with top slot a, validate(upto=0) checks its affine poles and t_0
+        at infinity, one series product per slot instead of about a^2 / 2
+        for every t_j; then each D^(r) c, r = 1, p, p^2, ... <= a, must
+        equal the combination of the twisted sections proved so far whose
+        coordinates are its entries at their own columns (their last
+        nonzero ones, where the others of a reduced echelon basis are 0),
+        with an exactly zero residual.  So D^(r) c is a section, and so is
+        c.  A true section passes: D^(r) c is a section with top slot
+        <= a - r, and twisted sections 0..a - r span those.  Twisted, the
+        bases nest (_solve), so section i is usually section i of the
+        highest cached twisted level below, padded; when its components are
+        exactly those of the padded section, it has the same t_j (zero
+        above the lower level), and the proof of the lower section covers
+        it.
 
         The diagnostics state what the bases satisfy: slot a of every
         section has pole order <= level - a at inf, below the ``cutoffs``
@@ -548,15 +610,18 @@ class AtiyahSurface:
         space = self._h0.get((level, twisted))
         if space is not None:
             return space
-        spaces = dict(zip((True, False), self._solve(level)))
+        *bases, vectors = self._solve(level)
+        spaces = dict(zip((True, False), bases))
         lower = [lv for lv, tw in self._h0 if tw and lv < level]
         done = self._h0[max(lower), True].sections if lower else ()
-        for i, s in enumerate(spaces[True]):
-            if i < len(done) and s.components == done[i].padded_to(level).components:
-                continue        # validated at the lower level
-            s.validate()
-        for s in spaces[False]:
-            s.validate()
+        columns, proved = self._columns(level), []
+        for i, (s, vec) in enumerate(zip(bases[0] + bases[1], vectors)):
+            vec = {c: e for c, e in enumerate(vec) if not self.field.is_zero(e)}
+            if not (s.twisted and i < len(done)
+                    and s.components == done[i].padded_to(level).components):
+                self._certify(s, vec, columns, proved)
+            if s.twisted:       # proved here or, padded, at the lower level
+                proved.append((max(vec), vec))
         for tw, sections in spaces.items():
             self._h0[level, tw] = SectionSpace(
                 level, tw, sections,

@@ -462,12 +462,14 @@ def test_validate_at_a_truncating_level_agrees_with_transformed_oracle(
 
 
 def _counting_validate(monkeypatch):
-    """Patch SectionVector.validate to record the sections it checks."""
+    """Patch SectionVector.validate to record the sections it checks, each
+    at t_0 alone, as h0 asks."""
     checked, real = [], SectionVector.validate
 
-    def counting(section):
+    def counting(section, *args, **kwargs):
+        assert (args, kwargs) == ((), {"upto": 0})
         checked.append(section)
-        real(section)
+        real(section, *args, **kwargs)
 
     monkeypatch.setattr(SectionVector, "validate", counting)
     return checked
@@ -782,7 +784,10 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
                                                    data):
     # one built vector moved by a nonzero delta on one of its columns: h0
     # must reject it, whichever space is asked for, exactly when M v != 0 on
-    # the rows of the twisted system_rows; a move that stays in the kernel
+    # the rows of the twisted system_rows, and exactly when, on a second
+    # fresh surface with the same move, _solve raises or a section of
+    # either space fails the full validate: the derivative certificate
+    # accepts what every t_j accepts.  A move that stays in the kernel
     # gives the same space, or a dependent set
     surf = _small_surface.__wrapped__(name)     # fresh: nothing cached
     field = surf.field
@@ -791,17 +796,28 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
     delta = (field.parse(data.draw(st.fractions(-9, 9, max_denominator=4)
                                    .filter(bool))) if field is QQ else
              field.from_packed(data.draw(st.integers(1, field.q - 1))))
-    original, moved = surface.AtiyahSurface._appell, []
+    original, picked, moved = surface.AtiyahSurface._appell, [], []
 
     def corrupted(self, level):
         vectors = original(self, level)
         narrow = self._columns(level)
-        i = data.draw(st.integers(0, len(vectors) - 1))
-        col = data.draw(st.integers(0, len(narrow) - 1))
+        if not picked:      # the same move on every surface
+            picked.extend((data.draw(st.integers(0, len(vectors) - 1)),
+                           data.draw(st.integers(0, len(narrow) - 1))))
+        i, col = picked
         vec = dict(vectors[i])
         vec[col] = field.add(vec.get(col, field.zero), delta)
-        moved.append({wide[narrow[c]]: v for c, v in vec.items()})
+        moved[:] = [{wide[narrow[c]]: v for c, v in vec.items()}]
         return vectors[:i] + [vec] + vectors[i + 1:]
+
+    def full_validate():
+        try:
+            *bases, _ = _small_surface.__wrapped__(name)._solve(level)
+            for sec in bases[0] + bases[1]:
+                sec.validate()
+        except VerificationError:
+            return False
+        return True
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface.AtiyahSurface, "_appell", corrupted)
@@ -809,6 +825,8 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
             got = surf.h0(level, twisted).serialize()
         except VerificationError as exc:
             got = str(exc)
+        accepted = full_validate()
+    assert isinstance(got, str) != accepted, got
     (vec,) = moved
     if any(not field.is_zero(dot(field, row, vec)) for row in rows):
         assert isinstance(got, str), got
@@ -817,3 +835,117 @@ def test_h0_rejects_exactly_the_off_kernel_vectors(name, level, twisted,
         want = _small_surface(name).h0(level, twisted).serialize()
         assert got == want or got == (
             "the built sections are linearly dependent"), got
+
+
+def _hasse(section, r):
+    """D^(r) of the section: slot b - r holds C(b, r) s_b, same level."""
+    surf = section.surface
+    field = surf.field
+    comps = [s * FieldElem(field, field.from_int(comb(b, r)))
+             for b, s in enumerate(section.components) if b >= r]
+    return SectionVector(surf, section.level, section.twisted,
+                         comps + [FuncElem.zero(surf.curve)] * r)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(["QQ", "F9", "F1000003", "F256"]),
+       level=st.integers(1, 9), twisted=st.booleans(), data=st.data())
+def test_hasse_derivatives_shift_the_transformed_components(name, level,
+                                                            twisted, data):
+    # the lemma behind h0's certificate, on the exact chart-1 sums:
+    # t_(j-r)(D^(r) c) = C(j, r) t_j(c) for r = 1, p, p^2 <= level, where c
+    # is a random combination of basis sections plus x^k or x^k y in one
+    # slot, so mostly not a section; validate(upto=0) rejects c exactly
+    # when t_0(c) has a pole at infinity
+    surf = _small_surface(name)
+    field, E = surf.field, surf.curve
+    basis = surf.h0(level, twisted).sections
+    ks = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                            max_size=len(basis)))
+    comps = [sum((sec.components[b] * FieldElem(field, field.from_int(k))
+                  for k, sec in zip(ks, basis)), FuncElem.zero(E))
+             for b in range(level + 1)]
+    x, y = FuncElem.x_function(E), FuncElem.y_function(E)
+    slot = data.draw(st.integers(0, level))
+    comps[slot] = comps[slot] + data.draw(st.sampled_from([x, y, x * x, x * y]))
+    c = SectionVector(surf, level, twisted, comps)
+    ts, p = c.transformed(), field.characteristic
+    for r in sorted({1, p, p * p} - {0}):
+        if r > level:
+            continue
+        td = _hasse(c, r).transformed()
+        for j in range(r, level + 1):
+            want = ts[j] * FieldElem(field, field.from_int(comb(j, r)))
+            assert td[j - r] == want, (r, j)
+        assert all(t.is_zero() for t in td[level - r + 1:]), r
+    pole = (not ts[0].is_zero()
+            and ts[0].valuation_at(E.infinity) < 0)
+    if pole:
+        with pytest.raises(VerificationError, match="transformed component 0"):
+            c.validate(upto=0)
+    else:
+        c.validate(upto=0)
+
+
+@pytest.mark.parametrize("name", ["QQ", "QQ-shipped", "389a1", "F9",
+                                  "F1000003", "F256"])
+def test_sections_are_built_reduced(name):
+    # _section takes no gcd: reducing any slot of h0(0..12) again changes no
+    # coefficient, nor, over Q, the int type of any
+    surf = _small_surface(name)
+    for level in range(13):
+        for twisted in (True, False):
+            for sec in surf.h0(level, twisted).sections:
+                for s in sec.components:
+                    again = FuncElem(surf.curve, s.a, s.b, s.d, reduce=True)
+                    assert again == s, (level, twisted)
+                    assert ([type(e) for e in again.a + again.b + again.d]
+                            == [type(e) for e in s.a + s.b + s.d])
+
+
+@pytest.mark.parametrize("name, r", [("QQ", 1), ("F1000003", 1), ("F9", 3),
+                                     ("F256", 2)])
+def test_h0_rejects_a_regular_t0_by_its_derivative(name, r):
+    # e = (s_0, 0, .., 0, h) with h in slot r (p, or 1 when p > level) and
+    # s_0 in L((r + 1) inf + q) cancelling the polar part of h g^r: t_0(e)
+    # is regular and t_r(e) = h is not.  Added to the top built vector, it
+    # passes validate(upto=0); D^(r'), r' < r, kills it (C(r, r') = 0 mod
+    # p), and the span check of D^(r) rejects it.  At level r + 2, e misses
+    # the own column, (0, level), of the top vector
+    surf = _small_surface.__wrapped__(name)
+    field, E, inf = surf.field, surf.curve, surf.curve.infinity
+    x, y, h = (FuncElem.x_function(E), FuncElem.y_function(E),
+               surf.one_pole_function)
+    by_order = {1: h, 2: x, 3: y, 4: x * x}
+    level, s0, coeffs = r + 2, FuncElem.zero(E), {}
+    polar = h * surf.cocycle.g ** r
+    while not (polar + s0).is_zero() and (polar + s0).valuation_at(inf) < 0:
+        m = -(polar + s0).valuation_at(inf)
+        lead = field.div((polar + s0).expand(inf, 1).coefficient(-m),
+                         by_order[m].expand(inf, 1).coefficient(-m))
+        coeffs[m] = field.sub(coeffs.get(m, field.zero), lead)
+        s0 = s0 - by_order[m] * FieldElem(field, lead)
+    e = {(0, m): c for m, c in coeffs.items()}
+    e[r, 1] = field.one
+    original = surface.AtiyahSurface._appell
+
+    def corrupted(self, level):
+        vectors = original(self, level)
+        columns, top = self._columns(level), dict(vectors[-1])
+        for key, c in e.items():
+            idx = columns.index(key)
+            top[idx] = field.add(top.get(idx, field.zero), c)
+        return vectors[:-1] + [top]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface.AtiyahSurface, "_appell", corrupted)
+        sections = surf._solve(level)[0]
+        sections[-1].validate(upto=0)
+        with pytest.raises(VerificationError,
+                           match=f"transformed component {r} has a pole"):
+            sections[-1].validate()
+        for twisted in (True, False):
+            with pytest.raises(VerificationError,
+                               match=rf"D\^\({r}\) of a basis section"):
+                surf.h0(level, twisted)
+            assert not surf._h0
