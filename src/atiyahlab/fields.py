@@ -19,13 +19,16 @@ Raw representations
   to a fixed generator (ints in ``[0, q-1)``, with ``q-1`` standing for
   zero), so multiplication is index addition and addition is one
   Zech-logarithm lookup.
-* F_{p^k} above the table limit (:class:`PolyField`): coefficient tuples of
-  length k.
+* F_{p^k} above the table limit (:class:`PolyField`): one ``int`` per
+  element, the coefficient of z^j in bits [W j, W j + W) for one width W
+  per field, wide enough that a product is one integer product with no
+  carry across digits (Kronecker substitution), reduced mod p digitwise by
+  one multiply, shift and mask, and an addition is one integer addition.
 
 ``FiniteField(p, k)`` returns the gear that fits (p, k); a gear class called
 directly builds that gear.  A gear defines its set-up, ``add``, ``neg``,
-``mul``, packed conversion and any fast ``inv``/``pow``; the rest is written
-once on :class:`FiniteField`.
+``mul``, packed conversion and any fast ``sub``/``inv``/``pow``; the rest
+is written once on :class:`FiniteField`.
 
 Externally (printing, serialization, enumeration order) an element of F_{p^k}
 is always the packed integer ``c_0 + c_1 p + ... + c_{k-1} p^{k-1}`` of its
@@ -45,13 +48,17 @@ walks the powers of g to fill ``_exp``.  Multiplying by g is F_p-linear, so
 with v = lo + hi p^h, h = k // 2, g v is the digitwise sum mod p of g lo and
 g (hi p^h): two half tables, of p^h and p^(k-h) entries, made once with the
 PolyField product, serve every step of the walk.  The sum is one integer
-addition in the wide encoding, which puts base-p digit j in bits
-[w j, w j + w) with w = p.bit_length() + 1.  Two digits below p sum below
-2p <= 2^w, so no carry crosses a field; adding 2^(w-1) - p to every field
-sets bit w - 1 of exactly the fields >= p, and p is subtracted there.  Two
-dicts keyed by the low and the high wide half give back lo and hi.  ``_log``
-and the Zech table are read off ``_exp``.  So polynomial arithmetic over F_p
-has two homes only: ``poly`` and the ``PolyField`` product.
+addition in the walk's narrow encoding, which puts base-p digit j in bits
+[w j, w j + w) with w = p.bit_length() + 1; the half-table entries come
+out of the PolyField gear in its own encoding, W bits a digit (W is wide
+enough for a product, far more than w), and are narrowed once.  Two digits
+below p sum below 2p <= 2^w, so no carry crosses a field; adding
+2^(w-1) - p to every field sets bit w - 1 of exactly the fields >= p, and p
+is subtracted there (the bias trick, which PolyField's ``add`` shares).
+Two dicts keyed by the low and the high narrow half give back lo and hi.
+``_log`` and the Zech table are read off ``_exp``.  So polynomial
+arithmetic over F_p has two homes only: ``poly`` and the ``PolyField``
+product.
 
 Quadratic roots
 ---------------
@@ -419,15 +426,18 @@ class TableField(FiniteField):
         shift = w * h
         low = (1 << shift) - 1
 
-        def wide(coeffs):
-            return sum(c << (w * j) for j, c in enumerate(coeffs))
+        W = ring._W
+        digit = (1 << W) - 1
+
+        def narrow(a):  # the ring's W-bit digits in the walk's w bits
+            return sum((a >> (W * j) & digit) << (w * j) for j in range(k))
 
         los = [ring.from_packed(v) for v in range(ph)]
         his = [ring.from_packed(u * ph) for u in range(p ** (k - h))]
-        lo_tab = [wide(ring.mul(gen, a)) for a in los]
-        hi_tab = [wide(ring.mul(gen, a)) for a in his]
-        lo_of = {wide(a): v for v, a in enumerate(los)}
-        hi_of = {wide(a) >> shift: u for u, a in enumerate(his)}
+        lo_tab = [narrow(ring.mul(gen, a)) for a in los]
+        hi_tab = [narrow(ring.mul(gen, a)) for a in his]
+        lo_of = {narrow(a): v for v, a in enumerate(los)}
+        hi_of = {narrow(a) >> shift: u for u, a in enumerate(his)}
         exp = [0] * q  # exp[q - 1] = 0 packs the zero sentinel
         lo, hi = 1, 0
         for i in range(q - 1):
@@ -489,50 +499,82 @@ class TableField(FiniteField):
 
 
 class PolyField(FiniteField):
-    """F_{p^k} above the table limit: coefficient tuples of length k."""
+    """F_{p^k} above the table limit: each element one packed ``int``, the
+    coefficient of z^j in bits [W j, W j + W), so ``zero = 0``, ``one = 1``
+    and int equality and hashing are canonical.
+
+    The bounds.  Every digit met below, a digit of a product of two reduced
+    elements (at most k terms below p^2) or of a fold (a digit below p plus
+    at most k - 1 such terms), is at most k (p - 1)^2 + p - 1 < 2^b, with
+    b = (k (p - 1)^2 + p).bit_length().  Let l = (p - 1).bit_length(), so
+    2^(l-1) <= p <= 2^l, and s = b + l.  Granlund and Montgomery (division
+    by invariant integers, PLDI 1994, thm. 4.2): M = ceil(2^s / p) gives
+    floor(x M / 2^s) = floor(x / p) for every 0 <= x < 2^b, and
+    M <= 2^(b+1) + 1, so x M < 2^(2b+2).  So with W = 2 b + l + 1 neither a
+    product nor its times M carries across a digit, and a digit of x M
+    shifted down by s is its quotient, below 2^b.
+
+    ``mul`` is one integer product (Kronecker substitution), every digit
+    then reduced mod p at once by one multiply, shift and mask, and the
+    digits at z^k and above folded back through the packed tail z^k mod f,
+    each fold reduced the same way, until the degree is below k (a fold
+    lowers the degree by k minus the degree of the tail, so one fold does
+    for the lex-least moduli with a tail of degree <= 1).  ``add``, ``sub``
+    and ``neg`` are one integer add or subtract, digits below 2p, then the
+    bias trick of the table walk subtracts p from every digit >= p.
+    """
 
     def _setup(self):
         p, k = self.p, self.k
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        # z^(k+i) mod modulus, as coefficient tuples, for i in [0, k-1)
-        cur = tuple((-c) % p for c in self.modulus[:k])  # z^k
-        rows = [cur]
-        for _ in range(k - 2):
-            shifted = (0,) + cur[: k - 1]
-            carry = cur[k - 1]
-            if carry:
-                shifted = tuple((s + carry * r) % p for s, r in zip(shifted, rows[0]))
-            cur = shifted
-            rows.append(cur)
-        self._red_rows = rows
+        l = (p - 1).bit_length()
+        b = (k * (p - 1) ** 2 + p).bit_length()
+        W = self._W = 2 * b + l + 1
+        ones = sum(1 << (W * j) for j in range(2 * k - 1))
+        self._s, self._M = b + l, -(-(1 << (b + l)) // p)
+        self._quot = ((1 << b) - 1) * ones
+        self._kW = k * W
+        self._low = (1 << (k * W)) - 1
+        self._tail = sum((-c) % p << (W * j) for j, c in enumerate(self.modulus[:k]))
+        # bit w - 1 of digit + 2^(w-1) - p is set exactly for digits >= p
+        w = p.bit_length() + 1
+        ones &= self._low
+        self._bias, self._top, self._ones = ((1 << (w - 1)) - p) * ones, w - 1, ones
+        self._ps = p * ones
+        self.zero, self.one = 0, 1
+
+    def _mod_p(self, x):
+        """x with every digit (below 2^b) reduced mod p."""
+        return x - self.p * ((x * self._M >> self._s) & self._quot)
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        s = a + b
+        return s - self.p * (((s + self._bias) >> self._top) & self._ones)
+
+    def sub(self, a, b):
+        return self.add(a, self._ps - b)
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self.add(0, self._ps - a)
 
     def mul(self, a, b):
-        k, p = self.k, self.p
-        out = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = out[i]
-            if c:
-                row = self._red_rows[i - k]
-                for j in range(k):
-                    out[j] = (out[j] + c * row[j]) % p
-        return tuple(out[:k])
+        x, kW = self._mod_p(a * b), self._kW
+        while hi := x >> kW:
+            x = self._mod_p((x & self._low) + hi * self._tail)
+        return x
 
     def _from_packed(self, v: int):
-        return _unpack(self.p, self.k, v)
+        out = shift = 0
+        while v:
+            v, c = divmod(v, self.p)
+            out |= c << shift
+            shift += self._W
+        return out
 
     def to_packed(self, a) -> int:
-        return _pack(self.p, a)
+        v, W, digit = 0, self._W, (1 << self._W) - 1
+        for j in range((self.k - 1) * W, -1, -W):
+            v = v * self.p + (a >> j & digit)
+        return v
 
 
 def _pack(p: int, coeffs) -> int:
@@ -540,14 +582,6 @@ def _pack(p: int, coeffs) -> int:
     for c in reversed(coeffs):
         v = v * p + c % p
     return v
-
-
-def _unpack(p: int, k: int, v: int):
-    out = []
-    for _ in range(k):
-        out.append(v % p)
-        v //= p
-    return tuple(out)
 
 
 _field_cache: dict = {}

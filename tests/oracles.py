@@ -7,9 +7,11 @@ chart-change matrix, the coboundary test, a class-preserving translation,
 span membership of sections, the level-by-level search for a minimal level,
 the multiplicity-by-multiplicity search for a maximal multiplicity, the
 expansion of a function by Horner's rule on the coordinate series of a
-chart, the tables of a table field built one element at a time), so that
-the tests can compare the two.
-``of_point`` and ``to_coeffs`` are conveniences that only the tests use.
+chart, the tables of a table field built one element at a time, the
+product of the poly gear on coefficient tuples), so that the tests can
+compare the two.
+``of_point``, ``unpack`` and ``to_coeffs`` are conveniences that only the
+tests use.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from atiyahlab.errors import SeriesPrecisionError, VerificationError
 from atiyahlab.fat_points import (FatPoint, LambdaRecord, MuRecord,
                                   _check_admissible, _lambda_bounds,
                                   fat_system, h0_fat, verify_jets)
-from atiyahlab.fields import FieldElem, PolyField, _prime_divisors, _unpack
+from atiyahlab.fields import (FieldElem, FiniteField, PolyField, _pack,
+                              _prime_divisors)
 from atiyahlab.funcfield import FuncElem, _chart, mul_numerators
 from atiyahlab.linalg import Matrix, rank, rank_naive
 from atiyahlab.series import LaurentSeries, eval_poly
@@ -35,10 +38,19 @@ def of_point(P, n: int = 1) -> Divisor:
     return Divisor(P.curve, {P: n})
 
 
+def unpack(p: int, k: int, v: int):
+    """The k base-p digits of v, lowest first."""
+    out = []
+    for _ in range(k):
+        out.append(v % p)
+        v //= p
+    return tuple(out)
+
+
 def to_coeffs(field, a):
     """The coefficients of the raw element a of F_{p^k} against the power
     basis of the modulus, lowest first."""
-    return _unpack(field.p, field.k, field.to_packed(a))
+    return unpack(field.p, field.k, field.to_packed(a))
 
 
 def from_elems(field, rows) -> Matrix:
@@ -419,3 +431,55 @@ def tables_by_poly_mul(p: int, k: int):
         log[v] = i
     zech = [log[v - v % p + (v + 1) % p] for v in exp[:-1]]
     return exp, log, zech
+
+
+class TupleField(FiniteField):
+    """F_{p^k} on coefficient tuples of length k, whatever q is: the oracle
+    of the packed :class:`PolyField` gear.  ``add`` and ``neg`` go digit by
+    digit, ``mul`` is the schoolbook loop with a ``%`` per step, its digits
+    at z^(k+i) reduced through the rows z^(k+i) mod f; ``sub``, ``inv``,
+    ``div`` and ``pow`` are those written once on FiniteField.  Give it the
+    modulus of the field it shadows, so that it searches none."""
+
+    def _setup(self):
+        p, k = self.p, self.k
+        self.zero = (0,) * k
+        self.one = (1,) + (0,) * (k - 1)
+        # z^(k+i) mod modulus, as coefficient tuples, for i in [0, k-1)
+        cur = tuple((-c) % p for c in self.modulus[:k])  # z^k
+        rows = [cur]
+        for _ in range(k - 2):
+            shifted = (0,) + cur[: k - 1]
+            carry = cur[k - 1]
+            if carry:
+                shifted = tuple((s + carry * r) % p for s, r in zip(shifted, rows[0]))
+            cur = shifted
+            rows.append(cur)
+        self._red_rows = rows
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        k, p = self.k, self.p
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        for i in range(2 * k - 2, k - 1, -1):
+            c = out[i]
+            if c:
+                row = self._red_rows[i - k]
+                for j in range(k):
+                    out[j] = (out[j] + c * row[j]) % p
+        return tuple(out[:k])
+
+    def _from_packed(self, v: int):
+        return unpack(self.p, self.k, v)
+
+    def to_packed(self, a) -> int:
+        return _pack(self.p, a)

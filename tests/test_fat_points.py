@@ -392,8 +392,6 @@ def _gear_case(name, seed):
         return surf, FatPoint(E.point(2, -3), seed % 5 - 2, 1)
     if name == "F101-torsion":  # (22, 27) - (0, 1) has order 2
         return surf, FatPoint(E.point(22, 27), seed % 101, 1)
-    if name == "F3^13":         # one point: the poly gear expands slowly
-        seed = 0
     return surf, sample_fat_point(surf, random.Random(seed))
 
 

@@ -16,14 +16,13 @@ from atiyahlab.fields import (
     TableField,
     _canonical_modulus,
     _is_irreducible,
-    _unpack,
     field_from_config,
     is_probable_prime,
     make_extension_field,
     solve_quadratic,
 )
 from atiyahlab import fields
-from oracles import tables_by_poly_mul, to_coeffs
+from oracles import TupleField, tables_by_poly_mul, to_coeffs, unpack
 
 
 def test_canonical_moduli_small():
@@ -52,7 +51,7 @@ def test_irreducible_count_is_gauss_count(p):
     # exactly (1/k) sum_{d | k} mu(d) p^(k/d) of them
     k = 1
     while p ** k <= 3000:
-        accepted = sum(_is_irreducible(p, _unpack(p, k, v) + (1,))
+        accepted = sum(_is_irreducible(p, unpack(p, k, v) + (1,))
                        for v in range(p ** k))
         gauss = sum(_mobius(d) * p ** (k // d)
                     for d in range(1, k + 1) if k % d == 0) // k
@@ -446,6 +445,46 @@ def test_table_and_poly_gears_agree(q, x, y, n):
     assert T.to_packed(T.neg(a[0])) == P.to_packed(P.neg(b[0]))
     assert _packed_result(T, "pow", a[0], n) == _packed_result(P, "pow", b[0], n)
     assert T.is_zero(a[0]) == P.is_zero(b[0]) == (x == 0)
+
+
+_PACKED_FIELDS = {"F3^13": (3, 13), "F2^21": (2, 21), "F2^24": (2, 24),
+                  "F3^24": (3, 24), "F1031^2": (1031, 2),
+                  "F1000003^2": (1000003, 2)}
+
+
+@functools.cache
+def _packed_and_oracle(name):
+    """A field of the packed poly gear and its tuple oracle."""
+    F = make_extension_field(*_PACKED_FIELDS[name])
+    return F, TupleField(F.p, F.k, F.modulus)
+
+
+def _packed_value(data, F, label):
+    """A packed value, often 0, 1, the one whose every digit is p - 1, or
+    z^(k-1)."""
+    edges = [0, 1, F.q - 1, F.p ** (F.k - 1)]
+    return data.draw(st.one_of(st.sampled_from(edges), st.integers(0, F.q - 1)),
+                     label=label)
+
+
+@pytest.mark.parametrize("name", sorted(_PACKED_FIELDS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(-600, 600))
+def test_packed_poly_gear_matches_the_tuple_oracle(name, data, n):
+    # one packed int per element against coefficient tuples and the
+    # schoolbook product, through to_packed, which round-trips from_packed
+    F, O = _packed_and_oracle(name)
+    assert type(F) is PolyField
+    x, y = _packed_value(data, F, "x"), _packed_value(data, F, "y")
+    a, b = F.from_packed(x), F.from_packed(y)
+    assert (F.to_packed(a), F.to_packed(b)) == (x, y)
+    oa, ob = O.from_packed(x), O.from_packed(y)
+    for op in ("add", "sub", "mul", "div"):
+        assert _packed_result(F, op, a, b) == _packed_result(O, op, oa, ob), op
+    assert _packed_result(F, "inv", a) == _packed_result(O, "inv", oa)
+    assert F.to_packed(F.neg(a)) == O.to_packed(O.neg(oa))
+    assert _packed_result(F, "pow", a, n) == _packed_result(O, "pow", oa, n)
+    assert F.is_zero(a) == (x == 0)
 
 
 @pytest.mark.parametrize("name", ["prime7", "prime1000003", "table3^5",
